@@ -115,7 +115,8 @@ def _loop_from_args(args) -> lp.LoopCtx:
         raise CapViolation(
             f"loop degree {S.size - 1} exceeds cap {cap}",
             f"SL/GL sandwich: {pg.sl_order(d, q)} <= |Mlt| <= {pg.gl_order(d, q)}; "
-            f"a BSGS at this degree would need roughly {(S.size - 1) ** 2} perm cells per level")
+            f"a BSGS at this degree would need {4 * (S.size - 1) ** 2} bytes per level "
+            f"(one {S.size - 1}x{S.size - 1} int32 table of inverse coset representatives)")
     return lp.build_loop(S)
 
 

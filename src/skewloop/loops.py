@@ -10,7 +10,7 @@ Latin-square property, asserted at construction).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,10 +24,6 @@ ISO_SIZE_CAP = 255
 
 
 class SizeCapExceeded(ValueError):
-    pass
-
-
-class ZeroElement(ValueError):
     pass
 
 
@@ -50,10 +46,6 @@ class LoopCtx:
     def right_translation(self, a: int) -> Perm:
         return self.table[:, a].astype(np.int32)
 
-    def left_inverse_of(self, a: int) -> int:
-        """The b with b*a = identity."""
-        return int(np.nonzero(self.table[:, a] == self.identity)[0][0])
-
 
 def _assert_latin(table: np.ndarray, identity: int) -> None:
     n = table.shape[0]
@@ -67,6 +59,18 @@ def _assert_latin(table: np.ndarray, identity: int) -> None:
         raise AssertionError("identity row/column is not the identity map")
 
 
+def _coordinates(S: SemifieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, w): the D x N prime-field vectors of the nonzero codes 1..size-1,
+    and the integer weights with w @ Y[:, i] = i + 1."""
+    K = S.tower.field
+    Y = np.empty((S.dim_prime, S.size - 1), dtype=np.int64)
+    for code in range(1, S.size):
+        Y[:, code - 1] = S.to_vector(code)
+    w = np.array([(K.p ** j) * (K.order ** i) for i in range(S.m) for j in range(K.l)],
+                 dtype=np.int64)
+    return Y, w
+
+
 def build_loop(S: SemifieldCtx) -> LoopCtx:
     """Loop on the q^(nm)-1 nonzero elements, with the full index table.
 
@@ -74,23 +78,13 @@ def build_loop(S: SemifieldCtx) -> LoopCtx:
     the prime field: for each x the images of a basis under y -> x*y pin
     down the whole row.
     """
-    K = S.tower.field
-    p = K.p
-    n_elems = S.size
-    N = n_elems - 1
+    p = S.tower.field.p
+    N = S.size - 1
     D = S.dim_prime
     basis = S.basis()
-    # columns: prime-field vectors of all nonzero codes, in code order 1..size-1
-    Y = np.empty((D, N), dtype=np.int64)
-    for code in range(1, n_elems):
-        Y[:, code - 1] = S.to_vector(code)
-    # integer weights turning a coordinate vector back into a code
-    w = np.empty(D, dtype=np.int64)
-    for i in range(S.m):
-        for j in range(K.l):
-            w[i * K.l + j] = (p ** j) * (K.order ** i)
+    Y, w = _coordinates(S)
     table = np.empty((N, N), dtype=np.int32)
-    for code in range(1, n_elems):
+    for code in range(1, S.size):
         M = np.empty((D, D), dtype=np.int64)
         for col, b in enumerate(basis):
             M[:, col] = S.to_vector(S.mul(code, b))
@@ -113,9 +107,45 @@ def loop_from_table(table: Sequence[Sequence[int]], identity: int = 0) -> LoopCt
 # multiplication and inner mapping groups
 
 
+def gl_bound(L: LoopCtx) -> Optional[int]:
+    """|GL(nm,q)| if every translation of L is certified F_q-linear on
+    S_f = F_q^(nm), else None.
+
+    A translation T is F_p-linear when its permutation equals the action of
+    the D x D prime-field matrix read off the images of the basis, on all N
+    nonzero vectors.  It is then F_q-linear when it also commutes with
+    x -> cx for a generator c of F_q^*: the constants of F_q are central,
+    so that map is the left translation L_c.
+    """
+    S = L.semifield
+    if S is None:
+        return None
+    K = S.tower.field
+    p, q = K.p, S.tower.q
+    Y, w = _coordinates(S)
+    cols = np.array(S.basis()) - 1
+    c = K.pow_int(K.primitive, (K.order - 1) // (q - 1))
+    Lc = L.table[c - 1]
+    chunk = 64
+    # left translations are the rows of the table, right ones its columns
+    for perms in (L.table, L.table.T):
+        for s in range(0, L.size, chunk):
+            P = perms[s:s + chunk]
+            M = Y[:, P[:, cols]].transpose(1, 0, 2)   # matrix of each T
+            if not (np.array_equal(w @ ((M @ Y) % p) - 1, P)
+                    and np.array_equal(P[:, Lc], Lc[P])):
+                return None
+    return pg.gl_order(S.tower.n * S.m, q)
+
+
 def mlt_group(L: LoopCtx, seed: int = 0) -> BSGS:
     """Exact Mlt(L): seed a few translations, then sift every L_a and R_a,
-    extending the chain on any failure."""
+    extending the chain on any failure.
+
+    When `gl_bound` certifies Mlt(L) <= GL(nm,q), the chain stops as soon as
+    its order reaches |GL(nm,q)|, and the sweep over the translations is
+    skipped once it has.
+    """
     N = L.size
     if N > pg.DEGREE_CAP:
         raise pg.DegreeCapExceeded(f"loop of size {N} exceeds the Mlt degree cap")
@@ -127,16 +157,19 @@ def mlt_group(L: LoopCtx, seed: int = 0) -> BSGS:
     for a in picks:
         gens.append(L.left_translation(a))
         gens.append(L.right_translation(a))
-    G = pg.bsgs_build(gens, base_hint=[L.identity])
+    bound = gl_bound(L)
+    G = pg.bsgs_build(gens, base_hint=[L.identity], order_bound=bound)
+    chunk = 128
     changed = True
-    while changed:
+    while changed and G.order != bound:
         changed = False
-        for a in range(N):
-            for perm in (L.left_translation(a), L.right_translation(a)):
-                if not G.contains(perm):
-                    G.extend(perm)
-                    changed = True
-    if len(G.transversals[0]) != N:
+        for s in range(0, N, chunk):
+            rows = L.table[s:s + chunk]
+            block = np.empty((2 * len(rows), N), dtype=np.int32)
+            block[0::2] = rows                       # L_a
+            block[1::2] = L.table[:, s:s + chunk].T  # R_a
+            changed |= G.extend_many(block)
+    if G.orbit_lengths()[0] != N:
         raise pg.NotTransitive("Mlt(L) is not transitive")
     return G
 
@@ -166,22 +199,17 @@ def inn_group(L: LoopCtx, M: BSGS, cross_check: bool = True
 def inn_from_generators(L: LoopCtx) -> BSGS:
     """The subgroup generated by all T_x, L_{x,y}, R_{x,y} (small loops)."""
     N = L.size
-    lefts = [L.left_translation(a) for a in range(N)]
-    rights = [L.right_translation(a) for a in range(N)]
-    linv = [pg.inverse(g) for g in lefts]
-    rinv = [pg.inverse(g) for g in rights]
-    gens = [pg.compose(linv[x], rights[x]) for x in range(N)]
+    T = L.table
+    linv = pg.inverse_many(T)      # linv[a] = L_a^-1
+    rinv = pg.inverse_many(T.T)    # rinv[a] = R_a^-1
+    gens = pg.compose_rows(linv, np.arange(N), T.T)   # T_x = L_x^-1 R_x
     G = pg.bsgs_build([g for g in gens if not pg.is_identity(g)] or [pg.identity_perm(N)])
+    block = np.empty((2 * N, N), dtype=np.int32)
     for x in range(N):
-        for y in range(N):
-            yx = L.mul(y, x)
-            lg = pg.compose(linv[yx], pg.compose(lefts[y], lefts[x]))
-            if not G.contains(lg):
-                G.extend(lg)
-            xy = L.mul(x, y)
-            rg = pg.compose(rinv[xy], pg.compose(rights[y], rights[x]))
-            if not G.contains(rg):
-                G.extend(rg)
+        # row 2y: L_{x,y} = L_{yx}^-1 L_y L_x; row 2y+1: R_{x,y} = R_{xy}^-1 R_y R_x
+        block[0::2] = pg.compose_rows(linv, T[:, x], T[:, T[x]])
+        block[1::2] = pg.compose_rows(rinv, T[x], T[T[:, x]].T)
+        G.extend_many(block)
     return G
 
 

@@ -3,18 +3,25 @@
 Permutations are numpy int arrays of images; (g*h)(x) = g(h(x)) is the
 fancy-indexing g[h].  The chain is built by the deterministic Schreier-Sims
 procedure, so every Schreier generator is verified to sift to the identity
-before the order is reported.
+before the order is reported, unless the caller supplies an upper bound on
+the group order that the chain reaches first (see `bsgs_build`).
+
+Each level of the chain stores its orbit in BFS order, a point -> row index
+and the inverse coset representatives u^-1 as rows of one degree x degree
+int32 table; Schreier generators and sifts are formed a chunk at a time by
+numpy gathers, in the order the one-at-a-time procedure would visit them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
 from typing import Optional, Sequence
 
 import numpy as np
 
 DEGREE_CAP = 5000
+# permutation cells (rows x degree) formed per numpy batch
+CHUNK_CELLS = 1 << 16
 
 
 class DegreeMismatch(ValueError):
@@ -31,6 +38,10 @@ class DegreeCapExceeded(ValueError):
 
 class TooLarge(ValueError):
     pass
+
+
+class _BoundReached(Exception):
+    """The chain's orbit product reached the known order bound."""
 
 
 Perm = np.ndarray
@@ -51,92 +62,180 @@ def inverse(g: Perm) -> Perm:
     return inv
 
 
+def _flat_index(rows: np.ndarray, P: np.ndarray, n: int) -> np.ndarray:
+    """Offsets of the cells (rows[i], P[i, x]) in a C-ordered table with n
+    columns; one flat take is several times faster than 2-d fancy indexing."""
+    return (rows.astype(np.intp) * n)[:, None] + P
+
+
+def compose_rows(table: np.ndarray, rows: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Row i is table[rows[i]] composed with P[i], i.e. table[rows[i]][P[i]]."""
+    return table.ravel()[_flat_index(rows, P, table.shape[1])]
+
+
+def inverse_many(P: np.ndarray) -> np.ndarray:
+    """Row-wise inverses of a stack of permutations."""
+    n = P.shape[1]
+    inv = np.empty(P.shape, dtype=P.dtype)
+    inv.ravel()[_flat_index(np.arange(len(P)), P, n)] = np.arange(n, dtype=P.dtype)
+    return inv
+
+
 def is_identity(g: Perm) -> bool:
     return bool((g == np.arange(len(g), dtype=g.dtype)).all())
 
 
-def perm_from_images(images: Sequence[int]) -> Perm:
-    arr = np.asarray(images, dtype=np.int32)
-    if sorted(arr.tolist()) != list(range(len(arr))):
-        raise ValueError("not a permutation")
-    return arr
+class _Level:
+    """One level of the chain: the orbit of `point` in BFS order, the row of
+    each orbit point (-1 off the orbit), and u_pt^-1 in row row[pt] of
+    `uinv`, allocated once and refilled by every rebuild.  `gens` is the
+    stack of the level's generators at the last rebuild; `fresh` is cleared
+    when a new strong generator reaches the level, which makes it stale
+    (an orbit of a subgroup of the level's group) until it is rebuilt."""
+
+    def __init__(self, point: int, degree: int):
+        self.point = point
+        self.orbit = np.array([point], dtype=np.int32)
+        self.row = np.full(degree, -1, dtype=np.int32)
+        self.row[point] = 0
+        self.uinv = np.empty((degree, degree), dtype=np.int32)
+        self.uinv[0] = np.arange(degree, dtype=np.int32)
+        self.gens = np.empty((0, degree), dtype=np.int32)
+        self.fresh = False
 
 
 class BSGS:
-    """Base and strong generating set with explicit transversals."""
+    """Base and strong generating set with array transversals."""
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int, order_bound: Optional[int] = None):
         if degree > DEGREE_CAP:
             raise DegreeCapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
         self.degree = degree
+        self.order_bound = order_bound
         self.base: list[int] = []
-        # sgs[i]: generators fixing base[:i]; sgs has len(base)+1 slots is not
-        # needed -- level i generators live in sgs[i]
+        # sgs[j]: strong generators that fix base[:j] and move base[j]
+        # (the seed generators all sit in sgs[0])
         self.sgs: list[list[Perm]] = []
-        self.transversals: list[dict[int, Perm]] = []
+        self.levels: list[_Level] = []
+        # counters: Schreier generators formed, residues added as strong
+        # generators, transversal rebuilds, permutations sifted, and whether
+        # the construction stopped at order_bound
+        self.stats = {"schreier_generators": 0, "residues": 0, "rebuilds": 0,
+                      "sifts": 0, "stopped_at_bound": False}
 
     # -- chain bookkeeping ----------------------------------------------
 
-    def _gens_at(self, level: int) -> list[Perm]:
-        out: list[Perm] = []
-        for l in range(level, len(self.sgs)):
-            out.extend(self.sgs[l])
-        return out
-
     def _recompute_transversal(self, level: int) -> None:
-        pt = self.base[level]
+        """Refill the level's orbit and inverse representatives by BFS:
+        u_{g(q)} = g u_q, so u_{g(q)}^-1 = u_q^-1[g^-1]."""
+        lv = self.levels[level]
+        if lv.fresh:
+            return
         gens = self._level_gens(level)
-        trans: dict[int, Perm] = {pt: identity_perm(self.degree)}
-        frontier = [pt]
-        while frontier:
-            nxt = []
-            for q in frontier:
-                u = trans[q]
-                for g in gens:
-                    r = int(g[q])
-                    if r not in trans:
-                        trans[r] = compose(g, u)
-                        nxt.append(r)
-            frontier = nxt
-        self.transversals[level] = trans
+        lv.gens = np.stack(gens) if gens else np.empty((0, self.degree), dtype=np.int32)
+        k = len(lv.gens)
+        lv.row.fill(-1)
+        lv.row[lv.point] = 0
+        orbit = [np.array([lv.point], dtype=np.int32)]
+        size = 1
+        ginv = inverse_many(lv.gens)
+        frontier, front_rows = orbit[0], np.zeros(1, dtype=np.intp)
+        while True:
+            # images in visiting order: frontier point major, generator minor
+            images = lv.gens[:, frontier].T.ravel()
+            unseen = np.flatnonzero(lv.row[images] < 0)
+            _, first = np.unique(images[unseen], return_index=True)
+            src = unseen[np.sort(first)]
+            if not src.size:
+                break
+            frontier = images[src]
+            rows = np.arange(size, size + frontier.size)
+            lv.row[frontier] = rows
+            step = max(1, CHUNK_CELLS // self.degree)
+            for a in range(0, frontier.size, step):
+                b = src[a:a + step]
+                lv.uinv[size + a:size + a + b.size] = compose_rows(
+                    lv.uinv, front_rows[b // k], ginv[b % k])
+            orbit.append(frontier)
+            size += frontier.size
+            front_rows = rows
+        lv.orbit = np.concatenate(orbit)
+        lv.fresh = True
+        self.stats["rebuilds"] += 1
+        if (self.order_bound is not None and not self.stats["stopped_at_bound"]
+                and self.order == self.order_bound):
+            raise _BoundReached
 
     def _level_gens(self, level: int) -> list[Perm]:
         """Generators of the level-th stabilizer: those fixing base[:level]."""
-        base_prefix = self.base[:level]
-        out = []
-        for lst in self.sgs:
-            for g in lst:
-                if all(int(g[b]) == b for b in base_prefix):
-                    out.append(g)
-        return out
+        prefix = np.asarray(self.base[:level], dtype=np.int64)
+        return [g for lst in self.sgs for g in lst
+                if np.array_equal(g[prefix], prefix)]
 
     def _append_base_point(self, moved_by: Perm) -> None:
-        for pt in range(self.degree):
-            if int(moved_by[pt]) != pt:
-                self.base.append(pt)
-                self.sgs.append([])
-                self.transversals.append({})
-                return
-        raise AssertionError("identity passed as a new strong generator")
+        moved = np.flatnonzero(moved_by != np.arange(self.degree))
+        if not moved.size:
+            raise AssertionError("identity passed as a new strong generator")
+        self._add_level(int(moved[0]))
+
+    def _add_level(self, point: int) -> None:
+        self.base.append(point)
+        self.sgs.append([])
+        self.levels.append(_Level(point, self.degree))
+
+    def _add_generator(self, residue: Perm, j: int) -> None:
+        if j == len(self.base):
+            self._append_base_point(residue)
+        self.sgs[j].append(residue)
+        self.stats["residues"] += 1
+        for lv in self.levels[:j + 1]:
+            lv.fresh = False
 
     # -- sifting ---------------------------------------------------------
 
     def sift(self, g: Perm, start_level: int = 0) -> tuple[Perm, int]:
         """Strip g through the chain; returns (residue, level reached)."""
+        self.stats["sifts"] += 1
         h = g
         for l in range(start_level, len(self.base)):
-            pt = int(h[self.base[l]])
-            u = self.transversals[l].get(pt)
-            if u is None:
+            lv = self.levels[l]
+            r = lv.row[h[lv.point]]
+            if r < 0:
                 return h, l
-            h = compose(inverse(u), h)
+            h = lv.uinv[r][h]
         return h, len(self.base)
+
+    def sift_many(self, H: np.ndarray, start_level: int = 0
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise `sift` of a stack of permutations: (residues, levels)."""
+        self.stats["sifts"] += len(H)
+        residues = np.empty_like(H)
+        reached = np.full(len(H), len(self.base), dtype=np.int64)
+        active = np.arange(len(H))
+        for l in range(start_level, len(self.base)):
+            lv = self.levels[l]
+            r = lv.row[H[:, lv.point]]
+            out = r < 0
+            if out.any():
+                residues[active[out]] = H[out]
+                reached[active[out]] = l
+                active, r, H = active[~out], r[~out], H[~out]
+            H = compose_rows(lv.uinv, r, H)
+        residues[active] = H
+        return residues, reached
 
     def contains(self, g: Perm) -> bool:
         if len(g) != self.degree:
             raise DegreeMismatch("degree mismatch")
         residue, _ = self.sift(g)
         return is_identity(residue)
+
+    def contains_many(self, H: np.ndarray) -> np.ndarray:
+        """Row-wise `contains` of a stack of permutations."""
+        if H.shape[1] != self.degree:
+            raise DegreeMismatch("degree mismatch")
+        residues, _ = self.sift_many(H)
+        return (residues == np.arange(self.degree)).all(axis=1)
 
     # -- deterministic Schreier-Sims -------------------------------------
 
@@ -148,34 +247,65 @@ class BSGS:
             if done:
                 i -= 1
 
+    def _first_residue(self, i: int) -> Optional[tuple[Perm, int]]:
+        """The first Schreier generator u_{g(pt)}^-1 g u_pt of level i, with
+        pt in BFS order and g in `_level_gens` order, that does not sift to
+        the identity through levels i+1..: (residue, level reached)."""
+        lv = self.levels[i]
+        k = len(lv.gens)
+        if not k:
+            return None
+        ident = np.arange(self.degree)
+        per = max(1, CHUNK_CELLS // (k * self.degree))
+        for s in range(0, len(lv.orbit), per):
+            rows = slice(s, min(s + per, len(lv.orbit)))
+            u = inverse_many(lv.uinv[rows])
+            # row pt * k + g: g u_pt, then u_{g(pt)}^-1 g u_pt
+            gu = lv.gens.ravel()[(np.arange(k, dtype=np.intp) * self.degree)[:, None]
+                                 + u[:, None, :]].reshape(-1, self.degree)
+            targets = lv.gens[:, lv.orbit[rows]].T.ravel()
+            sg = compose_rows(lv.uinv, lv.row[targets], gu)
+            del u, gu
+            self.stats["schreier_generators"] += len(sg)
+            nontrivial = np.flatnonzero((sg != ident).any(axis=1))
+            if not nontrivial.size:
+                continue
+            residues, reached = self.sift_many(sg[nontrivial], i + 1)
+            bad = np.flatnonzero((reached < len(self.base))
+                                 | (residues != ident).any(axis=1))
+            if bad.size:
+                return residues[bad[0]].copy(), int(reached[bad[0]])
+        return None
+
     def _check_level(self, i: int) -> bool:
         """Process all Schreier generators at level i.  Returns True when the
         level verifies clean; False after extending the chain deeper."""
-        gens = self._level_gens(i)
-        trans = self.transversals[i]
-        for pt, u in list(trans.items()):
-            for g in gens:
-                target = int(g[pt])
-                ug = compose(g, u)
-                sg = compose(inverse(trans[target]), ug)
-                if is_identity(sg):
-                    continue
-                residue, j = self.sift(sg, i + 1)
-                if is_identity(residue):
-                    continue
-                if j == len(self.base):
-                    self._append_base_point(residue)
-                self.sgs[j].append(residue)
-                for l in range(j, len(self.base)):
-                    self._recompute_transversal(l)
-                # re-verify the deeper levels first
-                k = len(self.base) - 1
-                while k > i:
-                    self._recompute_transversal(k)
-                    if self._check_level(k):
-                        k -= 1
-                return False
-        return True
+        found = self._first_residue(i)
+        if found is None:
+            return True
+        residue, j = found
+        self._add_generator(residue, j)
+        for l in range(j, len(self.base)):
+            self._recompute_transversal(l)
+        # re-verify the deeper levels first
+        k = len(self.base) - 1
+        while k > i:
+            self._recompute_transversal(k)
+            if self._check_level(k):
+                k -= 1
+        return False
+
+    def _complete(self) -> None:
+        """Run Schreier-Sims over fresh transversals, stopping early once the
+        orbit product reaches `order_bound`."""
+        try:
+            for l in range(len(self.base)):
+                self._recompute_transversal(l)
+            self._schreier_sims()
+        except _BoundReached:
+            self.stats["stopped_at_bound"] = True
+            for l in range(len(self.base)):
+                self._recompute_transversal(l)
 
     def extend(self, g: Perm) -> bool:
         """Add a permutation not yet in the group; returns True if it was new."""
@@ -184,25 +314,39 @@ class BSGS:
         residue, j = self.sift(g)
         if is_identity(residue):
             return False
-        if j == len(self.base):
-            self._append_base_point(residue)
-        self.sgs[j].append(residue)
-        for l in range(len(self.base)):
-            self._recompute_transversal(l)
-        self._schreier_sims()
+        self._add_generator(residue, j)
+        self._complete()
         return True
+
+    def extend_many(self, H: np.ndarray) -> bool:
+        """`extend` by each row of H in turn; returns True if any was new.
+        Membership is tested a chunk at a time, resuming after each row
+        that extends the group."""
+        changed = False
+        start = 0
+        per = max(1, CHUNK_CELLS // max(1, self.degree))
+        while start < len(H):
+            chunk = H[start:start + per]
+            outside = np.flatnonzero(~self.contains_many(chunk))
+            if not outside.size:
+                start += len(chunk)
+                continue
+            self.extend(chunk[outside[0]])
+            changed = True
+            start += int(outside[0]) + 1
+        return changed
 
     # -- reports ----------------------------------------------------------
 
     @property
     def order(self) -> int:
         out = 1
-        for t in self.transversals:
-            out *= len(t)
+        for n in self.orbit_lengths():
+            out *= n
         return out
 
     def orbit_lengths(self) -> list[int]:
-        return [len(t) for t in self.transversals]
+        return [len(lv.orbit) for lv in self.levels]
 
     def strong_generators(self) -> list[Perm]:
         return [g for lst in self.sgs for g in lst]
@@ -216,29 +360,32 @@ class BSGS:
         }
 
 
-def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None) -> BSGS:
+def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
+               order_bound: Optional[int] = None) -> BSGS:
+    """The stabilizer chain of <gens>.
+
+    `order_bound`, when given, must be a proven upper bound on |<gens>|.
+    The construction then stops as soon as the product of the orbit lengths
+    reaches it: every level's orbit is an orbit of a subgroup of the true
+    point stabilizer, so that product never exceeds |<gens>|, and equality
+    forces each level to be the full stabilizer.
+    """
     gens = [np.asarray(g, dtype=np.int32) for g in gens]
     if not gens:
-        b = BSGS(degree=0 if base_hint is None else 0)
-        b.degree = 0
-        return b
+        return BSGS(degree=0)
     degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise DegreeMismatch("generators act on different point sets")
-    b = BSGS(degree)
+    b = BSGS(degree, order_bound=order_bound)
     for pt in base_hint or []:
-        b.base.append(int(pt))
-        b.sgs.append([])
-        b.transversals.append({})
+        b._add_level(int(pt))
     nontrivial = [g for g in gens if not is_identity(g)]
     if not b.base and nontrivial:
         b._append_base_point(nontrivial[0])
     for g in nontrivial:
         b.sgs[0].append(g)
     if b.base:
-        for l in range(len(b.base)):
-            b._recompute_transversal(l)
-        b._schreier_sims()
+        b._complete()
     # deterministic verification: every strong generator sifts to identity
     for g in b.strong_generators():
         residue, _ = b.sift(g)
@@ -246,13 +393,9 @@ def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None) 
     return b
 
 
-def bsgs_contains(G: BSGS, g: Perm) -> bool:
-    return G.contains(np.asarray(g, dtype=np.int32))
-
-
 def stabilizer_order(G: BSGS, point: int) -> int:
     """|Stab(point)| = |G|/degree for a transitive G (orbit-stabilizer)."""
-    if not G.base or len(G.transversals[0]) != G.degree:
+    if not G.base or G.orbit_lengths()[0] != G.degree:
         raise NotTransitive("group is not transitive on its degree")
     return G.order // G.degree
 

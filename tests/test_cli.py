@@ -123,6 +123,7 @@ def test_exit_cap_with_sandwich(capsys):
     assert rc == cli.EXIT_CAP
     assert "SL/GL sandwich" in err
     assert "20160" in err  # both bounds collapse to |GL(4,2)|
+    assert "900 bytes per level" in err  # one 15 x 15 int32 table
 
 
 def test_verify_tier1_passes(capsys):

@@ -140,3 +140,53 @@ def test_loop_report_keys():
 def test_mlt_seed_invariance():
     _, L = quat2_loop()
     assert lp.mlt_group(L, seed=0).order == lp.mlt_group(L, seed=99).order
+
+
+# Chains of the two order-80 F_9 loops (A_1, A_2), recorded from the
+# one-generator-at-a-time Schreier-Sims: the batched search must find the
+# same residues in the same order, hence the same base and orbits.
+MLT80 = {"order": 24261120, "base": [0, 2, 8, 26], "orbits": [80, 78, 72, 54]}
+INN80 = {"order": 303264, "base": [8, 2, 26], "orbits": [78, 72, 54]}
+
+
+def chain(G):
+    return {"order": G.order, "base": G.base, "orbits": G.orbit_lengths()}
+
+
+def test_mlt_and_inn_chains_pinned_order80():
+    for L in quat3_loops():
+        M = lp.mlt_group(L)
+        assert chain(M) == MLT80
+        assert M.stats["stopped_at_bound"]
+        assert M.order == pg.gl_order(4, 3) == lp.gl_bound(L)
+        inn = lp.inn_from_generators(L)
+        assert chain(inn) == INN80
+        assert not inn.stats["stopped_at_bound"]
+
+
+def test_mlt_without_certificate_runs_in_full():
+    for L in quat3_loops():
+        bare = lp.loop_from_table(L.table)
+        assert lp.gl_bound(bare) is None
+        M = lp.mlt_group(bare)
+        assert chain(M) == MLT80
+        assert not M.stats["stopped_at_bound"]
+        # the full run tests every Schreier generator the bounded run skips
+        assert M.stats["schreier_generators"] > lp.mlt_group(L).stats["schreier_generators"]
+
+
+def test_broken_table_fails_certificate():
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    S, L = quat2_loop()
+    table = L.table.copy()
+    table[[1, 2]] = table[[2, 1]]   # rows stay permutations; columns do not stay linear
+    broken = lp.LoopCtx(semifield=S, table=table)
+    assert lp.gl_bound(broken) is None
+    M = lp.mlt_group(broken)
+    assert not M.stats["stopped_at_bound"]
+    perms = [broken.left_translation(a) for a in range(broken.size)]
+    perms += [broken.right_translation(a) for a in range(broken.size)]
+    ref = PermutationGroup([Permutation(p.tolist()) for p in perms])
+    assert M.order == ref.order()
+    assert all(M.contains(p) for p in perms)

@@ -96,3 +96,75 @@ def test_gl_sl_orders():
     assert pg.gl_order(4, 3) == 24261120
     assert pg.sl_order(4, 5) == 29016000000
     assert pg.gl_order(4, 5) == 116064000000
+
+
+def gl32_on_vectors():
+    """GL(3,2) on the 7 nonzero vectors of F_2^3 (vector v is point v - 1),
+    generated by the elementary transvections x_i += x_j."""
+    gens = []
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                img = [(v ^ (((v >> j) & 1) << i)) - 1 for v in range(1, 8)]
+                gens.append(np.array(img, dtype=np.int32))
+    return gens
+
+
+@pytest.mark.parametrize("name,gens,order", [
+    ("S_8", [cycle(8, 0, 1), np.array(list(range(1, 8)) + [0], dtype=np.int32)], 40320),
+    ("A_7", [cycle(7, 0, 1, 2), cycle(7, 2, 3, 4), cycle(7, 4, 5, 6)], 2520),
+    ("GL(3,2)", gl32_on_vectors(), 168),
+])
+def test_order_and_membership_match_sympy(name, gens, order):
+    import random
+
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    G = pg.bsgs_build(gens)
+    ref = PermutationGroup([Permutation(g.tolist()) for g in gens])
+    assert G.order == ref.order() == order
+    n = len(gens[0])
+    rng = random.Random(7)
+    candidates = []
+    for _ in range(60):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        candidates.append(np.array(perm, dtype=np.int32))
+    for _ in range(20):   # words in the generators: members
+        word = pg.identity_perm(n)
+        for _ in range(8):
+            word = pg.compose(rng.choice(gens), word)
+        candidates.append(word)
+    expected = [ref.contains(Permutation(c.tolist())) for c in candidates]
+    assert [G.contains(c) for c in candidates] == expected
+    assert G.contains_many(np.stack(candidates)).tolist() == expected
+    assert any(expected) and (name == "S_8" or not all(expected))
+
+
+def test_batched_sift_and_extend_match_one_at_a_time():
+    n = 9
+    rng = np.random.default_rng(3)
+    H = np.stack([rng.permutation(n).astype(np.int32) for _ in range(12)])
+    G = pg.bsgs_build([cycle(n, 0, 1, 2), cycle(n, 3, 4, 5)])
+    residues, reached = G.sift_many(H)
+    for h, res, lvl in zip(H, residues, reached):
+        one, one_lvl = G.sift(h)
+        assert np.array_equal(res, one) and lvl == one_lvl
+    seq = pg.bsgs_build([cycle(n, 0, 1, 2), cycle(n, 3, 4, 5)])
+    for h in H:
+        seq.extend(h)
+    G.extend_many(H)
+    assert G.base == seq.base and G.orbit_lengths() == seq.orbit_lengths()
+    assert all(np.array_equal(a, b) for a, b in
+               zip(G.strong_generators(), seq.strong_generators()))
+
+
+def test_order_bound_stops_early_with_same_group():
+    gens = [cycle(8, 0, 1), np.array(list(range(1, 8)) + [0], dtype=np.int32)]
+    full = pg.bsgs_build(gens)
+    bounded = pg.bsgs_build(gens, order_bound=40320)
+    assert bounded.stats["stopped_at_bound"] and not full.stats["stopped_at_bound"]
+    assert bounded.order == full.order == 40320
+    assert bounded.base == full.base
+    assert bounded.stats["schreier_generators"] < full.stats["schreier_generators"]
+    assert bounded.contains(cycle(8, 2, 5, 7)) and bounded.contains(cycle(8, 3, 6))
