@@ -126,7 +126,7 @@ def gl_bound(L: LoopCtx) -> Optional[int]:
     cols = np.array(S.basis()) - 1
     c = K.pow_int(K.primitive, (K.order - 1) // (q - 1))
     Lc = L.table[c - 1]
-    chunk = 64
+    chunk = pg.chunk_rows(L.size)
     # left translations are the rows of the table, right ones its columns
     for perms in (L.table, L.table.T):
         for s in range(0, L.size, chunk):
@@ -159,7 +159,7 @@ def mlt_group(L: LoopCtx, seed: int = 0) -> BSGS:
         gens.append(L.right_translation(a))
     bound = gl_bound(L)
     G = pg.bsgs_build(gens, base_hint=[L.identity], order_bound=bound)
-    chunk = 128
+    chunk = pg.chunk_rows(2 * N)
     changed = True
     while changed and G.order != bound:
         changed = False

@@ -24,6 +24,11 @@ DEGREE_CAP = 5000
 CHUNK_CELLS = 1 << 16
 
 
+def chunk_rows(degree: int) -> int:
+    """Rows of `degree` cells per batch."""
+    return max(1, CHUNK_CELLS // max(1, degree))
+
+
 class DegreeMismatch(ValueError):
     pass
 
@@ -151,7 +156,7 @@ class BSGS:
             frontier = images[src]
             rows = np.arange(size, size + frontier.size)
             lv.row[frontier] = rows
-            step = max(1, CHUNK_CELLS // self.degree)
+            step = chunk_rows(self.degree)
             for a in range(0, frontier.size, step):
                 b = src[a:a + step]
                 lv.uinv[size + a:size + a + b.size] = compose_rows(
@@ -186,7 +191,9 @@ class BSGS:
     def _add_generator(self, residue: Perm, j: int) -> None:
         if j == len(self.base):
             self._append_base_point(residue)
-        self.sgs[j].append(residue)
+        # a copy: the residue may be a view of the caller's array or of a
+        # batch, which later batches overwrite
+        self.sgs[j].append(np.array(residue, dtype=np.int32))
         self.stats["residues"] += 1
         for lv in self.levels[:j + 1]:
             lv.fresh = False
@@ -256,7 +263,7 @@ class BSGS:
         if not k:
             return None
         ident = np.arange(self.degree)
-        per = max(1, CHUNK_CELLS // (k * self.degree))
+        per = chunk_rows(k * self.degree)
         for s in range(0, len(lv.orbit), per):
             rows = slice(s, min(s + per, len(lv.orbit)))
             u = inverse_many(lv.uinv[rows])
@@ -274,7 +281,7 @@ class BSGS:
             bad = np.flatnonzero((reached < len(self.base))
                                  | (residues != ident).any(axis=1))
             if bad.size:
-                return residues[bad[0]].copy(), int(reached[bad[0]])
+                return residues[bad[0]], int(reached[bad[0]])
         return None
 
     def _check_level(self, i: int) -> bool:
@@ -324,7 +331,7 @@ class BSGS:
         that extends the group."""
         changed = False
         start = 0
-        per = max(1, CHUNK_CELLS // max(1, self.degree))
+        per = chunk_rows(self.degree)
         while start < len(H):
             chunk = H[start:start + per]
             outside = np.flatnonzero(~self.contains_many(chunk))
@@ -370,7 +377,7 @@ def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
     point stabilizer, so that product never exceeds |<gens>|, and equality
     forces each level to be the full stabilizer.
     """
-    gens = [np.asarray(g, dtype=np.int32) for g in gens]
+    gens = [np.array(g, dtype=np.int32) for g in gens]
     if not gens:
         return BSGS(degree=0)
     degree = len(gens[0])

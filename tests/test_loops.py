@@ -190,3 +190,22 @@ def test_broken_table_fails_certificate():
     ref = PermutationGroup([Permutation(p.tolist()) for p in perms])
     assert M.order == ref.order()
     assert all(M.contains(p) for p in perms)
+
+
+def test_inn_from_generators_commutative_table_matches_sympy():
+    """A commutative, non-associative loop: every T_x is trivial, so the
+    chain starts empty and takes its first strong generators straight from
+    the batch of L_{x,y}, R_{x,y}, which the next x overwrites."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    T = [[0, 1, 2, 3, 4, 5], [1, 4, 5, 0, 2, 3], [2, 5, 4, 1, 3, 0],
+         [3, 0, 1, 2, 5, 4], [4, 2, 3, 5, 0, 1], [5, 3, 0, 4, 1, 2]]
+    L = lp.loop_from_table(T)
+    G = lp.inn_from_generators(L)
+    perms = [lp.inner_mapping(L, kind, x, y).perm
+             for x in range(6) for y in range(6) for kind in ("L", "R")]
+    ref = PermutationGroup([Permutation(p.tolist()) for p in perms])
+    assert G.order == ref.order() == 120
+    # the chain's strong generators still generate the group it reports
+    assert pg.bsgs_build(G.strong_generators()).order == G.order
+    assert all(G.contains(p) for p in perms)

@@ -168,3 +168,15 @@ def test_order_bound_stops_early_with_same_group():
     assert bounded.base == full.base
     assert bounded.stats["schreier_generators"] < full.stats["schreier_generators"]
     assert bounded.contains(cycle(8, 2, 5, 7)) and bounded.contains(cycle(8, 3, 6))
+
+
+def test_chain_keeps_its_own_copy_of_new_generators():
+    n = 6
+    G = pg.bsgs_build([pg.identity_perm(n)])
+    g = cycle(n, 0, 1, 2)
+    assert G.extend(g)
+    g[:] = cycle(n, 3, 4)      # the caller reuses its buffer
+    assert G.extend(g)
+    assert G.order == 6
+    assert pg.bsgs_build(G.strong_generators()).order == 6
+    assert G.contains(cycle(n, 0, 2, 1)) and G.contains(cycle(n, 3, 4))
