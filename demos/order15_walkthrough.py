@@ -44,9 +44,9 @@ def main():
     print(f"\nleft cyclic: {left}, right cyclic: {right}; "
           f"a right generator: element #{wit['right']}")
 
-    orders, lagrange, weak = loops.subloops_and_lagrange(L)
+    orders, weak, strong = loops.subloops_and_lagrange(L)
     print(f"subloop orders: {orders}")
-    print(f"Lagrange holds: {lagrange} (the subloop of order 6 does not "
+    print(f"Lagrange holds: {weak} (the subloop of order 6 does not "
           f"divide 15)")
 
 

@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 
 from sympy import factorint, mobius
 
-from . import semifield as sfd
 from . import skewpoly as sp
-from .gf import FieldCtx, TowerCtx, apply_sigma
+from .gf import FieldCtx, TowerCtx, _prime_divisors, apply_sigma
 
 CLASSIFY_LIMIT = 2 ** 16
 
@@ -40,10 +39,6 @@ def _prime_power(q: int) -> tuple[int, int]:
         raise PreconditionViolated(f"{q} is not a prime power")
     (p, r), = fac.items()
     return p, r
-
-
-def _prime_divisors(n: int) -> list[int]:
-    return sorted(factorint(n))
 
 
 def theta(q: int, m: int) -> int:

@@ -20,8 +20,7 @@ from . import loops as lp
 from . import permgroup as pg
 from . import semifield as sfd
 from . import skewpoly as sp
-from .gf import (FieldCtx, TowerCtx, make_tower, parse_element,
-                 parse_field_descriptor)
+from .gf import TowerCtx, make_tower, parse_field_descriptor
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,7 +127,7 @@ def cmd_loop(args) -> int:
         return EXIT_OK
     if args.what in ("aut", "inner"):
         S = _semifield_from_args(args)
-        auts = ag.solve_aut_conditions(S, seed=args.seed)
+        auts = ag.solve_aut_conditions(S)
         inners = ag.inner_automorphisms(S)
         if args.what == "aut":
             gid = ag.aut_group_structure(S, auts)
@@ -169,9 +168,9 @@ def cmd_loop(args) -> int:
         _emit(args, {"left_cyclic": left, "right_cyclic": right,
                      "witnesses": witnesses})
     elif args.what == "lagrange":
-        orders, lagrange, weak = lp.subloops_and_lagrange(L)
-        _emit(args, {"subloop_orders": orders, "lagrange": lagrange,
-                     "weak_lagrange": weak})
+        orders, weak, strong = lp.subloops_and_lagrange(L)
+        _emit(args, {"subloop_orders": orders, "weak_lagrange": weak,
+                     "strong_lagrange": strong})
     return EXIT_OK
 
 

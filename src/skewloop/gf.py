@@ -434,17 +434,6 @@ def field_automorphisms(ctx: TowerCtx) -> list[FieldAutomorphism]:
     return out
 
 
-def frobenius_table(ctx: TowerCtx, j: int) -> list[int]:
-    """Value table of x |-> x^(p^j) on K."""
-    K = ctx.field
-    n1 = K.order - 1
-    e = pow(K.p, j % K.l, n1) if n1 > 1 else 1
-    tbl = [0] * K.order
-    for a in range(1, K.order):
-        tbl[a] = K.exp[(K.log[a] * e) % n1]
-    return tbl
-
-
 # ---------------------------------------------------------------------------
 # textual element syntax:  g^k | 0 | [c0,c1,...]
 

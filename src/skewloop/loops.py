@@ -50,47 +50,19 @@ class LoopCtx:
 def _assert_latin(table: np.ndarray, identity: int) -> None:
     n = table.shape[0]
     ref = np.arange(n)
-    for i in range(n):
-        if sorted(table[i, :].tolist()) != ref.tolist():
-            raise AssertionError(f"row {i} is not a permutation")
-        if sorted(table[:, i].tolist()) != ref.tolist():
-            raise AssertionError(f"column {i} is not a permutation")
+    for what, lines in (("row", table), ("column", table.T)):
+        bad = np.flatnonzero((np.sort(lines, axis=1) != ref).any(axis=1))
+        if bad.size:
+            raise AssertionError(f"{what} {bad[0]} is not a permutation")
     if not (table[identity, :] == ref).all() or not (table[:, identity] == ref).all():
         raise AssertionError("identity row/column is not the identity map")
 
 
-def _coordinates(S: SemifieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, w): the D x N prime-field vectors of the nonzero codes 1..size-1,
-    and the integer weights with w @ Y[:, i] = i + 1."""
-    K = S.tower.field
-    Y = np.empty((S.dim_prime, S.size - 1), dtype=np.int64)
-    for code in range(1, S.size):
-        Y[:, code - 1] = S.to_vector(code)
-    w = np.array([(K.p ** j) * (K.order ** i) for i in range(S.m) for j in range(K.l)],
-                 dtype=np.int64)
-    return Y, w
-
-
 def build_loop(S: SemifieldCtx) -> LoopCtx:
-    """Loop on the q^(nm)-1 nonzero elements, with the full index table.
-
-    The table is built by exploiting that both translations are linear over
-    the prime field: for each x the images of a basis under y -> x*y pin
-    down the whole row.
-    """
-    p = S.tower.field.p
-    N = S.size - 1
-    D = S.dim_prime
-    basis = S.basis()
-    Y, w = _coordinates(S)
-    table = np.empty((N, N), dtype=np.int32)
-    for code in range(1, S.size):
-        M = np.empty((D, D), dtype=np.int64)
-        for col, b in enumerate(basis):
-            M[:, col] = S.to_vector(S.mul(code, b))
-        images = (M @ Y) % p          # D x N coordinate vectors of x*y
-        codes = w @ images            # back to integer codes
-        table[code - 1, :] = codes - 1
+    """Loop on the q^(nm)-1 nonzero elements, with the full index table,
+    read from the semifield's product table on the nonzero codes."""
+    table = S.product_table(np.arange(1, S.size))
+    table -= 1
     loop = LoopCtx(semifield=S, table=table)
     _assert_latin(table, loop.identity)
     return loop
@@ -121,18 +93,18 @@ def gl_bound(L: LoopCtx) -> Optional[int]:
     if S is None:
         return None
     K = S.tower.field
-    p, q = K.p, S.tower.q
-    Y, w = _coordinates(S)
+    q = S.tower.q
+    Y = S.to_vector(np.arange(1, S.size))
     cols = np.array(S.basis()) - 1
     c = K.pow_int(K.primitive, (K.order - 1) // (q - 1))
     Lc = L.table[c - 1]
-    chunk = pg.chunk_rows(L.size)
+    chunk = pg.chunk_rows(L.size * S.dim_prime)
     # left translations are the rows of the table, right ones its columns
     for perms in (L.table, L.table.T):
         for s in range(0, L.size, chunk):
             P = perms[s:s + chunk]
-            M = Y[:, P[:, cols]].transpose(1, 0, 2)   # matrix of each T
-            if not (np.array_equal(w @ ((M @ Y) % p) - 1, P)
+            M = Y[P[:, cols]]            # M[t][i] = T(e_i): the matrix of each T
+            if not (np.array_equal(S.from_vector(Y @ M % S.p) - 1, P)
                     and np.array_equal(P[:, Lc], Lc[P])):
                 return None
     return pg.gl_order(S.tower.n * S.m, q)
@@ -405,9 +377,6 @@ def _generating_trace(L: LoopCtx) -> tuple[list[int], list[tuple]]:
         pos[best] = len(trace)
         trace.append(("gen", len(gens) - 1))
         close()
-    elem_at = [None] * N
-    for e, i in pos.items():
-        elem_at[i] = e
     return gens, trace
 
 

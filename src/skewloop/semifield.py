@@ -1,20 +1,33 @@
 """The semifield S_f = K[t;sigma]/K[t;sigma]f and its structure maps.
 
-Elements of S_f are the skew polynomials of degree < m.  For table work
-they are encoded as integers in base |K|: digit i is the coefficient of
-t^i.  The product is the remainder of the ring product under right
-division by f.
+Elements of S_f are the skew polynomials of degree < m, encoded as integers
+in base |K|: digit i is the coefficient of t^i.  Each K-digit is itself
+written in base p, so the base-p digits of a code are the element's
+coordinate vector over F_p in the basis e_k = p^k, k < D = l*m.
+`to_vector` and `from_vector` are this codec, on single codes or arrays.
+
+The product is the remainder of the ring product under right division by
+f (`SemifieldCtx.mul`, the one definition, kept as the test oracle).  It is
+F_p-bilinear, so it is fixed by its structure constants
+tensor[i, j] = to_vector(e_i e_j), a D x D x D array over F_p (Knuth's
+cubical array of a semifield).  All batch arithmetic -- product tables,
+associators, the nuclei equations, translation matrices and inverses -- is
+a contraction with that tensor mod p.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from . import skewpoly as sp
 from .gf import TowerCtx
 from .linalg import nullspace, solve
+from .permgroup import chunk_rows
 
 
 class ReducibleF(ValueError):
@@ -68,16 +81,12 @@ class SemifieldCtx:
     def t(self) -> int:
         return self.tower.field.order
 
+    @property
+    def p(self) -> int:
+        return self.tower.field.p
+
     def add(self, x: int, y: int) -> int:
-        K = self.tower.field
-        Q = K.order
-        out, mult = 0, 1
-        for _ in range(self.m):
-            out += K.add(x % Q, y % Q) * mult
-            x //= Q
-            y //= Q
-            mult *= Q
-        return out
+        return int(self.from_vector((self.to_vector(x) + self.to_vector(y)) % self.p))
 
     def mul(self, x: int, y: int) -> int:
         prod = sp.skew_mul(self.tower, self.decode(x), self.decode(y))
@@ -85,39 +94,52 @@ class SemifieldCtx:
             prod = sp.right_rem(self.tower, prod, self.f)
         return self.encode(prod)
 
-    def scalar(self, c: int, x: int) -> int:
-        """Left multiplication by c in K (degree-0 element)."""
-        K = self.tower.field
-        Q = K.order
-        out, mult = 0, 1
-        for _ in range(self.m):
-            out += K.mul(c, x % Q) * mult
-            x //= Q
-            mult *= Q
-        return out
-
     # -- prime-field coordinates ----------------------------------------
 
-    def to_vector(self, code: int) -> list[int]:
-        K = self.tower.field
-        vec: list[int] = []
-        for _ in range(self.m):
-            vec.extend(K.coeffs(code % K.order))
-            code //= K.order
-        return vec
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """p^k for k < D; Python integers once a code can pass 2^63 - 1."""
+        dtype = np.int64 if self.size <= 2 ** 63 else object
+        return np.array([self.p ** k for k in range(self.dim_prime)], dtype=dtype)
 
-    def from_vector(self, vec: Sequence[int]) -> int:
-        K = self.tower.field
-        code, mult = 0, 1
-        for i in range(self.m):
-            code += K.encode(vec[i * K.l:(i + 1) * K.l]) * mult
-            mult *= K.order
-        return code
+    def to_vector(self, codes) -> np.ndarray:
+        """Base-p digits of each code: shape (..., D)."""
+        w = self._weights
+        return (np.asarray(codes, dtype=w.dtype)[..., None] // w % self.p).astype(np.int64)
+
+    def from_vector(self, vecs) -> np.ndarray:
+        """Codes of coordinate vectors (last axis of length D)."""
+        return np.asarray(vecs, dtype=np.int64) @ self._weights
 
     def basis(self) -> list[int]:
-        """Prime-field basis: x^j t^i for j < l, i < m."""
-        K = self.tower.field
-        return [(K.p ** j) * (K.order ** i) for i in range(self.m) for j in range(K.l)]
+        """Prime-field basis e_k = p^k: x^j t^i is e_(i l + j)."""
+        return [self.p ** k for k in range(self.dim_prime)]
+
+    # -- structure constants ---------------------------------------------
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """tensor[i, j] = to_vector(e_i e_j), from `mul`."""
+        basis = self.basis()
+        return self.to_vector([[self.mul(a, b) for b in basis] for a in basis])
+
+    def mul_vectors(self, x, y) -> np.ndarray:
+        """Products of coordinate vectors, broadcast over leading axes."""
+        return np.einsum("...i,...j,ijk->...k", x, y, self.tensor) % self.p
+
+    def product_table(self, codes) -> np.ndarray:
+        """table[a, b] = code of codes[a] * codes[b] (int32), a chunk of rows
+        at a time: each row x is the matrix of y -> xy applied to all y."""
+        D = self.dim_prime
+        codes = np.asarray(codes)
+        Y = self.to_vector(codes)
+        T = self.tensor.reshape(D, D * D)
+        table = np.empty((len(codes), len(codes)), dtype=np.int32)
+        step = chunk_rows(len(codes) * D)
+        for s in range(0, len(codes), step):
+            rows = (Y[s:s + step] @ T).reshape(-1, D, D)   # rows[x][j] = x e_j
+            table[s:s + step] = self.from_vector(Y @ rows % self.p)
+        return table
 
 
 def build_semifield(tower: TowerCtx, f: sp.SkewPoly) -> SemifieldCtx:
@@ -137,52 +159,25 @@ def build_semifield(tower: TowerCtx, f: sp.SkewPoly) -> SemifieldCtx:
     return SemifieldCtx(tower=tower, f=f)
 
 
-def sf_mul(S: SemifieldCtx, x: int, y: int) -> int:
-    return S.mul(x, y)
-
-
-def associator(S: SemifieldCtx, x: int, y: int, z: int) -> int:
-    """[x,y,z] = (xy)z - x(yz)."""
-    K = S.tower.field
-    a = S.mul(S.mul(x, y), z)
-    b = S.mul(x, S.mul(y, z))
-    # subtract digitwise
-    Q = K.order
-    out, mult = 0, 1
-    for _ in range(S.m):
-        out += K.sub(a % Q, b % Q) * mult
-        a //= Q
-        b //= Q
-        mult *= Q
-    return out
+def associator(S: SemifieldCtx, x, y, z):
+    """[x,y,z] = (xy)z - x(yz); codes in, codes out (arrays broadcast)."""
+    X, Y, Z = (S.to_vector(v) for v in (x, y, z))
+    diff = S.mul_vectors(S.mul_vectors(X, Y), Z) - S.mul_vectors(X, S.mul_vectors(Y, Z))
+    return S.from_vector(diff % S.p)
 
 
 def inverses(S: SemifieldCtx, x: int) -> tuple[int, int]:
-    """(left inverse, right inverse) of x, via the translation-map linear
-    systems y*x = 1 and x*y = 1 over the prime field."""
+    """(left inverse, right inverse) of x: the solutions of y*x = 1 and
+    x*y = 1, one solve each with the F_p-matrices of R_x and L_x."""
     if x == 0:
         raise ZeroElement("zero has no inverse")
-    p = S.tower.field.p
-    basis = S.basis()
-    e1 = S.to_vector(S.one)
-    # columns of R_x: images of basis under y -> y*x
-    right_cols = [S.to_vector(S.mul(b, x)) for b in basis]
-    rows_r = [[right_cols[j][i] for j in range(len(basis))] for i in range(S.dim_prime)]
-    left_cols = [S.to_vector(S.mul(x, b)) for b in basis]
-    rows_l = [[left_cols[j][i] for j in range(len(basis))] for i in range(S.dim_prime)]
-    sol_l = solve(rows_r, e1, p)
-    sol_r = solve(rows_l, e1, p)
-    assert sol_l is not None and sol_r is not None, "division algebra: inverses exist"
-    combine = lambda sol: _combine(S, basis, sol)
-    return combine(sol_l), combine(sol_r)
-
-
-def _combine(S: SemifieldCtx, basis: list[int], coeffs: list[int]) -> int:
-    out = 0
-    for b, c in zip(basis, coeffs):
-        for _ in range(c):
-            out = S.add(out, b)
-    return out
+    X = S.to_vector(x)
+    right = np.einsum("j,ijk->ki", X, S.tensor) % S.p   # column i: e_i x
+    left = np.einsum("i,ijk->kj", X, S.tensor) % S.p    # column j: x e_j
+    e1 = S.to_vector(S.one).tolist()
+    sols = [solve(M.tolist(), e1, S.p) for M in (right, left)]
+    assert None not in sols, "division algebra: inverses exist"
+    return int(S.from_vector(sols[0])), int(S.from_vector(sols[1]))
 
 
 @dataclass
@@ -203,125 +198,85 @@ class NucleiReport:
 
 
 def _span_elements(S: SemifieldCtx, basis_vecs: list[list[int]]) -> list[int]:
-    import itertools
-
-    p = S.tower.field.p
-    out = set()
-    for combo in itertools.product(range(p), repeat=len(basis_vecs)):
-        vec = [0] * S.dim_prime
-        for c, bv in zip(combo, basis_vecs):
-            if c:
-                vec = [(v + c * b) % p for v, b in zip(vec, bv)]
-        out.add(S.from_vector(vec))
-    return sorted(out)
+    r = len(basis_vecs)
+    coeffs = np.array(list(itertools.product(range(S.p), repeat=r)),
+                      dtype=np.int64).reshape(S.p ** r, r)
+    B = np.array(basis_vecs, dtype=np.int64).reshape(r, S.dim_prime)
+    return sorted(S.from_vector(coeffs @ B % S.p).tolist())
 
 
-def _field_tag(S: SemifieldCtx, elems: list[int]) -> Optional[str]:
-    """Tag the subspace as a subfield when it is multiplicatively closed."""
+def _field_tag(S: SemifieldCtx, elems: list[int],
+               basis_vecs: list[list[int]]) -> Optional[str]:
+    """Tag the subspace as a subfield when it contains 1 and is closed under
+    the product; by bilinearity the basis pairs decide closure exactly."""
     es = set(elems)
-    if 1 not in es:
+    if S.one not in es:
         return None
-    card = len(es)
-    p = S.tower.field.p
-    d = 0
-    n = card
-    while n % p == 0:
-        n //= p
-        d += 1
-    if n != 1:
+    B = np.array(basis_vecs, dtype=np.int64)
+    prods = S.from_vector(S.mul_vectors(B[:, None], B[None, :]))
+    if not es.issuperset(prods.ravel().tolist()):
         return None
-    sample = elems if card <= 64 else elems[:16]
-    for a in sample:
-        for b in sample:
-            if S.mul(a, b) not in es:
-                return None
-    return f"F_{card}"
+    return f"F_{len(es)}"
 
 
-def _nucleus_from_conditions(S: SemifieldCtx, slot: int) -> NucleusInfo:
-    """Nullspace of [x,b_i,b_j] = 0 (slot 0), [b_i,x,b_j] = 0 (slot 1) or
-    [b_i,b_j,x] = 0 (slot 2) over all basis pairs; correctness follows from
-    trilinearity of the associator."""
-    p = S.tower.field.p
-    basis = S.basis()
-    rows: list[list[int]] = []
-    per_basis: dict[tuple[int, int], list[list[int]]] = {}
-    for bi in basis:
-        for bj in basis:
-            cols = []
-            for ek in basis:
-                args = {0: (ek, bi, bj), 1: (bi, ek, bj), 2: (bi, bj, ek)}[slot]
-                cols.append(S.to_vector(associator(S, *args)))
-            for coord in range(S.dim_prime):
-                row = [cols[k][coord] for k in range(len(basis))]
-                if any(row):
-                    rows.append(row)
-    ns = nullspace(rows, len(basis), p)
-    # nullspace coords are w.r.t. the S_f basis; convert to element vectors
-    basis_vecs = []
-    for sol in ns:
-        vec = [0] * S.dim_prime
-        for c, b in zip(sol, basis):
-            if c:
-                bv = S.to_vector(b)
-                vec = [(v + c * w) % p for v, w in zip(vec, bv)]
-        basis_vecs.append(vec)
+def _subspace(S: SemifieldCtx, *conditions: np.ndarray) -> NucleusInfo:
+    """The kernel of the linear conditions: arrays whose last axis runs over
+    the coordinates of x, every other position one equation."""
+    D = S.dim_prime
+    rows = np.unique(np.concatenate([c.reshape(-1, D) for c in conditions]), axis=0)
+    basis_vecs = nullspace([r for r in rows.tolist() if any(r)], D, S.p)
     elems = _span_elements(S, basis_vecs)
     return NucleusInfo(elements=elems, basis_vectors=basis_vecs,
-                       cardinality=len(elems), field_tag=_field_tag(S, elems))
+                       cardinality=len(elems), field_tag=_field_tag(S, elems, basis_vecs))
+
+
+def _associator_tensor(S: SemifieldCtx) -> np.ndarray:
+    """A[a, b, c] = to_vector([e_a, e_b, e_c])."""
+    T = S.tensor
+    return (np.einsum("abl,lck->abck", T, T) - np.einsum("bcl,alk->abck", T, T)) % S.p
 
 
 def nuc_r_membership(S: SemifieldCtx) -> list[int]:
     """Nuc_r via the membership formula {g in R_m : f g in Rf}, computed as
-    the kernel of the linear map g -> (f g mod_r f)."""
+    the kernel of the linear map g -> (f g mod_r f) without the tensor."""
     tower = S.tower
-    p = tower.field.p
-    basis = S.basis()
-    rows_per_elem = []
-    for b in basis:
-        prod = sp.skew_mul(tower, S.f, S.decode(b))
-        rem = sp.right_rem(tower, prod, S.f)
-        rows_per_elem.append(S.to_vector(S.encode(rem)))
-    rows = [[rows_per_elem[k][coord] for k in range(len(basis))]
-            for coord in range(S.dim_prime)]
-    ns = nullspace(rows, len(basis), p)
-    basis_vecs = []
-    for sol in ns:
-        vec = [0] * S.dim_prime
-        for c, b in zip(sol, basis):
-            if c:
-                bv = S.to_vector(b)
-                vec = [(v + c * w) % p for v, w in zip(vec, bv)]
-        basis_vecs.append(vec)
-    return _span_elements(S, basis_vecs)
+    images = [S.encode(sp.right_rem(tower, sp.skew_mul(tower, S.f, S.decode(b)), S.f))
+              for b in S.basis()]
+    return _span_elements(S, nullspace(S.to_vector(images).T.tolist(), S.dim_prime, S.p))
 
 
 def nuclei(S: SemifieldCtx) -> NucleiReport:
-    nl = _nucleus_from_conditions(S, 0)
-    nm = _nucleus_from_conditions(S, 1)
-    nr = _nucleus_from_conditions(S, 2)
+    """Nuc_l, Nuc_m, Nuc_r as the kernels of x -> [x,e_i,e_j], [e_i,x,e_j]
+    and [e_i,e_j,x] (exact by trilinearity of the associator); Nuc as the
+    kernel of all three, the center as Nuc cut by x e_i = e_i x."""
+    A = _associator_tensor(S)
+    left, middle, right = (np.moveaxis(A, slot, -1) for slot in range(3))
+    T = S.tensor
+    commutator = np.moveaxis(T - T.transpose(1, 0, 2), 0, -1) % S.p
+    nl, nm, nr = (_subspace(S, c) for c in (left, middle, right))
     if set(nr.elements) != set(nuc_r_membership(S)):
         raise AssertionError("Nuc_r: associator nullspace and membership formula disagree")
-    inter = sorted(set(nl.elements) & set(nm.elements) & set(nr.elements))
-    nuc = NucleusInfo(elements=inter, basis_vectors=[],
-                      cardinality=len(inter), field_tag=_field_tag(S, inter))
-    basis = S.basis()
-    cen = [x for x in inter if all(S.mul(x, b) == S.mul(b, x) for b in basis)]
-    center = NucleusInfo(elements=cen, basis_vectors=[],
-                         cardinality=len(cen), field_tag=_field_tag(S, cen))
+    nuc = _subspace(S, left, middle, right)
+    center = _subspace(S, left, middle, right, commutator)
     return NucleiReport(nuc_l=nl, nuc_m=nm, nuc_r=nr, nuc=nuc, center=center)
 
 
 def nuclei_bruteforce(S: SemifieldCtx) -> tuple[list[int], list[int], list[int]]:
-    """Cubic associator scan; test oracle only (|S_f| <= 81 in practice)."""
-    all_e = range(S.size)
-    nl = [x for x in all_e
-          if all(associator(S, x, y, z) == 0 for y in all_e for z in all_e)]
-    nm = [x for x in all_e
-          if all(associator(S, y, x, z) == 0 for y in all_e for z in all_e)]
-    nr = [x for x in all_e
-          if all(associator(S, y, z, x) == 0 for y in all_e for z in all_e)]
-    return nl, nm, nr
+    """Full |S_f|^3 associator scan over the product table, a chunk of x at a
+    time; test oracle only."""
+    P = S.product_table(np.arange(S.size))
+    n = S.size
+    left = np.empty(n, dtype=bool)
+    middle = np.ones(n, dtype=bool)
+    right = np.ones(n, dtype=bool)
+    step = chunk_rows(n * n)
+    for s in range(0, n, step):
+        xs = slice(s, s + step)
+        ok = P[P[xs]] == P[xs][:, P]    # ok[x, y, z]: (xy)z == x(yz)
+        left[xs] = ok.all(axis=(1, 2))
+        middle &= ok.all(axis=(0, 2))
+        right &= ok.all(axis=(0, 1))
+    return tuple(np.flatnonzero(v).tolist() for v in (left, middle, right))
 
 
 @dataclass

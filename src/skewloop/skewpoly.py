@@ -9,7 +9,7 @@ Multiplication twists coefficients past t: t*a = sigma(a)*t.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .gf import TowerCtx
 

@@ -263,19 +263,28 @@ def test_acceptance_6_inner_laws():
     report(6, fails, time.time() - t0)
 
 
+def preserves_table(table, images) -> bool:
+    """Full loop-table oracle: images[0] = 0 and h(ab) = h(a)h(b) on every
+    pair of nonzero elements (table indices are codes minus one)."""
+    if images[0] != 0:
+        return False
+    h = np.array(images[1:], dtype=np.int32) - 1
+    return bool(np.array_equal(h[table], table[h][:, h]))
+
+
 def test_acceptance_7_aut_verification():
     t0 = time.time()
     fails = []
     for S, L, M, inn_order in battery():
-        if S.size > ag.EXHAUSTIVE_LIMIT:
-            continue
         tag = f"f={sp.format_poly(S.tower, S.f)}/q={S.tower.q}"
         auts = ag.solve_aut_conditions(S)
-        table = ag._loop_table(S)
         by_params = {(H.tau_exp, H.k): H for H in auts}
         for H in auts:
-            check(fails, ag._is_multiplicative(S, H.images, table=table),
+            check(fails, ag._is_multiplicative(S, H.images),
                   f"{tag} multiplicative ({H.tau_exp},{H.k})")
+            if S.size <= 625:
+                check(fails, preserves_table(L.table, H.images),
+                      f"{tag} loop table ({H.tau_exp},{H.k})")
             check(fails, ag._ring_scaling_ok(S, H.tau_exp, H.k),
                   f"{tag} ring scaling ({H.tau_exp},{H.k})")
         for a in auts:
@@ -339,8 +348,8 @@ def test_acceptance_9_declared_substitutions():
     K = tw.field
     S = sfd.build_semifield(tw, (K.neg(K.p), 0, 1))
     L = lp.build_loop(S)
-    orders, lagrange, weak = lp.subloops_and_lagrange(L)
-    check(fails, orders == [1, 3, 6, 15] and not weak and not lagrange,
+    orders, weak, strong = lp.subloops_and_lagrange(L)
+    check(fails, orders == [1, 3, 6, 15] and not weak and not strong,
           "small-loop Lagrange machinery")
     # asymptotic bound: the formula value at the declared parameters
     check(fails, cs.kantor_bound(2, 4, 4) == 2 ** 16 * 4.0, "bound formula")

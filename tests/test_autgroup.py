@@ -50,7 +50,28 @@ def test_hk_action_on_t_powers():
     for H in ag.solve_aut_conditions(S):
         # H(t) = k t and H(1) = 1
         assert ag.apply_aut(H, S.one) == S.one
-        assert ag.apply_aut(H, S.t) == S.scalar(H.k, S.t)
+        assert ag.apply_aut(H, S.t) == S.mul(H.k, S.t)
+
+
+def test_exact_check_rejects_non_automorphisms_at_729():
+    # F_9, m = 3: above the old sampled-pairs threshold of 625 elements
+    tw = gf.make_tower(3, 1, 2)
+    S = sfd.build_semifield(tw, next(iter(sp.enumerate_admissible(tw, 3))))
+    assert S.size == 729
+    auts = ag.solve_aut_conditions(S)
+    assert auts and all(ag._is_multiplicative(S, H.images) for H in auts)
+    # realize_hk is additive for every (tau, k); one failing the coefficient
+    # equation is linear but not multiplicative
+    K = S.tower.field
+    tau, k = next((t, k) for t in range(K.l) for k in range(1, K.order)
+                  if not ag.hk_condition(S, t, k))
+    assert not ag._is_multiplicative(S, ag.realize_hk(S, tau, k).images)
+    # an automorphism with two non-basis images swapped
+    images = list(auts[-1].images)
+    x, y = 2, S.size - 1
+    assert x not in S.basis() and y not in S.basis()
+    images[x], images[y] = images[y], images[x]
+    assert not ag._is_multiplicative(S, images)
 
 
 def test_identity_parameters():

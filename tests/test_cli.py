@@ -79,6 +79,22 @@ def test_loop_latin_writes_file(capsys, tmp_path):
     assert len(lines) == 17
 
 
+def test_loop_lagrange_keys_match_library(capsys):
+    from skewloop import gf, loops as lp, semifield as sfd
+
+    tw = gf.make_tower(2, 1, 2)
+    K = tw.field
+    for text, f in (("t^2 - g^1", (K.neg(K.p), 0, 1)), ("t^2 + t + 1", (1, 1, 1))):
+        rc, out, _ = run(capsys, "loop", "lagrange", "--field", "2^2",
+                         "--f", text, "--format", "json")
+        assert rc == cli.EXIT_OK
+        data = json.loads(out)
+        orders, weak, strong = lp.subloops_and_lagrange(
+            lp.build_loop(sfd.build_semifield(tw, f)))
+        assert (data["subloop_orders"], data["weak_lagrange"],
+                data["strong_lagrange"]) == (orders, weak, strong)
+
+
 def test_census_count_and_bounds(capsys):
     rc, out, _ = run(capsys, "census", "count", "--q", "3", "--m", "2",
                      "--format", "json")

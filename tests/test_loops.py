@@ -102,9 +102,9 @@ def test_cyclicity_quat3_both():
 
 def test_subloops_and_lagrange_quat2():
     _, L = quat2_loop()
-    orders, lagrange, weak = lp.subloops_and_lagrange(L)
+    orders, weak, strong = lp.subloops_and_lagrange(L)
     assert orders == [1, 3, 6, 15]
-    assert not weak and not lagrange  # 6 does not divide 15
+    assert not weak and not strong  # 6 does not divide 15
 
 
 def test_loop_isomorphism_self_and_distinct():

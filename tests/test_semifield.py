@@ -1,5 +1,9 @@
 """S_f construction, nuclei (two routes), inverses, t-power diagnostics."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from skewloop import gf
@@ -56,6 +60,48 @@ def test_mul_against_hand_formula():
                     c0 = K.add(K.mul(xu, yu), K.mul(a, K.mul(xv, gf.apply_sigma(tw, yv, 1))))
                     c1 = K.add(K.mul(xu, yv), K.mul(xv, gf.apply_sigma(tw, yu, 1)))
                     assert got == S.encode(sp.poly([c0, c1]))
+
+
+# (tower arguments, m) of the acceptance battery, |S_f| from 16 to 729
+BATTERY_TOWERS = [((2, 1, 2), 2), ((2, 1, 2), 3), ((2, 1, 3), 2), ((3, 1, 2), 2),
+                  ((3, 1, 2), 3), ((2, 2, 2), 2), ((5, 1, 2), 2)]
+
+
+def test_codec_is_base_p_digits():
+    S = quat3()
+    p, D = S.p, S.dim_prime
+    codes = np.arange(S.size)
+    assert S.basis() == [p ** k for k in range(D)]
+    assert S.to_vector(codes).tolist() == [[c // p ** k % p for k in range(D)] for c in codes]
+    assert np.array_equal(S.from_vector(S.to_vector(codes)), codes)
+    # a code past 2^63: F_4 with m = 32, |S_f| = 2^64 (the codec needs no valid f)
+    tw = gf.make_tower(2, 1, 2)
+    big = sfd.SemifieldCtx(tower=tw, f=sp.t_power(32))
+    for c in (2 ** 63, 2 ** 64 - 1, 3 * 2 ** 40 + 5):
+        assert big.to_vector(c).tolist() == [c >> k & 1 for k in range(64)]
+        assert big.from_vector(big.to_vector(c)) == c
+
+
+@pytest.mark.parametrize("args,m", BATTERY_TOWERS,
+                         ids=[f"F{p ** (r * n)}m{m}" for (p, r, n), m in BATTERY_TOWERS])
+def test_tensor_reproduces_mul(args, m):
+    tw = gf.make_tower(*args)
+    S = sfd.build_semifield(tw, next(iter(sp.enumerate_admissible(tw, m))))
+    basis = S.basis()
+    assert S.product_table(basis).tolist() == [[S.mul(a, b) for b in basis] for a in basis]
+    if S.size <= 81:
+        codes = range(S.size)
+        assert S.product_table(codes).tolist() == [[S.mul(x, y) for y in codes] for x in codes]
+    rng = random.Random(2024)
+    xs, ys, zs = ([rng.randrange(S.size) for _ in range(2000)] for _ in range(3))
+    prods = S.from_vector(S.mul_vectors(S.to_vector(xs), S.to_vector(ys)))
+    assert prods.tolist() == [S.mul(x, y) for x, y in zip(xs, ys)]
+    # associators of 200 triples against the difference of two oracle products
+    got = sfd.associator(S, xs[:200], ys[:200], zs[:200])
+    want = [S.from_vector((S.to_vector(S.mul(S.mul(x, y), z))
+                           - S.to_vector(S.mul(x, S.mul(y, z)))) % S.p)
+            for x, y, z in zip(xs, ys, zs[:200])]
+    assert got.tolist() == want
 
 
 def test_unital_and_distributive():
