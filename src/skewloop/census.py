@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
-from sympy import factorint, mobius
+from sympy import factorint, mobius, primefactors
 
 from . import skewpoly as sp
-from .gf import FieldCtx, TowerCtx, _prime_divisors, apply_sigma
+from .gf import FieldCtx, TowerCtx, apply_sigma
+from .semifield import SemifieldCtx, annihilator
 
 CLASSIFY_LIMIT = 2 ** 16
 
@@ -47,7 +48,7 @@ def theta(q: int, m: int) -> int:
     _prime_power(q)
     if m < 2:
         raise PreconditionViolated("m >= 2 required")
-    primes = _prime_divisors(m)
+    primes = primefactors(m)
     total = 0
     for mask in range(1, 1 << len(primes)):
         prod = 1
@@ -201,19 +202,9 @@ def cyclic_algebra_classes(tower: TowerCtx) -> tuple[int, list[int]]:
 
 
 def similar(tower: TowerCtx, f: sp.SkewPoly, g: sp.SkewPoly) -> bool:
-    """g*u = 0 mod_r f for some nonzero u of degree < deg(f), by exhaustive scan."""
-    m = sp.degree(f)
-    Q = tower.field.order
-    for code in range(1, Q ** m):
-        u = []
-        c = code
-        for _ in range(m):
-            u.append(c % Q)
-            c //= Q
-        prod = sp.skew_mul(tower, g, sp.poly(u))
-        if all(c == 0 for c in sp.right_rem(tower, prod, f)):
-            return True
-    return False
+    """g*u = 0 mod_r f for some nonzero u of degree < deg(f): the kernel of
+    the F_p-linear map u -> (g u mod_r f) is nonzero."""
+    return bool(annihilator(SemifieldCtx(tower=tower, f=f), g))
 
 
 def similarity_classes(tower: TowerCtx, m: int,

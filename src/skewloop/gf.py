@@ -3,19 +3,23 @@
 Elements are encoded as integers: the element with coordinate vector
 (c0, c1, ..., c_{l-1}) w.r.t. the power basis of the modulus root is the
 integer sum(c_i * p**i).  Zero is 0 and the multiplicative identity is 1.
-All arithmetic goes through discrete-log tables (built eagerly for orders
-up to 2**20), so single operations are O(1).
+Every field up to 2**20 elements keeps three tables of about |K| entries
+for its primitive element g: exp, log, and the Zech logarithms
+zech[j] = log(1 + g^j).  Products, quotients, sums and negatives are then
+O(1) lookups, and nothing grows with |K|^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from sympy import isprime
+import numpy as np
+from sympy import isprime, primefactors
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
 LOG_TABLE_LIMIT = 2 ** 20
-ADD_TABLE_LIMIT = 4096
 
 
 class NotPrime(ValueError):
@@ -31,96 +35,18 @@ class NonPrimitiveModulusRoot(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Z/pZ (coefficient lists, low degree first)
-
-def _pp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pp_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _pp_divmod(res, mod, p)[1]
-
-
-def _pp_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    a = list(a)
-    _pp_trim(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv_lead % p
-        d = len(a) - 1 - db
-        q[d] = c
-        for i in range(db + 1):
-            a[i + d] = (a[i + d] - c * b[i]) % p
-        _pp_trim(a)
-    return q, a
-
-
-def _pp_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _pp_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pp_mulmod(result, base, mod, p)
-        base = _pp_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _pp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    _pp_trim(a)
-    _pp_trim(b)
-    while b:
-        a, b = b, _pp_divmod(a, b, p)[1]
-    return a
-
-
-def _pp_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _pp_trim(out)
-
+# polynomials over Z/pZ: coefficient lists low degree first here, high degree
+# first in sympy.polys.galoistools
 
 def poly_is_irreducible_zp(coeffs: Sequence[int], p: int) -> bool:
-    """Irreducibility over Z/pZ via the x^(p^d) distinct-degree criterion."""
-    c = _pp_trim(list(coeffs))
-    deg = len(c) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    x = [0, 1]
-    if _pp_sub(_pp_powmod(x, p ** deg, c, p), x, p):
-        return False
-    for ell in _prime_divisors(deg):
-        diff = _pp_sub(_pp_powmod(x, p ** (deg // ell), c, p), x, p)
-        g = _pp_gcd(c, diff, p) if diff else c
-        if len(g) - 1 >= 1:
-            return False
-    return True
+    """Irreducibility over Z/pZ of a monic polynomial with coefficients in
+    [0, p); constants count as reducible."""
+    return len(coeffs) > 1 and gf_irreducible_p(list(reversed(coeffs)), p, ZZ)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _pow_is_one(coeffs: Sequence[int], e: int, modulus: Sequence[int], p: int) -> bool:
+    """(sum_i coeffs[i] x^i)^e == 1 in Z/pZ[x]/(modulus)."""
+    return gf_pow_mod(list(reversed(coeffs)), e, list(reversed(modulus)), p, ZZ) == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +68,13 @@ class FieldCtx:
     order: int = field(init=False)
     exp: list[int] = field(init=False, repr=False)
     log: list[Optional[int]] = field(init=False, repr=False)
-    _add_table: Optional[list[list[int]]] = field(init=False, repr=False, default=None)
+    zech: list[Optional[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.order = self.p ** self.l
         if self.order > LOG_TABLE_LIMIT:
             raise NotImplementedError("fields beyond 2^20 elements are out of scope")
         self._build_log_tables()
-        if self.order <= ADD_TABLE_LIMIT:
-            tbl = [[self._add_slow(a, b) for b in range(self.order)] for a in range(self.order)]
-            self._add_table = tbl
 
     # -- construction ----------------------------------------------------
 
@@ -173,30 +96,39 @@ class FieldCtx:
         return FieldCtx(p=p, l=l, modulus=modulus, primitive=prim)
 
     def _build_log_tables(self) -> None:
-        n1 = self.order - 1
-        exp = [0] * n1
-        log: list[Optional[int]] = [None] * self.order
-        cur = 1
-        for j in range(n1):
-            exp[j] = cur
-            if log[cur] is not None:
-                raise NonPrimitiveModulusRoot(
-                    "distinguished element is not primitive for this modulus")
-            log[cur] = j
-            cur = self._mul_slow(cur, self.primitive)
-        if cur != 1:
+        """exp by doubling.  Row i of the F_p-matrix A holds the digits of
+        x^i g, so (digits of a) @ A are the digits of a g, and the block of
+        powers g^0 .. g^(k-1) times A^k is the block g^k .. g^(2k-1)."""
+        p, l, n1 = self.p, self.l, self.order - 1
+        dtype = np.int32 if l * (p - 1) ** 2 < 2 ** 31 else np.int64
+        weights = p ** np.arange(l, dtype=dtype)
+        low = np.array(self.modulus[:-1], dtype=dtype)    # x^l = -low . x^i
+        row = self.primitive // weights % p
+        rows = []
+        for _ in range(l):
+            rows.append(row)
+            row = (np.concatenate([[0], row[:-1]]) - row[-1] * low) % p
+        A = np.array(rows, dtype=dtype)
+        codes = np.ones(1, dtype=dtype)
+        while len(codes) <= n1:
+            block = codes[:n1 + 1 - len(codes), None] // weights % p
+            codes = np.concatenate([codes, block @ A % p @ weights])
+            A = A @ A % p
+        if np.bincount(codes[:n1]).max() > 1:
+            raise NonPrimitiveModulusRoot(
+                "distinguished element is not primitive for this modulus")
+        if codes[n1] != 1:
             raise NonPrimitiveModulusRoot("primitive element order mismatch")
-        self.exp = exp
-        self.log = log
+        exp = codes[:n1]
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp] = np.arange(n1)
+        self.exp, self.log = exp.tolist(), log.tolist()
+        self.log[0] = None
+        # adding 1 changes only the lowest base-p digit; indexing self.log
+        # shares its int objects and maps 1 + g^j = 0 to log[0] = None
+        self.zech = [self.log[c] for c in (exp - exp % p + (exp + 1) % p).tolist()]
 
-    # -- encode / decode -------------------------------------------------
-
-    def coeffs(self, e: int) -> list[int]:
-        out = []
-        for _ in range(self.l):
-            out.append(e % self.p)
-            e //= self.p
-        return out
+    # -- encode ----------------------------------------------------------
 
     def encode(self, coeffs: Sequence[int]) -> int:
         e = 0
@@ -204,45 +136,26 @@ class FieldCtx:
             e = e * self.p + (c % self.p)
         return e
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
-
     # -- arithmetic ------------------------------------------------------
 
-    def _add_slow(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        e, p = 0, self.p
-        mult = 1
-        for _ in range(self.l):
-            e += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return e
-
     def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_slow(a, b)
+        """a + b = a (1 + b/a) = g^(log a + zech[log b - log a])."""
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % (self.order - 1)]
+        return 0 if z is None else self.exp[(la + z) % (self.order - 1)]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        e, p = 0, self.p
-        mult = 1
-        for _ in range(self.l):
-            e += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return e
+        """-a = g^(log(-1)) a, with -1 the constant digit p - 1."""
+        if a == 0:
+            return 0
+        return self.exp[(self.log[a] + self.log[self.p - 1]) % (self.order - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        res = _pp_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, self.p)
-        return self.encode(res + [0] * (self.l - len(res)))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -284,15 +197,11 @@ class FieldCtx:
 def _find_primitive(p: int, l: int, modulus: Sequence[int]) -> int:
     """Smallest-code primitive element of Z/pZ[x]/(modulus); prefers x itself."""
     n1 = p ** l - 1
-    fac = _prime_divisors(n1)
+    fac = primefactors(n1)
 
     def is_prim(code: int) -> bool:
-        coeffs = []
-        e = code
-        for _ in range(l):
-            coeffs.append(e % p)
-            e //= p
-        return all(_pp_powmod(coeffs, n1 // ell, modulus, p) != [1] for ell in fac)
+        coeffs = [code // p ** i % p for i in range(l)]
+        return not any(_pow_is_one(coeffs, n1 // ell, modulus, p) for ell in fac)
 
     if is_prim(p):
         return p
@@ -304,7 +213,7 @@ def _find_primitive(p: int, l: int, modulus: Sequence[int]) -> int:
 
 def _is_primitive_root(g: int, p: int) -> bool:
     n1 = p - 1
-    return all(pow(g, n1 // ell, p) != 1 for ell in _prime_divisors(n1))
+    return all(pow(g, n1 // ell, p) != 1 for ell in primefactors(n1))
 
 
 def default_modulus(p: int, l: int) -> tuple[int, ...]:
@@ -315,19 +224,19 @@ def default_modulus(p: int, l: int) -> tuple[int, ...]:
     if l == 1:
         # linear: x - g, smallest primitive root g
         for g in range(1, p):
-            if p == 2 or _is_primitive_root(g, p):
+            if _is_primitive_root(g, p):
                 return ((-g) % p, 1)
     n1 = p ** l - 1
-    fac = _prime_divisors(n1)
+    fac = primefactors(n1)
     for tail in itertools.product(range(p), repeat=l):
         coeffs = list(tail) + [1]
-        if coeffs[0] == 0:
+        # the norm (-1)^l c0 of a primitive root generates F_p^x
+        if coeffs[0] == 0 or not _is_primitive_root((-1) ** l * coeffs[0] % p, p):
             continue
         if not poly_is_irreducible_zp(coeffs, p):
             continue
         # root x primitive <=> x^(n1/ell) != 1 for every prime ell | n1
-        x = [0, 1]
-        if all(_pp_powmod(x, n1 // ell, coeffs, p) != [1] for ell in fac):
+        if not any(_pow_is_one([0, 1], n1 // ell, coeffs, p) for ell in fac):
             return tuple(coeffs)
     raise ReducibleModulus(f"no primitive irreducible of degree {l} over F_{p}")
 
@@ -381,10 +290,9 @@ def make_tower(p: int, r: int, n: int, modulus: Optional[Sequence[int]] = None) 
     if any(tower.sigma(a, 0) != a for a in range(K.order)):
         raise AssertionError("sigma^0 is not the identity")
     # Fix(sigma) must have exactly p^r elements
-    if K.order <= 2 ** 16:
-        fixed = sum(1 for a in range(K.order) if tower.in_fixed_field(a))
-        if fixed != p ** r:
-            raise AssertionError(f"fixed field has {fixed} elements, expected {p ** r}")
+    fixed = sum(1 for a in range(K.order) if tower.in_fixed_field(a))
+    if fixed != p ** r:
+        raise AssertionError(f"fixed field has {fixed} elements, expected {p ** r}")
     return tower
 
 

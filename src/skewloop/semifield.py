@@ -236,13 +236,18 @@ def _associator_tensor(S: SemifieldCtx) -> np.ndarray:
     return (np.einsum("abl,lck->abck", T, T) - np.einsum("bcl,alk->abck", T, T)) % S.p
 
 
-def nuc_r_membership(S: SemifieldCtx) -> list[int]:
-    """Nuc_r via the membership formula {g in R_m : f g in Rf}, computed as
-    the kernel of the linear map g -> (f g mod_r f) without the tensor."""
+def annihilator(S: SemifieldCtx, g: sp.SkewPoly) -> list[list[int]]:
+    """A basis (coordinate vectors) of {u in R_m : g u in Rf}, the kernel of
+    the F_p-linear map u -> (g u mod_r f), built without the tensor."""
     tower = S.tower
-    images = [S.encode(sp.right_rem(tower, sp.skew_mul(tower, S.f, S.decode(b)), S.f))
+    images = [S.encode(sp.right_rem(tower, sp.skew_mul(tower, g, S.decode(b)), S.f))
               for b in S.basis()]
-    return _span_elements(S, nullspace(S.to_vector(images).T.tolist(), S.dim_prime, S.p))
+    return nullspace(S.to_vector(images).T.tolist(), S.dim_prime, S.p)
+
+
+def nuc_r_membership(S: SemifieldCtx) -> list[int]:
+    """Nuc_r via the membership formula {g in R_m : f g in Rf}."""
+    return _span_elements(S, annihilator(S, S.f))
 
 
 def nuclei(S: SemifieldCtx) -> NucleiReport:
@@ -304,12 +309,7 @@ def t_power_diagnostics(S: SemifieldCtx) -> TPowerReport:
     k = 1
     while group:
         k += 1
-        acc = set()
-        for i in range(1, k):
-            for u in vals[i]:
-                for v in vals[k - i]:
-                    acc.add(S.mul(u, v))
-        vals[k] = acc
+        acc = vals[k] = _bracketings(S, vals, k)
         if len(acc) > 1:
             group = False
             break
@@ -320,20 +320,19 @@ def t_power_diagnostics(S: SemifieldCtx) -> TPowerReport:
         if k > S.size:
             raise AssertionError("power cycle not found")
     # (d) all bracketings of t^(m+1) agree?
-    vals_d: dict[int, set[int]] = {1: {t}}
-    for kk in range(2, m + 2):
-        acc = set()
-        for i in range(1, kk):
-            for u in vals_d[i]:
-                for v in vals_d[kk - i]:
-                    acc.add(S.mul(u, v))
-        vals_d[kk] = acc
+    for k in range(len(vals) + 1, m + 2):
+        vals[k] = _bracketings(S, vals, k)
     return TPowerReport(
         powers_associative=assoc,
         powers_closed=group,
         closure_order=len(powers_seen) if group else None,
-        power_associative_m_plus_1=len(vals_d[m + 1]) == 1,
+        power_associative_m_plus_1=len(vals[m + 1]) == 1,
     )
+
+
+def _bracketings(S: SemifieldCtx, vals: dict[int, set[int]], k: int) -> set[int]:
+    """The values of all bracketings of t^k, given those of t^1 .. t^(k-1)."""
+    return {S.mul(u, v) for i in range(1, k) for u in vals[i] for v in vals[k - i]}
 
 
 def analysis_json(S: SemifieldCtx) -> dict:

@@ -99,6 +99,25 @@ def test_similarity_reflexive_symmetric():
             assert cs.similar(tw, f, g) == cs.similar(tw, g, f)
 
 
+def _similar_scan(tw, f, g):
+    """Exhaustive oracle: g u = 0 mod_r f for some nonzero u, deg u < deg f."""
+    Q, m = tw.field.order, sp.degree(f)
+    for code in range(1, Q ** m):
+        u = sp.poly([code // Q ** i % Q for i in range(m)])
+        if all(c == 0 for c in sp.right_rem(tw, sp.skew_mul(tw, g, u), f)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p,modulus,m", [(2, None, 3), (3, [2, 2, 1], 2)])
+def test_similar_matches_exhaustive_scan(p, modulus, m):
+    tw = gf.make_tower(p, 1, 2, modulus=modulus)
+    fs = list(sp.enumerate_admissible(tw, m))
+    for f in fs:
+        for g in fs:
+            assert cs.similar(tw, f, g) == _similar_scan(tw, f, g)
+
+
 def test_similarity_partition_f4():
     tw = gf.make_tower(2, 1, 2)
     K = tw.field

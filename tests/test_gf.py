@@ -1,8 +1,81 @@
 """Field tower arithmetic against hand oracles."""
 
+import hashlib
+import random
+import tracemalloc
+
 import pytest
 
 from skewloop import gf
+
+# (p, l): (default modulus, primitive element, exp-table hash)
+PINNED_DEFAULT = {
+    (2, 1): ((1, 1), 1, '6b86b273ff34fce1'),
+    (2, 2): ((1, 1, 1), 2, '8a6ae15122001229'),
+    (2, 3): ((1, 0, 1, 1), 2, '87a77eabbf755a36'),
+    (2, 4): ((1, 0, 0, 1, 1), 2, '5542c237447cc97c'),
+    (2, 5): ((1, 0, 0, 1, 0, 1), 2, 'c28bc76e04daa334'),
+    (2, 6): ((1, 0, 0, 0, 0, 1, 1), 2, 'f446ab0e9717cdc2'),
+    (2, 7): ((1, 0, 0, 0, 0, 0, 1, 1), 2, '068dd92520f6570d'),
+    (2, 8): ((1, 0, 0, 0, 1, 1, 1, 0, 1), 2, '0c96e1467e7df8bf'),
+    (2, 9): ((1, 0, 0, 0, 0, 1, 0, 0, 0, 1), 2, 'a909592531f4bb3b'),
+    (2, 10): ((1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 2, 'f7e176a420bac09b'),
+    (2, 11): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1), 2, '20c8799b6d2eb6c7'),
+    (2, 12): ((1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1), 2, '462dfb5507825255'),
+    (2, 13): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1), 2, '267eaf1669378549'),
+    (2, 14): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1), 2, '352f63dfd3f040dc'),
+    (2, 15): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1), 2, '88451b497434ac8e'),
+    (2, 16): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 1), 2, 'f45493c36149d341'),
+    (3, 1): ((1, 1), 2, '17f8af97ad4a7f76'),
+    (3, 2): ((2, 1, 1), 3, 'bcc2ac665c778ead'),
+    (3, 3): ((1, 0, 2, 1), 3, '210066644ccd164b'),
+    (3, 4): ((2, 0, 0, 1, 1), 3, '0ad6dd569d0bfa62'),
+    (3, 5): ((1, 0, 0, 0, 2, 1), 3, '96a96c03c8bc1535'),
+    (3, 6): ((2, 0, 0, 0, 0, 1, 1), 3, 'b8682bc3393d07b2'),
+    (3, 7): ((1, 0, 0, 0, 0, 1, 2, 1), 3, 'c5a941dad415856d'),
+    (3, 8): ((2, 0, 0, 0, 0, 1, 0, 0, 1), 3, '6d879cc98eb7db80'),
+    (3, 9): ((1, 0, 0, 0, 0, 0, 2, 1, 0, 1), 3, 'c57ade673218e8a9'),
+    (3, 10): ((2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1), 3, 'ba002137644807a8'),
+    (5, 1): ((3, 1), 2, 'a476677e7e6c27f0'),
+    (5, 2): ((2, 1, 1), 5, 'eccf3f60d3c6c07c'),
+    (5, 3): ((2, 0, 1, 1), 5, 'eb03311b8c7ae464'),
+    (5, 4): ((2, 0, 2, 1, 1), 5, '4acc55105c00ec55'),
+    (5, 5): ((2, 0, 0, 0, 3, 1), 5, '7443a751cb14c22a'),
+    (5, 6): ((2, 0, 0, 0, 0, 1, 1), 5, 'e520f438ea2b15e4'),
+    (7, 1): ((4, 1), 3, '8857bfd80b140972'),
+    (7, 2): ((3, 1, 1), 7, 'aba35872504404e8'),
+    (7, 3): ((2, 1, 1, 1), 7, '7c2b48a62148a4d2'),
+    (7, 4): ((3, 0, 1, 1, 1), 7, 'dc79f9e03455110d'),
+    (7, 5): ((2, 0, 0, 0, 2, 1), 7, 'b7585e35496d0601'),
+    (11, 1): ((9, 1), 2, '03890a70ac8efa04'),
+    (11, 2): ((2, 4, 1), 11, '77a3dae369c820cf'),
+    (11, 3): ((3, 0, 1, 1), 11, 'a1ea1aaf5e99a558'),
+    (11, 4): ((2, 0, 0, 4, 1), 11, 'd7d810832047d15a'),
+    (13, 1): ((11, 1), 2, '404819ee67c6776a'),
+    (13, 2): ((2, 1, 1), 13, '58d0682df211f3bb'),
+    (13, 3): ((2, 0, 1, 1), 13, '189bdd70c75fb10d'),
+    (13, 4): ((2, 0, 2, 6, 1), 13, '884692920c1666c0'),
+}
+
+# (p, modulus): (primitive element, exp-table hash)
+PINNED_MODULI = {
+    (3, (2, 2, 1)): (3, 'dcfdb7e0f91e021d'),
+    (3, (1, 0, 1)): (4, 'b351095dd920918f'),
+    (2, (1, 1, 1, 1, 1)): (3, '37d4fbc5a50c6918'),
+}
+
+
+def _exp_hash(K):
+    return hashlib.sha256(",".join(map(str, K.exp)).encode()).hexdigest()[:16]
+
+
+def _digits(K, a):
+    return [a // K.p ** i % K.p for i in range(K.l)]
+
+
+def _digitwise(K, a, b, sign):
+    """a + sign * b coordinate by coordinate: the reference for add and sub."""
+    return K.encode([x + sign * y for x, y in zip(_digits(K, a), _digits(K, b))])
 
 
 def test_f4_table():
@@ -96,3 +169,63 @@ def test_parse_element():
 def test_parse_field_descriptor():
     assert gf.parse_field_descriptor("3^2") == (3, 2)
     assert gf.parse_field_descriptor("7") == (7, 1)
+
+
+@pytest.mark.parametrize("p,l", sorted(PINNED_DEFAULT))
+def test_pinned_default_fields(p, l):
+    modulus, primitive, exp_hash = PINNED_DEFAULT[p, l]
+    K = gf.FieldCtx.create(p, l)
+    assert (K.modulus, K.primitive, _exp_hash(K)) == (modulus, primitive, exp_hash)
+    assert all(K.log[e] == j for j, e in enumerate(K.exp))
+
+
+def test_pinned_custom_moduli():
+    for (p, modulus), (primitive, exp_hash) in PINNED_MODULI.items():
+        K = gf.FieldCtx.create(p, len(modulus) - 1, modulus)
+        assert (K.modulus, K.primitive, _exp_hash(K)) == (modulus, primitive, exp_hash)
+    with pytest.raises(gf.ReducibleModulus):
+        gf.FieldCtx.create(3, 2, modulus=[3, 0, 1])  # x^2 over F_3
+
+
+@pytest.mark.parametrize("p,l", [(p, l) for p, l in sorted(PINNED_DEFAULT) if p ** l <= 256])
+def test_add_sub_neg_all_pairs(p, l):
+    K = gf.FieldCtx.create(p, l)
+    for a in range(K.order):
+        assert K.neg(a) == K.encode([-x for x in _digits(K, a)])
+        for b in range(K.order):
+            assert K.add(a, b) == _digitwise(K, a, b, 1)
+            assert K.sub(a, b) == _digitwise(K, a, b, -1)
+
+
+@pytest.mark.parametrize("p,l", [(2, 13), (3, 8)])
+def test_add_sub_neg_sampled_large(p, l):
+    K = gf.FieldCtx.create(p, l)
+    rng = random.Random(0)
+    for _ in range(5000):
+        a, b = rng.randrange(K.order), rng.randrange(K.order)
+        assert K.add(a, b) == _digitwise(K, a, b, 1)
+        assert K.sub(a, b) == _digitwise(K, a, b, -1)
+        assert K.neg(a) == K.encode([-x for x in _digits(K, a)])
+
+
+def test_field_tables_linear_in_order():
+    gf.FieldCtx.create(2, 3)  # warm the lazy imports of the modulus search
+    tracemalloc.start()
+    try:
+        gf.FieldCtx.create(2, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_large_prime_field_tables():
+    # (p - 1)^2 > 2^31: the doubling products need 64-bit digits
+    p = 65537
+    K = gf.FieldCtx.create(p, 1)
+    g = K.primitive
+    assert K.exp == [pow(g, j, p) for j in range(p - 1)]
+    rng = random.Random(0)
+    for _ in range(2000):
+        a, b = rng.randrange(p), rng.randrange(p)
+        assert (K.add(a, b), K.sub(a, b), K.neg(a)) == ((a + b) % p, (a - b) % p, -a % p)
