@@ -26,7 +26,7 @@ def describe(tower, a, label):
     print(f"  H_(tau,k) solutions: {len(auts)}, group {gid.tag} of order "
           f"{gid.order}")
     print(f"  inner automorphisms G_c: {len(inners)} "
-          f"({autgroup.inner_group_structure(inners).tag})")
+          f"({autgroup.inner_group_structure(S, inners).tag})")
     return S
 
 

@@ -3,8 +3,11 @@
 Two families: the H_{tau,k} maps (tau a field automorphism of K, k in K^x
 subject to a compatibility equation against the coefficients of f), and the
 inner automorphisms G_c(x) = (c_l x)c for invertible nucleus elements c.
-Both are realized as explicit image tables so that group structure can be
-read off by composition.
+Both are F_p-linear, so each is stored as its D x D matrix over F_p with
+row i = to_vector(phi(e_i)); a map acts on coordinate row vectors by
+x -> x M mod p, and "a after b" is M_b M_a.  Multiplicativity is decided
+exactly by the D^2 basis pairs, since both sides of phi(xy) = phi(x)phi(y)
+are bilinear.  Nothing here grows with |S|.
 """
 
 from __future__ import annotations
@@ -28,27 +31,21 @@ class InadmissiblePolynomial(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutHK:
-    """H_{tau,k} with tau = (x -> x^(p^tau_exp)); images indexed by element code."""
+    """H_{tau,k} with tau = (x -> x^(p^tau_exp)); matrix[i] = to_vector(H(e_i))."""
 
     tau_exp: int
     k: int
-    images: tuple
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
+    matrix: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerAut:
-    """G_c(x) = (c_l x)c for an invertible nucleus element c."""
+    """G_c(x) = (c_l x)c for an invertible nucleus element c; matrix as AutHK."""
 
     c: int
-    images: tuple
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
+    matrix: np.ndarray
 
 
 def _tau_apply(S: sfd.SemifieldCtx, tau_exp: int, z: int) -> int:
@@ -83,32 +80,27 @@ def hk_condition(S: sfd.SemifieldCtx, tau_exp: int, k: int) -> bool:
 
 
 def realize_hk(S: sfd.SemifieldCtx, tau_exp: int, k: int) -> AutHK:
-    """x_i t^i -> tau(x_i)(prod_{l<i} sigma^l(k)) t^i on every element."""
+    """x_i t^i -> tau(x_i)(prod_{l<i} sigma^l(k)) t^i, on the basis only:
+    e_(il+j) = x^j t^i goes to tau(x^j) lam_i t^i, a block of l digits."""
     K = S.tower.field
-    lam = [_sigma_prefix(S, k, i) for i in range(S.m)]
-    imgs = []
-    for code in range(S.size):
-        cs = list(S.decode(code)) + [0] * S.m
-        imgs.append(S.encode(sp.poly(
-            [K.mul(_tau_apply(S, tau_exp, cs[i]), lam[i]) for i in range(S.m)])))
-    return AutHK(tau_exp=tau_exp, k=k, images=tuple(imgs))
+    l = K.l
+    M = np.zeros((S.dim_prime, S.dim_prime), dtype=np.int64)
+    for i in range(S.m):
+        lam = _sigma_prefix(S, k, i)
+        targets = [K.mul(_tau_apply(S, tau_exp, K.p ** j), lam) for j in range(l)]
+        M[i * l:(i + 1) * l, i * l:(i + 1) * l] = S.to_vector(targets)[:, :l]
+    return AutHK(tau_exp=tau_exp, k=k, matrix=M)
 
 
-def apply_aut(H: AutHK, x: int) -> int:
-    return H.images[x]
+def apply_aut(S: sfd.SemifieldCtx, phi: AutHK | InnerAut, x):
+    """phi(x); codes in, codes out (arrays broadcast)."""
+    return S.from_vector(S.to_vector(x) @ phi.matrix % S.p)
 
 
-def _is_multiplicative(S: sfd.SemifieldCtx, images) -> bool:
-    """Exact at every size: the map is the F_p-linear map read off the basis
-    images, on every code, and phi(e_i e_j) = phi(e_i) phi(e_j) on the D^2
-    basis pairs.  Both sides of phi(xy) = phi(x) phi(y) are then bilinear
-    in (x, y) and agree on a basis, so they agree everywhere."""
-    img = np.asarray(images, dtype=np.int64)
-    phi = S.to_vector(img[S.basis()])     # row i: phi(e_i)
-    linear = S.from_vector(S.to_vector(np.arange(S.size)) @ phi % S.p)
-    if not np.array_equal(img, linear):
-        return False
-    return np.array_equal(S.tensor @ phi % S.p, S.mul_vectors(phi[:, None], phi[None, :]))
+def _is_multiplicative(S: sfd.SemifieldCtx, M: np.ndarray) -> bool:
+    """phi(e_i e_j) = phi(e_i) phi(e_j) on the D^2 basis pairs; exact, since
+    both sides of phi(xy) = phi(x) phi(y) are bilinear in (x, y)."""
+    return np.array_equal(S.tensor @ M % S.p, S.mul_vectors(M[:, None], M[None, :]))
 
 
 def _ring_scaling_ok(S: sfd.SemifieldCtx, tau_exp: int, k: int) -> bool:
@@ -130,7 +122,7 @@ def solve_aut_conditions(S: sfd.SemifieldCtx) -> list[AutHK]:
             if not hk_condition(S, tau_exp, k):
                 continue
             H = realize_hk(S, tau_exp, k)
-            assert _is_multiplicative(S, H.images), \
+            assert _is_multiplicative(S, H.matrix), \
                 f"H_(tau^{tau_exp},{k}) solves the coefficient equation but is not multiplicative"
             assert _ring_scaling_ok(S, tau_exp, k)
             out.append(H)
@@ -146,9 +138,8 @@ def compose_params(S: sfd.SemifieldCtx, a: AutHK, b: AutHK) -> tuple[int, int]:
 
 def aut_group_structure(S: sfd.SemifieldCtx, auts: list[AutHK]) -> pg.GroupId:
     """Identify the group on parameter pairs; composition law cross-checked
-    against pointwise composition of the realized maps."""
+    against the matrix product of the maps."""
     index = {(H.tau_exp, H.k): i for i, H in enumerate(auts)}
-    maps = [np.asarray(H.images) for H in auts]
     n = len(auts)
     table = [[0] * n for _ in range(n)]
     for i, a in enumerate(auts):
@@ -157,7 +148,7 @@ def aut_group_structure(S: sfd.SemifieldCtx, auts: list[AutHK]) -> pg.GroupId:
             if params not in index:
                 raise NotClosed(f"composite {params} missing from the solution set")
             k = index[params]
-            assert np.array_equal(maps[i][maps[j]], maps[k]), \
+            assert np.array_equal(b.matrix @ a.matrix % S.p, auts[k].matrix), \
                 "parameter law disagrees with map composition"
             table[i][j] = k
     identity = index[(0, 1)]
@@ -168,36 +159,48 @@ def inner_automorphisms(S: sfd.SemifieldCtx) -> list[InnerAut]:
     """Distinct G_c(x) = (c_l x)c over invertible nucleus elements c; c and
     lambda*c (lambda central) induce the same map, hence the dedup."""
     report = sfd.nuclei(S)
-    X = S.to_vector(np.arange(S.size))
-    seen: dict[tuple, int] = {}
+    basis = np.eye(S.dim_prime, dtype=np.int64)
+    seen: dict[bytes, InnerAut] = {}
     for c in report.nuc.elements:
         if c == 0:
             continue
         c_left, _ = sfd.inverses(S, c)
-        prods = S.mul_vectors(S.mul_vectors(S.to_vector(c_left), X), S.to_vector(c))
-        seen.setdefault(tuple(S.from_vector(prods).tolist()), c)
-    out = []
-    for images, c in seen.items():
-        assert images[S.one] == S.one
-        assert _is_multiplicative(S, images), \
-            f"G_c for c={c} is not multiplicative"
-        out.append(InnerAut(c=c, images=images))
-    return out
+        M = S.mul_vectors(S.mul_vectors(S.to_vector(c_left), basis), S.to_vector(c))
+        seen.setdefault(M.tobytes(), InnerAut(c=c, matrix=M))
+    for ia in seen.values():
+        assert np.array_equal(ia.matrix[0], basis[0]), f"G_c for c={ia.c} moves 1"
+        assert _is_multiplicative(S, ia.matrix), \
+            f"G_c for c={ia.c} is not multiplicative"
+    return list(seen.values())
 
 
-def inner_group_structure(inners: list[InnerAut]) -> pg.GroupId:
-    perms = [np.array(ia.images, dtype=np.int32) for ia in inners]
-    return pg.identify_from_perms(perms)
+def inner_group_structure(S: sfd.SemifieldCtx, inners: list[InnerAut]) -> pg.GroupId:
+    """{G_c} = Nuc^x / centre^x is a group (G_c G_d = G_(dc)); its table is
+    read off the matrix products, and a missing product raises NotClosed."""
+    index = {ia.matrix.tobytes(): i for i, ia in enumerate(inners)}
+    table = []
+    for a in inners:
+        row = []
+        for b in inners:
+            key = (b.matrix @ a.matrix % S.p).tobytes()
+            if key not in index:
+                raise NotClosed(f"G_{a.c} after G_{b.c} is no G_c")
+            row.append(index[key])
+        table.append(row)
+    identity = index.get(np.eye(S.dim_prime, dtype=np.int64).tobytes())
+    if identity is None:
+        raise NotClosed("the identity is no G_c")
+    return pg.identify_small_group(table, identity=identity)
 
 
 def match_inner_to_hk(S: sfd.SemifieldCtx, inners: list[InnerAut],
                       auts: list[AutHK]) -> dict[int, int]:
-    """For each G_c find the H_{id,k} with the same realized map; the match
-    must satisfy N_{K/F}(k) = 1.  Returns {c: k}."""
-    by_images = {H.images: H for H in auts if H.tau_exp == 0}
+    """For each G_c find the H_{id,k} with the same matrix; the match must
+    satisfy N_{K/F}(k) = 1.  Returns {c: k}."""
+    by_matrix = {H.matrix.tobytes(): H for H in auts if H.tau_exp == 0}
     out = {}
     for ia in inners:
-        H = by_images.get(ia.images)
+        H = by_matrix.get(ia.matrix.tobytes())
         if H is None:
             raise AssertionError(f"G_c for c={ia.c} matches no H_(id,k)")
         assert rel_norm(S.tower, H.k) == 1
@@ -244,6 +247,6 @@ def aut_json(S: sfd.SemifieldCtx, auts: list[AutHK],
         "hk_parameters": [{"tau_exponent": H.tau_exp, "k": H.k} for H in auts],
         "hk_group": {"tag": gid.tag, "order": str(gid.order), "params": gid.params},
         "inner_count": len(inners),
-        "inner_group": {"tag": (g := inner_group_structure(inners)).tag,
+        "inner_group": {"tag": (g := inner_group_structure(S, inners)).tag,
                         "order": str(g.order)} if inners else None,
     }

@@ -127,9 +127,8 @@ def cmd_loop(args) -> int:
         return EXIT_OK
     if args.what in ("aut", "inner"):
         S = _semifield_from_args(args)
-        auts = ag.solve_aut_conditions(S)
-        inners = ag.inner_automorphisms(S)
         if args.what == "aut":
+            auts = ag.solve_aut_conditions(S)
             gid = ag.aut_group_structure(S, auts)
             _emit(args, {
                 "hk_count": len(auts),
@@ -138,7 +137,8 @@ def cmd_loop(args) -> int:
                 "group_order": str(gid.order),
             })
         else:
-            gid = ag.inner_group_structure(inners)
+            inners = ag.inner_automorphisms(S)
+            gid = ag.inner_group_structure(S, inners)
             _emit(args, {
                 "inner_count": len(inners),
                 "group_tag": gid.tag,
@@ -222,7 +222,7 @@ def _tier1_checks() -> list[tuple[str, bool, str]]:
                           lambda: _expect(lp.inn_group(L, M)[0], 1344)))
     inners = ag.inner_automorphisms(S)
     results.append(_check("quat2 inner automorphisms Z/3", lambda: _expect(
-        (len(inners), ag.inner_group_structure(inners).tag), (3, "cyclic"))))
+        (len(inners), ag.inner_group_structure(S, inners).tag), (3, "cyclic"))))
     results.append(_check("quat2 right cyclic",
                           lambda: _expect(lp.cyclicity(L)[1], True)))
     results.append(_check("N(q,m) formulas agree (q<=16, m<=8)", lambda: [
@@ -311,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         if need_f:
             p.add_argument("--f", required=True, help='skew polynomial, e.g. "t^2 - g^1"')
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap-degree", type=int, default=0, dest="cap_degree")
+        return p
 
     p_field = sub.add_parser("field")
     field_sub = p_field.add_subparsers(dest="what", required=True)
@@ -331,11 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loop = sub.add_parser("loop")
     loop_sub = p_loop.add_subparsers(dest="what", required=True)
-    for what in ("mlt", "inn", "aut", "inner", "cyclic", "lagrange"):
-        add_tower_flags(loop_sub.add_parser(what))
-    p_latin = loop_sub.add_parser("latin")
-    add_tower_flags(p_latin)
-    p_latin.add_argument("--out", required=True, help="CSV output path")
+    for what in ("mlt", "inn", "aut", "inner", "cyclic", "lagrange", "latin"):
+        p = add_tower_flags(loop_sub.add_parser(what))
+        if what not in ("aut", "inner"):    # the commands that build the loop table
+            p.add_argument("--cap-degree", type=int, default=0, dest="cap_degree")
+        if what in ("mlt", "inn"):
+            p.add_argument("--seed", type=int, default=0)
+        if what == "latin":
+            p.add_argument("--out", required=True, help="CSV output path")
 
     p_census = sub.add_parser("census")
     census_sub = p_census.add_subparsers(dest="what", required=True)

@@ -257,15 +257,14 @@ class TowerCtx:
     def __post_init__(self) -> None:
         K = self.field
         self.q = K.p ** self.r
+        # sigma^i(a) = exp[log a * p^(ri) mod (|K|-1)], one gather per i (the
+        # product stays below |K|^2 <= 2^40); kept as lists because skew_mul
+        # and right_divmod index them one scalar at a time
         n1 = K.order - 1
-        tables = []
-        for i in range(self.n):
-            e = pow(K.p, self.r * i, n1) if n1 > 1 else 1
-            tbl = [0] * K.order
-            for a in range(1, K.order):
-                tbl[a] = K.exp[(K.log[a] * e) % n1]
-            tables.append(tbl)
-        self._sigma = tables
+        exp = np.array(K.exp, dtype=np.int64)
+        log = np.array(K.log[1:], dtype=np.int64)
+        self._sigma = [[0] + exp[log * pow(K.p, self.r * i, n1) % n1].tolist()
+                       for i in range(self.n)]
 
     def sigma(self, a: int, i: int = 1) -> int:
         return self._sigma[i % self.n][a]

@@ -274,41 +274,23 @@ def _closure(L: LoopCtx, seed: Sequence[int]) -> frozenset:
 
 
 def subloops(L: LoopCtx) -> list[frozenset]:
-    """Full subloop collection: closures of all 1- and 2-element seeds,
-    joined pairwise to a fixpoint."""
+    """Full subloop collection: the closures <a>, then pairwise joins to a
+    fixpoint.  Each round joins only the pairs that involve a subloop new in
+    the previous round; every other pair was joined before."""
     N = L.size
     if N > SUBLOOP_SIZE_CAP:
         raise SizeCapExceeded(f"subloop search capped at {SUBLOOP_SIZE_CAP}")
-    full = frozenset(range(N))
-    found: set[frozenset] = set()
-    singles: dict[int, frozenset] = {}
-    for a in range(N):
-        c = _closure(L, [a])
-        singles[a] = c
-        found.add(c)
-    for a in range(N):
-        if singles[a] == full:
-            continue
-        for b in range(a + 1, N):
-            if b in singles[a] or singles[b] == full:
-                continue
-            found.add(_closure(L, [a, b]))
-    # pairwise joins until stable
-    while True:
-        new = set()
-        lst = sorted(found, key=len)
-        for i, c1 in enumerate(lst):
-            for c2 in lst[i + 1:]:
-                if c1 <= c2 or c2 <= c1:
-                    continue
-                j = _closure(L, list(c1 | c2))
-                if j not in found:
-                    new.add(j)
-        if not new:
-            break
-        found |= new
-    found.add(full)
-    return sorted(found, key=len)
+    done: list[frozenset] = []
+    fresh = {_closure(L, [a]) for a in range(N)}
+    while fresh:
+        joins = set()
+        for c1 in fresh:
+            for c2 in done:
+                if not (c1 <= c2 or c2 <= c1):
+                    joins.add(_closure(L, list(c1 | c2)))
+            done.append(c1)
+        fresh = joins.difference(done)
+    return sorted(set(done) | {frozenset(range(N))}, key=len)
 
 
 def subloops_and_lagrange(L: LoopCtx) -> tuple[list[int], bool, bool]:

@@ -524,41 +524,6 @@ def identify_small_group(mul: Sequence[Sequence[int]], identity: int = 0) -> Gro
     return GroupId(tag="unknown", order=n, order_spectrum=spectrum)
 
 
-def identify_from_perms(perms: Sequence[Perm]) -> GroupId:
-    """Close a set of permutations under composition and identify the group."""
-    elems: list[bytes] = []
-    arrs: list[Perm] = []
-    index: dict[bytes, int] = {}
-
-    def add(a: Perm) -> int:
-        key = a.tobytes()
-        if key not in index:
-            index[key] = len(arrs)
-            arrs.append(a)
-            elems.append(key)
-        return index[key]
-
-    if not perms:
-        raise ValueError("need at least one permutation")
-    add(identity_perm(len(perms[0])))
-    for g in perms:
-        add(np.asarray(g, dtype=np.int32))
-    # fixpoint closure under composition
-    done = 0
-    while done < len(arrs):
-        hi = len(arrs)
-        for i in range(hi):
-            for j in range(max(i, done), hi):
-                add(compose(arrs[i], arrs[j]))
-                add(compose(arrs[j], arrs[i]))
-                if len(arrs) > 512:
-                    raise TooLarge("closure exceeds identification bound")
-        done = hi
-    mul = [[index[compose(arrs[i], arrs[j]).tobytes()] for j in range(len(arrs))]
-           for i in range(len(arrs))]
-    return identify_small_group(mul, identity=0)
-
-
 # ---------------------------------------------------------------------------
 # classical linear group orders (sandwich bound helpers)
 

@@ -1,5 +1,7 @@
 """H_{tau,k} enumeration, group structure, inner automorphisms, gcd counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,60 @@ def make_quat(p, modulus, a_coeffs):
     return sfd.build_semifield(tw, (K.neg(a), 0, 1))
 
 
+def image_table(S, phi):
+    """phi(x) for every code x, from the matrix."""
+    return ag.apply_aut(S, phi, np.arange(S.size))
+
+
+def hk_images_oracle(S, tau_exp, k):
+    """Test oracle: the per-element formula
+    sum x_i t^i -> sum tau(x_i) (prod_{l<i} sigma^l(k)) t^i on every code."""
+    K = S.tower.field
+    lam = [ag._sigma_prefix(S, k, i) for i in range(S.m)]
+    images = []
+    for code in range(S.size):
+        xs = list(S.decode(code)) + [0] * S.m
+        images.append(S.encode(sp.poly(
+            [K.mul(ag._tau_apply(S, tau_exp, xs[i]), lam[i]) for i in range(S.m)])))
+    return images
+
+
+@pytest.mark.parametrize("p,r,n,m", [(2, 1, 2, 2), (2, 1, 3, 2), (3, 1, 2, 2), (2, 1, 4, 2),
+                                     (2, 2, 2, 2), (5, 1, 2, 2), (2, 1, 2, 3), (3, 1, 2, 3),
+                                     (3, 1, 3, 2)])
+def test_realize_hk_matches_per_element_formula(p, r, n, m):
+    # every (tau, k), also those failing hk_condition, for |S| <= 729
+    tw = gf.make_tower(p, r, n)
+    S = sfd.build_semifield(tw, next(iter(sp.enumerate_admissible(tw, m))))
+    K = tw.field
+    assert S.size <= 729
+    for tau in range(K.l):
+        for k in range(1, K.order):
+            H = ag.realize_hk(S, tau, k)
+            assert image_table(S, H).tolist() == hk_images_oracle(S, tau, k), (tau, k)
+
+
+def test_scale_two_to_the_twenty():
+    # |S| = 2^20: an |S| x D int64 array alone would be 160 MB
+    tw = gf.make_tower(2, 1, 10)
+    tracemalloc.start()
+    try:
+        S = sfd.build_semifield(tw, sp.parse_poly(tw, "t^2 - g^1"))
+        auts = ag.solve_aut_conditions(S)
+        gid = ag.aut_group_structure(S, auts)
+        inners = ag.inner_automorphisms(S)
+        inner_gid = ag.inner_group_structure(S, inners)
+        match = ag.match_inner_to_hk(S, inners, auts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.size == 2 ** 20
+    assert len(auts) == 15 and gid.order == 15
+    assert len(inners) == 3 and (inner_gid.tag, inner_gid.order) == ("cyclic", 3)
+    assert len(match) == 3
+    assert peak < 32 * 2 ** 20, peak
+
+
 def test_quat2_hk_and_inner():
     S = make_quat(2, None, [0, 1])
     auts = ag.solve_aut_conditions(S)
@@ -25,7 +81,9 @@ def test_quat2_hk_and_inner():
     assert gid.tag == "cyclic" and gid.order == 3
     inners = ag.inner_automorphisms(S)
     assert len(inners) == 3
-    assert ag.inner_group_structure(inners).tag == "cyclic"
+    assert ag.inner_group_structure(S, inners).tag == "cyclic"
+    with pytest.raises(ag.NotClosed):   # no 2-subset of Z/3 is closed
+        ag.inner_group_structure(S, inners[1:])
     # every G_c equals some H_{id,k} with N(k) = 1
     match = ag.match_inner_to_hk(S, inners, auts)
     assert len(match) == 3
@@ -49,8 +107,8 @@ def test_hk_action_on_t_powers():
     K = S.tower.field
     for H in ag.solve_aut_conditions(S):
         # H(t) = k t and H(1) = 1
-        assert ag.apply_aut(H, S.one) == S.one
-        assert ag.apply_aut(H, S.t) == S.mul(H.k, S.t)
+        assert ag.apply_aut(S, H, S.one) == S.one
+        assert ag.apply_aut(S, H, S.t) == S.mul(H.k, S.t)
 
 
 def test_exact_check_rejects_non_automorphisms_at_729():
@@ -59,35 +117,34 @@ def test_exact_check_rejects_non_automorphisms_at_729():
     S = sfd.build_semifield(tw, next(iter(sp.enumerate_admissible(tw, 3))))
     assert S.size == 729
     auts = ag.solve_aut_conditions(S)
-    assert auts and all(ag._is_multiplicative(S, H.images) for H in auts)
-    # realize_hk is additive for every (tau, k); one failing the coefficient
+    assert auts and all(ag._is_multiplicative(S, H.matrix) for H in auts)
+    # realize_hk is linear for every (tau, k); one failing the coefficient
     # equation is linear but not multiplicative
     K = S.tower.field
     tau, k = next((t, k) for t in range(K.l) for k in range(1, K.order)
                   if not ag.hk_condition(S, t, k))
-    assert not ag._is_multiplicative(S, ag.realize_hk(S, tau, k).images)
-    # an automorphism with two non-basis images swapped
-    images = list(auts[-1].images)
-    x, y = 2, S.size - 1
-    assert x not in S.basis() and y not in S.basis()
-    images[x], images[y] = images[y], images[x]
-    assert not ag._is_multiplicative(S, images)
+    assert not ag._is_multiplicative(S, ag.realize_hk(S, tau, k).matrix)
 
 
 def test_identity_parameters():
     S = make_quat(2, None, [0, 1])
     H = ag.realize_hk(S, 0, 1)
-    assert all(ag.apply_aut(H, x) == x for x in range(S.size))
+    assert np.array_equal(H.matrix, np.eye(S.dim_prime, dtype=np.int64))
+    assert image_table(S, H).tolist() == list(range(S.size))
 
 
 def test_composition_law_matches_maps():
     S = make_quat(3, [2, 2, 1], [1, 1])
     auts = ag.solve_aut_conditions(S)
     by_params = {(H.tau_exp, H.k): H for H in auts}
+    tables = {(H.tau_exp, H.k): image_table(S, H) for H in auts}
     for a in auts:
         for b in auts:
-            c = by_params[ag.compose_params(S, a, b)]
-            assert all(a.images[b.images[x]] == c.images[x] for x in range(S.size))
+            params = ag.compose_params(S, a, b)
+            c = by_params[params]
+            ta, tb = tables[(a.tau_exp, a.k)], tables[(b.tau_exp, b.k)]
+            assert np.array_equal(ta[tb], tables[params])
+            assert np.array_equal(b.matrix @ a.matrix % S.p, c.matrix)
 
 
 def test_h_sigma_1_for_f_over_fixed_field():
@@ -103,8 +160,8 @@ def test_h_sigma_1_for_f_over_fixed_field():
         assert (e, 1) in params
     sigma1 = next(H for H in auts if (H.tau_exp, H.k) == (1, 1))
     # order of H_{sigma,1} is n = 2
-    twice = tuple(sigma1.images[sigma1.images[x]] for x in range(S.size))
-    assert twice == tuple(range(S.size))
+    images = image_table(S, sigma1)
+    assert images[images].tolist() == list(range(S.size))
 
 
 def test_inner_auts_sift_into_inn():
@@ -115,7 +172,7 @@ def test_inner_auts_sift_into_inn():
     from skewloop import permgroup as pg
     inn = pg.bsgs_build(gens, base_hint=[L.identity]) if gens else None
     for ia in ag.inner_automorphisms(S):
-        perm = np.array([i - 1 for i in ia.images[1:]], dtype=np.int32)
+        perm = (image_table(S, ia)[1:] - 1).astype(np.int32)
         assert M.contains(perm)
         assert int(perm[L.identity]) == L.identity
         if inn is not None:
@@ -133,7 +190,7 @@ def test_inner_count_equals_s_when_nuc_is_K():
             s = (q ** n - 1) // (q - 1)
             inners = ag.inner_automorphisms(S)
             assert len(inners) == s
-            gid = ag.inner_group_structure(inners)
+            gid = ag.inner_group_structure(S, inners)
             assert gid.tag == "cyclic" and gid.order == s
 
 
@@ -141,7 +198,7 @@ def test_g_c_trivial_for_central_c():
     S = make_quat(3, [2, 2, 1], [0, 1])
     # c in F^x gives the identity map; the dedup keeps one trivial entry
     inners = ag.inner_automorphisms(S)
-    trivial = [ia for ia in inners if ia.images == tuple(range(S.size))]
+    trivial = [ia for ia in inners if image_table(S, ia).tolist() == list(range(S.size))]
     assert len(trivial) == 1
 
 

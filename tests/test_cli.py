@@ -68,6 +68,33 @@ def test_loop_aut_and_inner(capsys):
     assert json.loads(out)["inner_count"] == 3
 
 
+def test_loop_aut_and_inner_compute_only_their_family(capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("computed a family the command does not print")
+
+    argv = ("--field", "2^2", "--f", "t^2 - g^1", "--format", "json")
+    with monkeypatch.context() as mp:
+        mp.setattr(cli.ag, "inner_automorphisms", unused)
+        assert run(capsys, "loop", "aut", *argv)[0] == cli.EXIT_OK
+    with monkeypatch.context() as mp:
+        mp.setattr(cli.ag, "solve_aut_conditions", unused)
+        assert run(capsys, "loop", "inner", *argv)[0] == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("field", "info", "--field", "2^2"), "--seed"),
+    (("semifield", "analyze", "--field", "2^2", "--f", "t^2 - g^1"), "--cap-degree"),
+    (("loop", "aut", "--field", "2^2", "--f", "t^2 - g^1"), "--seed"),
+    (("loop", "inner", "--field", "2^2", "--f", "t^2 - g^1"), "--cap-degree"),
+    (("loop", "cyclic", "--field", "2^2", "--f", "t^2 - g^1"), "--seed"),
+])
+def test_flags_only_where_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as e:
+        cli.main([*argv, flag, "1"])
+    assert e.value.code == 2
+    capsys.readouterr()
+
+
 def test_loop_latin_writes_file(capsys, tmp_path):
     out_path = tmp_path / "sq.csv"
     rc, out, _ = run(capsys, "loop", "latin", "--field", "2^2",

@@ -122,6 +122,15 @@ def test_sigma_order_and_fixed_field():
     assert all(gf.apply_sigma(tw9, a, 2) == a for a in range(9))
 
 
+@pytest.mark.parametrize("p,r,n", [(2, 1, 2), (2, 1, 8), (2, 2, 3), (3, 1, 4), (5, 2, 2),
+                                   (7, 1, 3), (2, 3, 4)])
+def test_sigma_tables_are_frobenius_powers(p, r, n):
+    tw = gf.make_tower(p, r, n)
+    K = tw.field
+    for i in range(n):
+        assert tw._sigma[i] == [K.pow_int(a, p ** (r * i)) for a in range(K.order)]
+
+
 def test_make_tower_nonprimitive_modulus():
     # K = F[x]/(x^2 - 2) over F_3 is accepted even though its root is
     # non-primitive (order 4); a primitive element is found instead

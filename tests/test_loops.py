@@ -8,6 +8,7 @@ from skewloop import gf
 from skewloop import loops as lp
 from skewloop import permgroup as pg
 from skewloop import semifield as sfd
+from skewloop import skewpoly as sp
 
 
 def quat2_loop():
@@ -105,6 +106,36 @@ def test_subloops_and_lagrange_quat2():
     orders, weak, strong = lp.subloops_and_lagrange(L)
     assert orders == [1, 3, 6, 15]
     assert not weak and not strong  # 6 does not divide 15
+
+
+def subloops_oracle(L):
+    """Test oracle: closures <a>, then all pairwise joins to a fixpoint."""
+    found = {lp._closure(L, [a]) for a in range(L.size)}
+    while True:
+        joins = {lp._closure(L, list(a | b)) for a in found for b in found}
+        if joins <= found:
+            return found | {frozenset(range(L.size))}
+        found |= joins
+
+
+@pytest.mark.parametrize("p,r,n,m,index", [(2, 1, 2, 2, 0), (2, 1, 3, 2, 0), (3, 1, 2, 2, 3),
+                                           (2, 1, 2, 3, 0)])
+def test_subloops_match_join_fixpoint(p, r, n, m, index):
+    tw = gf.make_tower(p, r, n)
+    f = list(sp.enumerate_admissible(tw, m))[index]
+    L = lp.build_loop(sfd.build_semifield(tw, f))
+    subs = lp.subloops(L)
+    assert len(subs) == len(set(subs))
+    assert set(subs) == subloops_oracle(L)
+
+
+def test_subloops_of_elementary_abelian_group():
+    # (Z/2)^4 under XOR: subgroups of rank 0..4 number 1, 15, 35, 15, 1, so
+    # the lattice needs joins of up to three cyclic subgroups
+    L = lp.loop_from_table([[a ^ b for b in range(16)] for a in range(16)])
+    subs = lp.subloops(L)
+    assert sorted(len(s) for s in subs) == [1] + [2] * 15 + [4] * 35 + [8] * 15 + [16]
+    assert set(subs) == subloops_oracle(L)
 
 
 def test_loop_isomorphism_self_and_distinct():

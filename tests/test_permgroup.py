@@ -84,11 +84,6 @@ def test_identify_quaternion_units():
     assert gid.tag == "dicyclic" and gid.order == 8 and gid.params.get("k") == 2
 
 
-def test_identify_from_perms_closure():
-    gid = pg.identify_from_perms([cycle(5, 0, 1, 2, 3, 4)])
-    assert gid.tag == "cyclic" and gid.order == 5
-
-
 def test_gl_sl_orders():
     assert pg.gl_order(4, 2) == 20160
     assert pg.sl_order(4, 2) == 20160
