@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
+import numpy as np
 from sympy import factorint, mobius, primefactors
 
 from . import skewpoly as sp
@@ -71,37 +72,36 @@ def count_central_irreducible(q: int, m: int) -> int:
     return by_mobius
 
 
-# -- plain polynomial helpers over F_q (coefficient tuples, low degree first) --
+# -- monic polynomials over F_q as rows of a code array (low degree first) --
 
-def _poly_mul(K: FieldCtx, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = K.add(out[i + j], K.mul(ca, cb))
-    return tuple(out)
-
-
-def _monic_polys(K: FieldCtx, d: int):
-    """All monic degree-d polynomials over K, as coefficient tuples."""
-    import itertools
-
-    for lower in itertools.product(range(K.order), repeat=d):
-        yield lower + (1,)
+def _monic_array(q: int, d: int) -> np.ndarray:
+    """All q^d monic degree-d polynomials, row n in itertools.product order
+    (c0 the most significant digit of n), with the leading 1 as last column."""
+    digits = np.arange(q ** d)[:, None] // q ** np.arange(d - 1, -1, -1) % q
+    return np.hstack([digits, np.ones((q ** d, 1), dtype=digits.dtype)])
 
 
 def enumerate_irreducible(K: FieldCtx, m: int) -> list[tuple[int, ...]]:
     """Monic irreducible degree-m polynomials over F_q by a product sieve:
-    mark every monic product (irreducible of degree <= m/2) * (monic cofactor)."""
-    irr_by_deg: dict[int, list[tuple[int, ...]]] = {}
+    mark every monic product (irreducible of degree <= m/2) * (monic cofactor),
+    one irreducible g at a time against all cofactors at once."""
+    q = K.order
+    irr_by_deg: dict[int, np.ndarray] = {}
     for d in range(1, m + 1):
-        composite = set()
+        composite = np.zeros(q ** d, dtype=bool)
+        weights = q ** np.arange(d - 1, -1, -1)
         for e in range(1, d // 2 + 1):
-            for g in irr_by_deg.get(e, []):
-                for h in _monic_polys(K, d - e):
-                    composite.add(_poly_mul(K, g, h))
-        irr_by_deg[d] = [f for f in _monic_polys(K, d) if f not in composite]
-    return irr_by_deg[m]
+            h = _monic_array(q, d - e)
+            for g in irr_by_deg[e].tolist():
+                prod = np.zeros((len(h), d + 1), dtype=np.int64)
+                prod[:, e:] = h                 # g is monic: start from y^e h
+                for i, c in enumerate(g[:e]):
+                    if c:
+                        window = prod[:, i:i + d - e + 1]
+                        window[:] = K.add_array(window, K.mul_array(c, h))
+                composite[prod[:, :d] @ weights] = True
+        irr_by_deg[d] = _monic_array(q, d)[~composite]
+    return list(map(tuple, irr_by_deg[m].tolist()))
 
 
 def count_irreducible_enum(q: int, m: int) -> int:
@@ -115,39 +115,29 @@ def count_irreducible_enum(q: int, m: int) -> int:
 
 def gammaL_orbit_count(q: int, m: int) -> int:
     """M(q,m): orbits of GammaL(1,q) = {(lambda, rho)} acting on the central
-    irreducibles by f^{(lambda,rho)}(y) = lambda^{-m} f^rho(lambda y)."""
+    irreducibles by f^{(lambda,rho)}(y) = lambda^{-m} f^rho(lambda y).
+
+    The maps form a group, so the orbit of f is its image set: each map is
+    applied to every irreducible at once, and an orbit is counted at its
+    member of least index."""
     if q ** m > CLASSIFY_LIMIT:
         raise TooLarge(f"q^m = {q**m} exceeds {CLASSIFY_LIMIT}")
     p, r = _prime_power(q)
     K = FieldCtx.create(p, r)
-    polys = enumerate_irreducible(K, m)
-    index = {f: i for i, f in enumerate(polys)}
-
-    def act(f: tuple[int, ...], lam: int, rho: int) -> tuple[int, ...]:
+    polys = np.array(enumerate_irreducible(K, m), dtype=np.int64)
+    weights = q ** np.arange(m - 1, -1, -1)
+    index = np.full(q ** m, -1, dtype=np.int64)
+    index[polys[:, :m] @ weights] = np.arange(len(polys))
+    least = np.arange(len(polys))
+    for lam in range(1, q):
         # coefficient of y^i picks up lambda^{i-m}; rho is a Frobenius power
-        out = []
-        for i, c in enumerate(f):
-            c = K.pow_int(c, p ** rho)
-            out.append(K.mul(c, K.pow_int(K.inv(lam), m - i)))
-        return tuple(out)
-
-    seen = [False] * len(polys)
-    orbits = 0
-    for start, f in enumerate(polys):
-        if seen[start]:
-            continue
-        orbits += 1
-        stack = [f]
-        seen[start] = True
-        while stack:
-            g = stack.pop()
-            for lam in range(1, K.order):
-                for rho in range(K.l):
-                    h = act(g, lam, rho)
-                    j = index[h]
-                    if not seen[j]:
-                        seen[j] = True
-                        stack.append(h)
+        scale = K.pow_array(lam, np.arange(m + 1) - m)
+        for rho in range(r):
+            images = K.mul_array(K.pow_array(polys, p ** rho), scale)
+            j = index[images[:, :m] @ weights]
+            assert (j >= 0).all(), "GammaL image of an irreducible is not irreducible"
+            np.minimum(least, j, out=least)
+    orbits = int(np.count_nonzero(least == np.arange(len(polys))))
     lo = (q ** m - theta(q, m)) / (m * r * (q - 1))
     hi = (q ** m - theta(q, m)) // m
     assert lo <= orbits <= hi, "GammaL orbit count violates the sandwich bounds"

@@ -6,12 +6,15 @@ integer sum(c_i * p**i).  Zero is 0 and the multiplicative identity is 1.
 Every field up to 2**20 elements keeps three tables of about |K| entries
 for its primitive element g: exp, log, and the Zech logarithms
 zech[j] = log(1 + g^j).  Products, quotients, sums and negatives are then
-O(1) lookups, and nothing grows with |K|^2.
+O(1) lookups, and nothing grows with |K|^2.  The same tables, copied to
+int64 arrays on first use, give elementwise products, sums and powers of
+whole code arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -185,6 +188,43 @@ class FieldCtx:
         j = self.log[a]
         from math import gcd
         return n1 // gcd(j, n1)
+
+    # -- elementwise arithmetic on int64 code arrays -----------------------
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """int64 exp, log and zech, built on first array use.  Z = 2(|K|-1)
+        stands for log 0 and for the Zech logarithm of 1 + g^j = 0; exp runs
+        to 2Z with exp[k] = g^k below Z and 0 from Z on, so the sum of two
+        logs indexes it unreduced and reads 0 whenever one of them is Z."""
+        n1 = self.order - 1
+        exp = np.zeros(4 * n1 + 1, dtype=np.int64)
+        exp[:2 * n1] = np.tile(np.array(self.exp, dtype=np.int64), 2)
+        log = np.array([2 * n1] + self.log[1:], dtype=np.int64)
+        zech = np.array([2 * n1 if z is None else z for z in self.zech], dtype=np.int64)
+        return exp, log, zech
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise a * b of code arrays (numpy broadcasting)."""
+        exp, log, _ = self._arrays
+        return exp[log[a] + log[b]]
+
+    def add_array(self, a, b) -> np.ndarray:
+        """Elementwise a + b of code arrays, by Zech logarithms as `add`."""
+        exp, log, zech = self._arrays
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        la = log[a]
+        s = exp[la + zech[(log[b] - la) % (self.order - 1)]]
+        return np.where(a == 0, b, np.where(b == 0, a, s))
+
+    def pow_array(self, a, e) -> np.ndarray:
+        """Elementwise a ** e of a code array and integer exponents."""
+        exp, log, _ = self._arrays
+        a, e = np.asarray(a, dtype=np.int64), np.asarray(e, dtype=np.int64)
+        if np.any((a == 0) & (e < 0)):
+            raise ZeroDivisionError("negative power of zero")
+        n1 = self.order - 1
+        return np.where(a == 0, e == 0, exp[log[a] * (e % n1) % n1])
 
     def format_element(self, e: int) -> str:
         if e == 0:

@@ -223,8 +223,10 @@ def _subspace(S: SemifieldCtx, *conditions: np.ndarray) -> NucleusInfo:
     """The kernel of the linear conditions: arrays whose last axis runs over
     the coordinates of x, every other position one equation."""
     D = S.dim_prime
-    rows = np.unique(np.concatenate([c.reshape(-1, D) for c in conditions]), axis=0)
-    basis_vecs = nullspace([r for r in rows.tolist() if any(r)], D, S.p)
+    rows = np.concatenate([c.reshape(-1, D) for c in conditions])
+    # one row per distinct nonzero code; the RREF does not depend on row order
+    codes, first = np.unique(S.from_vector(rows), return_index=True)
+    basis_vecs = nullspace(rows[first[codes != 0]].tolist(), D, S.p)
     elems = _span_elements(S, basis_vecs)
     return NucleusInfo(elements=elems, basis_vectors=basis_vecs,
                        cardinality=len(elems), field_tag=_field_tag(S, elems, basis_vecs))

@@ -1,5 +1,7 @@
 """Counting formulas against enumeration oracles; classification relations."""
 
+import itertools
+
 import pytest
 
 from skewloop import census as cs
@@ -39,6 +41,82 @@ def test_enumeration_oracle():
     for q, m in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3),
                  (5, 2), (7, 2), (8, 2), (9, 2), (2, 8), (3, 4)]:
         assert cs.count_central_irreducible(q, m) == cs.count_irreducible_enum(q, m)
+
+
+# -- test oracles: the census as it ran before moving to code arrays, one
+# scalar K.mul/K.add per coefficient pair and a stack search per orbit --
+
+def _oracle_poly_mul(K, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = K.add(out[i + j], K.mul(ca, cb))
+    return tuple(out)
+
+
+def _oracle_monic_polys(K, d):
+    for lower in itertools.product(range(K.order), repeat=d):
+        yield lower + (1,)
+
+
+def _oracle_enumerate_irreducible(K, m):
+    irr_by_deg = {}
+    for d in range(1, m + 1):
+        composite = set()
+        for e in range(1, d // 2 + 1):
+            for g in irr_by_deg.get(e, []):
+                for h in _oracle_monic_polys(K, d - e):
+                    composite.add(_oracle_poly_mul(K, g, h))
+        irr_by_deg[d] = [f for f in _oracle_monic_polys(K, d) if f not in composite]
+    return irr_by_deg[m]
+
+
+def _oracle_gammaL_orbit_count(q, m):
+    p, r = cs._prime_power(q)
+    K = gf.FieldCtx.create(p, r)
+    polys = _oracle_enumerate_irreducible(K, m)
+    index = {f: i for i, f in enumerate(polys)}
+
+    def act(f, lam, rho):
+        return tuple(K.mul(K.pow_int(c, p ** rho), K.pow_int(K.inv(lam), m - i))
+                     for i, c in enumerate(f))
+
+    seen = [False] * len(polys)
+    orbits = 0
+    for start, f in enumerate(polys):
+        if seen[start]:
+            continue
+        orbits += 1
+        stack = [f]
+        seen[start] = True
+        while stack:
+            g = stack.pop()
+            for lam in range(1, K.order):
+                for rho in range(K.l):
+                    j = index[act(g, lam, rho)]
+                    if not seen[j]:
+                        seen[j] = True
+                        stack.append(polys[j])
+    return orbits
+
+
+SIEVE_CASES = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+               for m in range(1, 13) if q ** m <= 4096]
+# the benchmark's census ORBIT_CASES
+ORBIT_CASES = [(2, 2), (3, 2), (4, 2), (5, 2), (7, 3), (9, 3), (16, 3), (25, 2), (49, 2)]
+
+
+@pytest.mark.parametrize("q,m", SIEVE_CASES)
+def test_enumerate_irreducible_matches_oracle(q, m):
+    p, r = cs._prime_power(q)
+    K = gf.FieldCtx.create(p, r)
+    assert cs.enumerate_irreducible(K, m) == _oracle_enumerate_irreducible(K, m)
+
+
+@pytest.mark.parametrize("q,m", ORBIT_CASES)
+def test_gammaL_orbit_count_matches_oracle(q, m):
+    assert cs.gammaL_orbit_count(q, m) == _oracle_gammaL_orbit_count(q, m)
 
 
 def test_gammaL_orbit_counts_small_q():

@@ -4,6 +4,7 @@ import hashlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from skewloop import gf
@@ -196,9 +197,32 @@ def test_pinned_custom_moduli():
         gf.FieldCtx.create(3, 2, modulus=[3, 0, 1])  # x^2 over F_3
 
 
-@pytest.mark.parametrize("p,l", [(p, l) for p, l in sorted(PINNED_DEFAULT) if p ** l <= 256])
-def test_add_sub_neg_all_pairs(p, l):
+def _check_array_ops(K, a, b):
+    """mul_array, add_array and pow_array on the pairs (a[i], b[i]) against
+    the scalar methods, b also as a negative exponent of nonzero a, and
+    a + (-a) = 0."""
+    a, b = np.array(a), np.array(b)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert K.mul_array(a, b).tolist() == [K.mul(x, y) for x, y in pairs]
+    assert K.add_array(a, b).tolist() == [K.add(x, y) for x, y in pairs]
+    assert K.pow_array(a, b).tolist() == [K.pow_int(x, y) for x, y in pairs]
+    assert K.pow_array(a[a != 0], -b[a != 0]).tolist() == \
+        [K.pow_int(x, -y) for x, y in pairs if x]
+    assert not K.add_array(a, [K.neg(x) for x in a.tolist()]).any()
+
+
+SMALL_PINNED = [(p, l) for p, l in sorted(PINNED_DEFAULT) if p ** l <= 256]
+
+
+@pytest.mark.parametrize("p,l,arrays", [(p, l, False) for p, l in SMALL_PINNED]
+                         + [(p, l, True) for p, l in SMALL_PINNED],
+                         ids=[f"{p}-{l}" for p, l in SMALL_PINNED]
+                         + [f"{p}-{l}-array" for p, l in SMALL_PINNED])
+def test_add_sub_neg_all_pairs(p, l, arrays):
     K = gf.FieldCtx.create(p, l)
+    if arrays:
+        _check_array_ops(K, *np.divmod(np.arange(K.order ** 2), K.order))
+        return
     for a in range(K.order):
         assert K.neg(a) == K.encode([-x for x in _digits(K, a)])
         for b in range(K.order):
@@ -206,12 +230,17 @@ def test_add_sub_neg_all_pairs(p, l):
             assert K.sub(a, b) == _digitwise(K, a, b, -1)
 
 
-@pytest.mark.parametrize("p,l", [(2, 13), (3, 8)])
-def test_add_sub_neg_sampled_large(p, l):
+@pytest.mark.parametrize("p,l,arrays", [(2, 13, False), (3, 8, False), (2, 13, True), (3, 8, True)],
+                         ids=["2-13", "3-8", "2-13-array", "3-8-array"])
+def test_add_sub_neg_sampled_large(p, l, arrays):
     K = gf.FieldCtx.create(p, l)
     rng = random.Random(0)
-    for _ in range(5000):
-        a, b = rng.randrange(K.order), rng.randrange(K.order)
+    pairs = [(rng.randrange(K.order), rng.randrange(K.order)) for _ in range(5000)]
+    if arrays:
+        pairs += [(0, 0), (0, 1), (1, 0), (0, K.order - 1), (K.order - 1, 0)]
+        _check_array_ops(K, *zip(*pairs))
+        return
+    for a, b in pairs:
         assert K.add(a, b) == _digitwise(K, a, b, 1)
         assert K.sub(a, b) == _digitwise(K, a, b, -1)
         assert K.neg(a) == K.encode([-x for x in _digits(K, a)])

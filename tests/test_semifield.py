@@ -9,6 +9,7 @@ import pytest
 from skewloop import gf
 from skewloop import semifield as sfd
 from skewloop import skewpoly as sp
+from skewloop.linalg import nullspace
 
 
 def quat2():
@@ -138,6 +139,21 @@ def test_nuclei_match_bruteforce():
         assert set(rep.nuc_l.elements) == set(nl)
         assert set(rep.nuc_m.elements) == set(nm)
         assert set(rep.nuc_r.elements) == set(nr)
+
+
+def test_subspace_dedups_codes_past_2_63():
+    # condition rows are deduplicated by code, a Python int once |S_f| > 2^63
+    tw = gf.make_tower(2, 1, 2)
+    big = sfd.SemifieldCtx(tower=tw, f=sp.t_power(32))   # D = 64, |S_f| = 2^64
+    rows = np.random.default_rng(0).integers(0, 2, size=(62, 64))
+    cond = np.concatenate([rows, rows[::-1], np.zeros((3, 64), dtype=np.int64)])
+    info = sfd._subspace(big, cond)
+    assert info.basis_vectors == nullspace(cond.tolist(), 64, 2)
+    B = np.array(info.basis_vectors)
+    assert len(B) == 2 and not (rows @ B.T % 2).any()
+    assert info.elements == sorted(int(big.from_vector(c @ B % 2))
+                                   for c in itertools.product(range(2), repeat=2))
+    assert info.elements[-1] >= 2 ** 63
 
 
 def test_nuc_r_membership_route():
