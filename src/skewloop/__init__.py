@@ -12,7 +12,7 @@ from .semifield import (SemifieldCtx, build_semifield, associator, inverses,
                         nuclei, t_power_diagnostics, analysis_json)
 from .loops import (LoopCtx, build_loop, loop_from_table, mlt_group,
                     inn_group, inner_mapping, cyclicity,
-                    subloops_and_lagrange, loop_isomorphic, latin_square,
+                    subloops_and_lagrange, loop_isomorphic,
                     write_latin_csv, read_latin_csv, loop_report)
 from .permgroup import BSGS, bsgs_build, identify_small_group, gl_order, sl_order
 from .autgroup import (AutHK, InnerAut, solve_aut_conditions, apply_aut,

@@ -426,10 +426,6 @@ def loop_isomorphic(L1: LoopCtx, L2: LoopCtx) -> Optional[list[int]]:
 # Latin square export / import
 
 
-def latin_square(L: LoopCtx) -> np.ndarray:
-    return L.table.copy()
-
-
 def write_latin_csv(L: LoopCtx, path: str) -> None:
     import csv
 

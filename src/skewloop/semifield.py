@@ -26,7 +26,6 @@ import numpy as np
 
 from . import skewpoly as sp
 from .gf import TowerCtx
-from .linalg import nullspace, solve
 from .permgroup import chunk_rows
 
 
@@ -123,6 +122,13 @@ class SemifieldCtx:
         basis = self.basis()
         return self.to_vector([[self.mul(a, b) for b in basis] for a in basis])
 
+    @cached_property
+    def _translations(self) -> np.ndarray:
+        """Stack whose product with to_vector(x) is (R_x, L_x), the matrices
+        of y -> yx and y -> xy (column i: e_i x, resp. x e_i)."""
+        T = self.tensor
+        return np.stack([T.transpose(2, 0, 1), T.transpose(2, 1, 0)])
+
     def mul_vectors(self, x, y) -> np.ndarray:
         """Products of coordinate vectors, broadcast over leading axes."""
         return np.einsum("...i,...j,ijk->...k", x, y, self.tensor) % self.p
@@ -148,15 +154,47 @@ def build_semifield(tower: TowerCtx, f: sp.SkewPoly) -> SemifieldCtx:
     f = sp.make_monic(tower, f)
     if sp.degree(f) < 2:
         raise ValueError("S_f needs deg(f) >= 2")
-    if sp.degree(f) == 2:
-        ok = sp.is_irreducible_quadratic(tower, f)
-    else:
-        ok = sp.is_irreducible(tower, f)
-    if not ok:
+    if not sp.is_irreducible(tower, f):
         raise ReducibleF(f"{f} is reducible: S_f has zero divisors")
     if sp.is_right_invariant(tower, f):
         raise RightInvariantF(f"{f} is right-invariant: S_f is associative")
     return SemifieldCtx(tower=tower, f=f)
+
+
+def _rref(A: np.ndarray, p: int) -> list[int]:
+    """Row-reduce A over F_p in place to reduced echelon form: A is int64
+    with entries in [0, p), and its first len(pivots) rows come out with a
+    leading 1 in the returned pivot columns and zeros elsewhere in those
+    columns; the other rows come out zero."""
+    pivots: list[int] = []
+    for col in range(A.shape[1]):
+        r = len(pivots)
+        if r == len(A):
+            break
+        if A[r, col] == 0:
+            piv = r + int((A[r:, col] != 0).argmax())
+            if A[piv, col] == 0:
+                continue
+            A[r], A[piv] = A[piv], A[r].copy()
+        row = A[r] * pow(int(A[r, col]), -1, p) % p
+        A -= A[:, col, None] * row
+        A %= p
+        A[r] = row
+        pivots.append(col)
+    return pivots
+
+
+def _kernel(rows: np.ndarray, p: int) -> list[list[int]]:
+    """Basis of {v : rows v = 0} over F_p (entries of rows in [0, p)), one
+    vector per free column of the reduced form: 1 there, 0 at the other
+    free columns."""
+    A = np.array(rows, dtype=np.int64)
+    pivots = _rref(A, p)
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -A[:len(pivots), free].T % p
+    return basis.tolist()
 
 
 def associator(S: SemifieldCtx, x, y, z):
@@ -168,16 +206,18 @@ def associator(S: SemifieldCtx, x, y, z):
 
 def inverses(S: SemifieldCtx, x: int) -> tuple[int, int]:
     """(left inverse, right inverse) of x: the solutions of y*x = 1 and
-    x*y = 1, one solve each with the F_p-matrices of R_x and L_x."""
+    x*y = 1, from the reduced forms of [R_x | e_0] and [L_x | e_0]."""
     if x == 0:
         raise ZeroElement("zero has no inverse")
-    X = S.to_vector(x)
-    right = np.einsum("j,ijk->ki", X, S.tensor) % S.p   # column i: e_i x
-    left = np.einsum("i,ijk->kj", X, S.tensor) % S.p    # column j: x e_j
-    e1 = S.to_vector(S.one).tolist()
-    sols = [solve(M.tolist(), e1, S.p) for M in (right, left)]
-    assert None not in sols, "division algebra: inverses exist"
-    return int(S.from_vector(sols[0])), int(S.from_vector(sols[1]))
+    D = S.dim_prime
+    system = np.zeros((2, D, D + 1), dtype=np.int64)
+    system[:, :, :D] = S._translations @ S.to_vector(x) % S.p
+    system[:, 0, D] = 1                                  # e_0 = to_vector(1)
+    for M in system:
+        pivots = _rref(M, S.p)
+        assert pivots == list(range(D)), "division algebra: R_x, L_x invertible"
+    left, right = S.from_vector(system[:, :, D]).tolist()
+    return left, right
 
 
 @dataclass
@@ -226,7 +266,7 @@ def _subspace(S: SemifieldCtx, *conditions: np.ndarray) -> NucleusInfo:
     rows = np.concatenate([c.reshape(-1, D) for c in conditions])
     # one row per distinct nonzero code; the RREF does not depend on row order
     codes, first = np.unique(S.from_vector(rows), return_index=True)
-    basis_vecs = nullspace(rows[first[codes != 0]].tolist(), D, S.p)
+    basis_vecs = _kernel(rows[first[codes != 0]], S.p)
     elems = _span_elements(S, basis_vecs)
     return NucleusInfo(elements=elems, basis_vectors=basis_vecs,
                        cardinality=len(elems), field_tag=_field_tag(S, elems, basis_vecs))
@@ -244,7 +284,7 @@ def annihilator(S: SemifieldCtx, g: sp.SkewPoly) -> list[list[int]]:
     tower = S.tower
     images = [S.encode(sp.right_rem(tower, sp.skew_mul(tower, g, S.decode(b)), S.f))
               for b in S.basis()]
-    return nullspace(S.to_vector(images).T.tolist(), S.dim_prime, S.p)
+    return _kernel(S.to_vector(images).T, S.p)
 
 
 def nuc_r_membership(S: SemifieldCtx) -> list[int]:

@@ -58,15 +58,6 @@ def skew_add(ctx: TowerCtx, f: SkewPoly, g: SkewPoly) -> SkewPoly:
                  for i in range(n)])
 
 
-def skew_neg(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
-    K = ctx.field
-    return tuple(K.neg(c) for c in f)
-
-
-def skew_sub(ctx: TowerCtx, f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    return skew_add(ctx, f, skew_neg(ctx, g))
-
-
 def skew_mul(ctx: TowerCtx, f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """(a t^i)(b t^j) = a sigma^i(b) t^(i+j)."""
     if not f or not g:
@@ -131,40 +122,36 @@ def make_monic(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
 
 
 def is_irreducible(ctx: TowerCtx, f: SkewPoly) -> bool:
-    """No proper monic right divisor of any degree 1 <= d < deg(f).
+    """No monic right divisor of degree 1 <= d <= deg(f)/2.
 
-    Any factorization f = g h yields a monic right divisor h, so scanning
-    monic candidates of each degree and testing remainder zero decides
-    irreducibility.  Brute force: q^(n d) candidates per degree d.
+    Why half the degree suffices.  The monic right divisors h of f are the
+    quotients R/Rh of the module M = R/Rf, of K-dimension deg(h), and h is
+    irreducible iff R/Rh is simple.  So f (degree m) is reducible iff M has
+    length >= 2, and then M has a simple quotient of dimension <= m/2:
+    - M is the direct sum of its primary parts over the centre F_q[y],
+      y = t^n.  With two or more parts, one has dimension <= m/2; it is a
+      quotient of M, and so is any simple quotient of it.
+    - With one part, killed by a power of a prime h(y), every composition
+      factor is a simple module killed by h, and there is only one up to
+      isomorphism: R/R h(t^n) = M_n(F_q[y]/h) is simple for h != y, and
+      for h = y, t spans the two-sided ideal Rt = tR, so t acts as 0 on a
+      simple module and it is R/Rt.  All factors then have dimension
+      m/length <= m/2, the simple top of M among them.
+    A simple quotient of dimension d is R/Rh for a monic irreducible right
+    divisor h of degree d, so testing remainder zero against the q^(n d)
+    monic candidates of each degree d <= m/2 decides irreducibility.
     """
     if not is_monic(f):
         raise NotMonic("irreducibility test requires a monic polynomial")
     m = degree(f)
     if m < 1:
         raise DegreeZero("constant polynomials are units")
-    if m == 1:
-        return True
     K = ctx.field
-    for d in range(1, m):
+    for d in range(1, m // 2 + 1):
         for tail in itertools.product(range(K.order), repeat=d):
             cand = tail + (1,)
             if not right_rem(ctx, f, cand):
                 return False
-    return True
-
-
-def is_irreducible_quadratic(ctx: TowerCtx, f: SkewPoly) -> bool:
-    """t^2 - a1 t - a0 is irreducible iff z sigma(z) + a1 z - a0 = 0 has no
-    solution z in K."""
-    if degree(f) != 2 or not is_monic(f):
-        raise NotMonic("expects a monic quadratic")
-    K = ctx.field
-    a0 = K.neg(f[0])
-    a1 = K.neg(f[1])
-    for z in range(K.order):
-        val = K.add(K.mul(z, ctx.sigma(z, 1)), K.sub(K.mul(a1, z), a0))
-        if val == 0:
-            return False
     return True
 
 
@@ -198,7 +185,7 @@ def enumerate_admissible(ctx: TowerCtx, m: int) -> Iterator[SkewPoly]:
     K = ctx.field
     for tail in itertools.product(range(K.order), repeat=m):
         f = tail + (1,)
-        if is_irreducible(ctx, f) and not is_right_invariant(ctx, f):
+        if is_admissible(ctx, f):
             yield f
 
 

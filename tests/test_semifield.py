@@ -9,7 +9,6 @@ import pytest
 from skewloop import gf
 from skewloop import semifield as sfd
 from skewloop import skewpoly as sp
-from skewloop.linalg import nullspace
 
 
 def quat2():
@@ -141,6 +140,76 @@ def test_nuclei_match_bruteforce():
         assert set(rep.nuc_r.elements) == set(nr)
 
 
+# -- test oracle: row reduction over F_p on Python lists, one row operation
+# at a time, as the library did before `semifield._rref` --
+
+def _oracle_rref(rows, p):
+    rows = [r[:] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                c = rows[i][col] % p
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def _oracle_nullspace(rows, ncols, p):
+    if not rows:
+        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    red, pivots = _oracle_rref(rows, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, pc in zip(red, pivots):
+            vec[pc] = (-r[fc]) % p
+        basis.append(vec)
+    return basis
+
+
+def _random_matrices(seed, count):
+    """Seeded (rows, ncols, p) over several primes: empty, all-zero, wide,
+    tall and rank-deficient matrices, with zero columns and repeated rows."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        p = int(rng.choice([2, 3, 5, 7, 13, 65537]))
+        nrows, ncols = int(rng.integers(0, 14)), int(rng.integers(1, 14))
+        kind = k % 4
+        if kind == 0:      # all zero (empty when nrows = 0)
+            A = np.zeros((nrows, ncols), dtype=np.int64)
+        elif kind == 1:    # uniform: tall, square or wide
+            A = rng.integers(0, p, size=(nrows, ncols))
+        else:              # rank <= k: products of thin factors, p >= any entry
+            rank = int(rng.integers(0, min(nrows, ncols) + 1))
+            A = rng.integers(0, p, size=(nrows, rank)) @ rng.integers(0, p, size=(rank, ncols)) % p
+        if kind == 3 and nrows and ncols > 1:
+            A[:, rng.integers(0, ncols)] = 0                     # a zero column
+            A[rng.integers(0, nrows)] = A[rng.integers(0, nrows)]  # a repeated row
+        yield A.astype(np.int64), p
+
+
+def test_rref_and_kernel_match_oracle():
+    for A, p in _random_matrices(seed=8, count=5000):
+        rows, ncols = A.tolist(), A.shape[1]
+        red, pivots = _oracle_rref(rows, p)
+        got = A.copy()
+        assert sfd._rref(got, p) == pivots
+        assert got[:len(pivots)].tolist() == red
+        assert not got[len(pivots):].any()
+        assert sfd._kernel(A, p) == _oracle_nullspace(rows, ncols, p)
+
+
 def test_subspace_dedups_codes_past_2_63():
     # condition rows are deduplicated by code, a Python int once |S_f| > 2^63
     tw = gf.make_tower(2, 1, 2)
@@ -148,7 +217,7 @@ def test_subspace_dedups_codes_past_2_63():
     rows = np.random.default_rng(0).integers(0, 2, size=(62, 64))
     cond = np.concatenate([rows, rows[::-1], np.zeros((3, 64), dtype=np.int64)])
     info = sfd._subspace(big, cond)
-    assert info.basis_vectors == nullspace(cond.tolist(), 64, 2)
+    assert info.basis_vectors == _oracle_nullspace(cond.tolist(), 64, 2)
     B = np.array(info.basis_vectors)
     assert len(B) == 2 and not (rows @ B.T % 2).any()
     assert info.elements == sorted(int(big.from_vector(c @ B % 2))

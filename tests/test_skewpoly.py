@@ -41,6 +41,25 @@ def test_division_by_zero_poly():
         sp.right_divmod(tw, (1, 1), ())
 
 
+# -- test oracles: two independent irreducibility tests --
+
+def _oracle_quadratic_irreducible(tw, f):
+    """t^2 - a1 t - a0 is irreducible iff z sigma(z) + a1 z - a0 = 0 has no
+    solution z in K."""
+    K = tw.field
+    a0 = K.neg(f[0])
+    a1 = K.neg(f[1])
+    return all(K.add(K.mul(z, tw.sigma(z, 1)), K.sub(K.mul(a1, z), a0)) != 0
+               for z in range(K.order))
+
+
+def _oracle_full_scan_irreducible(tw, f):
+    """No monic right divisor of any degree 1 <= d < deg(f)."""
+    return all(sp.right_rem(tw, f, tail + (1,))
+               for d in range(1, sp.degree(f))
+               for tail in itertools.product(range(tw.field.order), repeat=d))
+
+
 def test_quadratic_criterion_matches_divisor_scan():
     # z*sigma(z) + a1*z - a0 has no solution <=> t^2 - a1 t - a0 irreducible
     for tw in (tower_f4(), tower_f9()):
@@ -48,7 +67,21 @@ def test_quadratic_criterion_matches_divisor_scan():
         for a0 in range(1, K.order):
             for a1 in range(K.order):
                 f = (K.neg(a0), K.neg(a1), 1)
-                assert sp.is_irreducible(tw, f) == sp.is_irreducible_quadratic(tw, f)
+                assert sp.is_irreducible(tw, f) == _oracle_quadratic_irreducible(tw, f)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_half_degree_scan_matches_full_scan(m):
+    # every monic f of degree m over F_4; among the reducible ones are f with
+    # no right divisor of degree 1 (21 for m = 4, 90 for m = 5)
+    tw = tower_f4()
+    irreducible = 0
+    for tail in itertools.product(range(4), repeat=m):
+        f = tail + (1,)
+        verdict = sp.is_irreducible(tw, f)
+        assert verdict == _oracle_full_scan_irreducible(tw, f)
+        irreducible += verdict
+    assert 0 < irreducible < 4 ** m
 
 
 def test_right_invariance_f_in_center():
