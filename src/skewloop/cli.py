@@ -148,7 +148,7 @@ def cmd_loop(args) -> int:
 
     L = _loop_from_args(args)
     if args.what == "mlt":
-        M = lp.mlt_group(L, seed=args.seed)
+        M = lp.mlt_group(L)
         _emit(args, {
             "order": str(M.order),
             "degree": L.size,
@@ -156,7 +156,7 @@ def cmd_loop(args) -> int:
             "orbit_lengths": M.orbit_lengths(),
         })
     elif args.what == "inn":
-        M = lp.mlt_group(L, seed=args.seed)
+        M = lp.mlt_group(L)
         inn_order, gens = lp.inn_group(L, M)
         _emit(args, {
             "order": str(inn_order),
@@ -334,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = add_tower_flags(loop_sub.add_parser(what))
         if what not in ("aut", "inner"):    # the commands that build the loop table
             p.add_argument("--cap-degree", type=int, default=0, dest="cap_degree")
-        if what in ("mlt", "inn"):
-            p.add_argument("--seed", type=int, default=0)
         if what == "latin":
             p.add_argument("--out", required=True, help="CSV output path")
 

@@ -5,13 +5,18 @@ Loop elements are indexed 0..N-1 by their semifield code minus one, so the
 identity 1 gets index 0.  The multiplication table is a dense numpy array;
 left/right translations are its rows/columns, which are permutations (the
 Latin-square property, asserted at construction).
+
+`inner_rows` is the one formula for the inner mappings, batched over arrays
+of (x, y); `_generate` is the one closure (subloops, generating sets and
+isomorphisms all run on its breadth-first search over the table).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +26,7 @@ from .semifield import SemifieldCtx
 
 SUBLOOP_SIZE_CAP = 700
 ISO_SIZE_CAP = 255
+KINDS = ("T", "L", "R")
 
 
 class SizeCapExceeded(ValueError):
@@ -31,7 +37,7 @@ class SizeCapExceeded(ValueError):
 class LoopCtx:
     semifield: Optional[SemifieldCtx]
     table: np.ndarray  # table[i, j] = index of element_i * element_j
-    identity: int = 0
+    identity = 0       # the identity's index, in every loop
 
     @property
     def size(self) -> int:
@@ -47,14 +53,14 @@ class LoopCtx:
         return self.table[:, a].astype(np.int32)
 
 
-def _assert_latin(table: np.ndarray, identity: int) -> None:
+def _assert_latin(table: np.ndarray) -> None:
     n = table.shape[0]
     ref = np.arange(n)
     for what, lines in (("row", table), ("column", table.T)):
         bad = np.flatnonzero((np.sort(lines, axis=1) != ref).any(axis=1))
         if bad.size:
             raise AssertionError(f"{what} {bad[0]} is not a permutation")
-    if not (table[identity, :] == ref).all() or not (table[:, identity] == ref).all():
+    if not (table[LoopCtx.identity] == ref).all() or not (table[:, LoopCtx.identity] == ref).all():
         raise AssertionError("identity row/column is not the identity map")
 
 
@@ -63,16 +69,14 @@ def build_loop(S: SemifieldCtx) -> LoopCtx:
     read from the semifield's product table on the nonzero codes."""
     table = S.product_table(np.arange(1, S.size))
     table -= 1
-    loop = LoopCtx(semifield=S, table=table)
-    _assert_latin(table, loop.identity)
-    return loop
+    _assert_latin(table)
+    return LoopCtx(semifield=S, table=table)
 
 
-def loop_from_table(table: Sequence[Sequence[int]], identity: int = 0) -> LoopCtx:
+def loop_from_table(table: Sequence[Sequence[int]]) -> LoopCtx:
     arr = np.asarray(table, dtype=np.int32)
-    loop = LoopCtx(semifield=None, table=arr, identity=identity)
-    _assert_latin(arr, identity)
-    return loop
+    _assert_latin(arr)
+    return LoopCtx(semifield=None, table=arr)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +114,7 @@ def gl_bound(L: LoopCtx) -> Optional[int]:
     return pg.gl_order(S.tower.n * S.m, q)
 
 
-def mlt_group(L: LoopCtx, seed: int = 0) -> BSGS:
+def mlt_group(L: LoopCtx) -> BSGS:
     """Exact Mlt(L): seed a few translations, then sift every L_a and R_a,
     extending the chain on any failure.
 
@@ -121,7 +125,7 @@ def mlt_group(L: LoopCtx, seed: int = 0) -> BSGS:
     N = L.size
     if N > pg.DEGREE_CAP:
         raise pg.DegreeCapExceeded(f"loop of size {N} exceeds the Mlt degree cap")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     picks = {1 % N, N - 1}
     while len(picks) < min(10, N):
         picks.add(rng.randrange(N))
@@ -146,43 +150,58 @@ def mlt_group(L: LoopCtx, seed: int = 0) -> BSGS:
     return G
 
 
-def inn_group(L: LoopCtx, M: BSGS, cross_check: bool = True
-              ) -> tuple[int, list[Perm]]:
-    """|Inn| = |Mlt|/N with stabilizer generators; optionally cross-checked
-    against the T_x / L_{x,y} / R_{x,y} generating set."""
+def inn_group(L: LoopCtx, M: BSGS) -> tuple[int, list[Perm]]:
+    """|Inn| = |Mlt|/N with stabilizer generators, cross-checked against the
+    T_x / L_{x,y} / R_{x,y} generating set: those of 20 sampled (x, y) must
+    lie in Mlt, and on loops of at most 80 points all of them must generate
+    a group of order |Inn|."""
     order = pg.stabilizer_order(M, L.identity)
     gens = pg.stabilizer_generators(M, L.identity)
-    if cross_check:
-        rng = random.Random(1)
-        sample = [(rng.randrange(L.size), rng.randrange(L.size)) for _ in range(20)]
-        for x, y in sample:
-            for kind in ("T", "L", "R"):
-                perm = inner_mapping(L, kind, x, y).perm
-                if not M.contains(perm):
-                    raise AssertionError(f"inner mapping {kind}_{x},{y} outside Mlt")
-        if L.size <= 80:
-            sub = inn_from_generators(L)
-            if sub.order != order:
-                raise AssertionError(
-                    f"Inn order {order} != T/L/R-generated order {sub.order}")
+    rng = random.Random(1)
+    x, y = np.array([(rng.randrange(L.size), rng.randrange(L.size)) for _ in range(20)]).T
+    # row 3i + k is kind KINDS[k] at the i-th sample
+    stack = np.stack([inner_rows(L, kind, x, y) for kind in KINDS], axis=1)
+    outside = np.flatnonzero(~M.contains_many(stack.reshape(-1, L.size)))
+    if outside.size:
+        i, k = divmod(int(outside[0]), len(KINDS))
+        raise AssertionError(f"inner mapping {KINDS[k]}_{x[i]},{y[i]} outside Mlt")
+    if L.size <= 80:
+        sub = inn_from_generators(L)
+        if sub.order != order:
+            raise AssertionError(
+                f"Inn order {order} != T/L/R-generated order {sub.order}")
     return order, gens
 
 
 def inn_from_generators(L: LoopCtx) -> BSGS:
     """The subgroup generated by all T_x, L_{x,y}, R_{x,y} (small loops)."""
     N = L.size
-    T = L.table
-    linv = pg.inverse_many(T)      # linv[a] = L_a^-1
-    rinv = pg.inverse_many(T.T)    # rinv[a] = R_a^-1
-    gens = pg.compose_rows(linv, np.arange(N), T.T)   # T_x = L_x^-1 R_x
+    every = np.arange(N)
+    gens = inner_rows(L, "T", every)
     G = pg.bsgs_build([g for g in gens if not pg.is_identity(g)] or [pg.identity_perm(N)])
     block = np.empty((2 * N, N), dtype=np.int32)
     for x in range(N):
-        # row 2y: L_{x,y} = L_{yx}^-1 L_y L_x; row 2y+1: R_{x,y} = R_{xy}^-1 R_y R_x
-        block[0::2] = pg.compose_rows(linv, T[:, x], T[:, T[x]])
-        block[1::2] = pg.compose_rows(rinv, T[x], T[T[:, x]].T)
+        block[0::2] = inner_rows(L, "L", np.full(N, x), every)   # row 2y: L_{x,y}
+        block[1::2] = inner_rows(L, "R", np.full(N, x), every)   # row 2y + 1: R_{x,y}
         G.extend_many(block)
     return G
+
+
+def inner_rows(L: LoopCtx, kind: str, x, y=None) -> np.ndarray:
+    """T_x = L_x^-1 R_x, L_{x,y} = L_{yx}^-1 L_y L_x or R_{x,y} = R_{xy}^-1 R_y R_x,
+    one row per entry of the equal-length index arrays x and y (T ignores y)."""
+    T = L.table
+    Tt = np.ascontiguousarray(T.T)          # row a is R_a
+    x, y = np.asarray(x), np.asarray(y)
+    if kind == "T":
+        outer, inner = T[x], Tt[x]                                  # L_x, R_x
+    elif kind == "L":
+        outer, inner = T[T[y, x]], pg.compose_rows(T, y, T[x])      # L_yx, L_y L_x
+    elif kind == "R":
+        outer, inner = Tt[T[x, y]], pg.compose_rows(Tt, y, Tt[x])   # R_xy, R_y R_x
+    else:
+        raise ValueError(f"unknown inner mapping kind {kind!r}")
+    return pg.compose_rows(pg.inverse_many(outer), np.arange(len(x)), inner)
 
 
 @dataclass
@@ -194,23 +213,8 @@ class InnerMapping:
 
 
 def inner_mapping(L: LoopCtx, kind: str, x: int, y: Optional[int] = None) -> InnerMapping:
-    """T_x = L_x^-1 R_x, L_{x,y} = L_{yx}^-1 L_y L_x, R_{x,y} = R_{xy}^-1 R_y R_x."""
-    lx = L.left_translation(x)
-    rx = L.right_translation(x)
-    if kind == "T":
-        perm = pg.compose(pg.inverse(lx), rx)
-    elif kind == "L":
-        assert y is not None
-        ly = L.left_translation(y)
-        lyx = L.left_translation(L.mul(y, x))
-        perm = pg.compose(pg.inverse(lyx), pg.compose(ly, lx))
-    elif kind == "R":
-        assert y is not None
-        ry = L.right_translation(y)
-        rxy = L.right_translation(L.mul(x, y))
-        perm = pg.compose(pg.inverse(rxy), pg.compose(ry, rx))
-    else:
-        raise ValueError(f"unknown inner mapping kind {kind!r}")
+    """One row of `inner_rows`."""
+    perm = inner_rows(L, kind, [x], [y])[0]
     if int(perm[L.identity]) != L.identity:
         raise AssertionError("inner mapping does not fix the identity")
     return InnerMapping(kind=kind, x=x, y=y, perm=perm)
@@ -248,35 +252,49 @@ def cyclicity(L: LoopCtx) -> tuple[bool, bool, dict]:
 
 
 # ---------------------------------------------------------------------------
-# subloops and Lagrange properties
+# closure, subloops and Lagrange properties
+
+
+def _generate(L: LoopCtx, seed: Iterable[int], closed: Iterable[int] = ()
+              ) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The subloop generated by `closed` and `seed`, in discovery order
+    (`closed`, new seed elements, then each round's new products ascending),
+    and a step (c, a, b), ab = c with a, b found earlier, per product found.
+    Rounds form only the products that involve the last round's elements, so
+    `closed` must be a subloop or empty; the first frontier is seed \\ closed."""
+    N, flat = L.size, L.table.ravel()
+    member = np.zeros(N, dtype=bool)
+    elems = list(closed)
+    member[elems] = True
+    frontier = [s for s in dict.fromkeys(seed) if not member[s]]
+    member[frontier] = True
+    elems += frontier
+    steps: list[tuple[int, int, int]] = []
+    while frontier and len(elems) < N:
+        cur, new = np.array(elems), np.array(frontier)
+        old = cur[:len(cur) - len(new)]
+        # offsets aN + b in the table of the products new * cur and old * new
+        ab = np.concatenate([(new * N)[:, None] + cur, (old * N)[:, None] + new], axis=None)
+        c = flat[ab]
+        fresh = np.flatnonzero(~member[c])
+        c, first = np.unique(c[fresh], return_index=True)
+        a, b = np.divmod(ab[fresh[first]], N)
+        member[c] = True
+        frontier = c.tolist()
+        elems += frontier
+        steps += zip(frontier, a.tolist(), b.tolist())
+    return elems, steps
 
 
 def _closure(L: LoopCtx, seed: Sequence[int]) -> frozenset:
-    member = np.zeros(L.size, dtype=bool)
-    elems: list[int] = []
-    frontier: list[int] = []
-    for s in set(seed):
-        member[s] = True
-        elems.append(s)
-        frontier.append(s)
-    while frontier:
-        cur = np.array(elems, dtype=np.int64)
-        new = np.array(frontier, dtype=np.int64)
-        prods = np.unique(np.concatenate([
-            L.table[np.ix_(new, cur)].ravel(),
-            L.table[np.ix_(cur, new)].ravel(),
-        ]))
-        frontier = [int(x) for x in prods if not member[x]]
-        for x in frontier:
-            member[x] = True
-            elems.append(x)
-    return frozenset(elems)
+    return frozenset(_generate(L, seed)[0])
 
 
 def subloops(L: LoopCtx) -> list[frozenset]:
     """Full subloop collection: the closures <a>, then pairwise joins to a
     fixpoint.  Each round joins only the pairs that involve a subloop new in
-    the previous round; every other pair was joined before."""
+    the previous round; every other pair was joined before.  Both parts of a
+    join are subloops, so its search starts from c2 minus c1."""
     N = L.size
     if N > SUBLOOP_SIZE_CAP:
         raise SizeCapExceeded(f"subloop search capped at {SUBLOOP_SIZE_CAP}")
@@ -287,7 +305,7 @@ def subloops(L: LoopCtx) -> list[frozenset]:
         for c1 in fresh:
             for c2 in done:
                 if not (c1 <= c2 or c2 <= c1):
-                    joins.add(_closure(L, list(c1 | c2)))
+                    joins.add(frozenset(_generate(L, c2, closed=c1)[0]))
             done.append(c1)
         fresh = joins.difference(done)
     return sorted(set(done) | {frozenset(range(N))}, key=len)
@@ -299,11 +317,7 @@ def subloops_and_lagrange(L: LoopCtx) -> tuple[list[int], bool, bool]:
     orders = sorted({len(s) for s in subs})
     N = L.size
     weak = all(N % len(s) == 0 for s in subs)
-    strong = True
-    for m_sub in subs:
-        for inner in subs:
-            if inner <= m_sub and len(m_sub) % len(inner) != 0:
-                strong = False
+    strong = all(len(big) % len(sub) == 0 for big in subs for sub in subs if sub <= big)
     return orders, weak, strong
 
 
@@ -321,53 +335,13 @@ def _element_profile(L: LoopCtx) -> list[tuple]:
     return prof
 
 
-def _generating_trace(L: LoopCtx) -> tuple[list[int], list[tuple]]:
-    """Greedy generators plus a construction trace.
-
-    The trace is a list of instructions: ('gen', g_idx) or ('mul', i, j)
-    meaning element k is trace[i] * trace[j]; every loop element appears
-    exactly once.
-    """
-    N = L.size
-    gens: list[int] = []
-    trace: list[tuple] = []
-    pos: dict[int, int] = {}
-
-    def close() -> None:
-        changed = True
-        while changed:
-            changed = False
-            known = list(pos.items())
-            for a, ia in known:
-                for b, ib in list(pos.items()):
-                    ab = L.mul(a, b)
-                    if ab not in pos:
-                        pos[ab] = len(trace)
-                        trace.append(("mul", ia, ib))
-                        changed = True
-
-    while len(pos) < N:
-        best, best_gain = None, -1
-        remaining = [a for a in range(N) if a not in pos]
-        for a in remaining:
-            gain = len(_closure(L, list(pos.keys()) + [a]))
-            if gain > best_gain:
-                best, best_gain = a, gain
-            if gain == N:
-                break
-        gens.append(best)
-        pos[best] = len(trace)
-        trace.append(("gen", len(gens) - 1))
-        close()
-    return gens, trace
-
-
 def loop_isomorphic(L1: LoopCtx, L2: LoopCtx) -> Optional[list[int]]:
     """A witness bijection phi with phi(xy) = phi(x)phi(y), or None.
 
-    Backtracking over images of a greedy generating set, pruned by
-    per-element invariant profiles; images of all other elements follow
-    from the construction trace.
+    Greedy generators of L1 (each one grows the subloop so far the most)
+    take every choice of distinct images with matching invariant profiles;
+    phi follows on the other elements by phi(ab) = phi(a)phi(b) along the
+    steps of `_generate`, and must be a bijection that maps table onto table.
     """
     if L1.size != L2.size:
         return None
@@ -377,49 +351,35 @@ def loop_isomorphic(L1: LoopCtx, L2: LoopCtx) -> Optional[list[int]]:
     prof1, prof2 = _element_profile(L1), _element_profile(L2)
     if sorted(prof1) != sorted(prof2):
         return None
-    gens, trace = _generating_trace(L1)
-    # recover element of L1 at each trace position
-    elems1: list[int] = []
-    for instr in trace:
-        if instr[0] == "gen":
-            elems1.append(gens[instr[1]])
-        else:
-            elems1.append(L1.mul(elems1[instr[1]], elems1[instr[2]]))
+    gens: list[int] = []
+    elems: list[int] = []
+    steps: list[tuple[int, int, int]] = []
+    while len(elems) < N:
+        best = None
+        for a in sorted(set(range(N)).difference(elems)):
+            found = _generate(L1, [a], closed=elems)
+            if best is None or len(found[0]) > len(best[1][0]):
+                best = a, found
+            if len(found[0]) == N:
+                break
+        gens.append(best[0])
+        elems, new_steps = best[1]
+        steps += new_steps
+    T1, T2 = L1.table, L2.table
+    t2 = T2.tolist()
     candidates = [[b for b in range(N) if prof2[b] == prof1[g]] for g in gens]
-
-    def attempt(images: list[int]) -> Optional[list[int]]:
-        mapped: list[int] = []
-        used = set()
-        for k, instr in enumerate(trace):
-            if instr[0] == "gen":
-                val = images[instr[1]]
-            else:
-                val = L2.mul(mapped[instr[1]], mapped[instr[2]])
-            if val in used:
-                return None
-            used.add(val)
-            mapped.append(val)
+    for images in itertools.product(*candidates):
+        if len(set(images)) < len(gens):
+            continue
         phi = [0] * N
-        for e1, e2 in zip(elems1, mapped):
-            phi[e1] = e2
-        for a in range(N):
-            for b in range(N):
-                if phi[L1.mul(a, b)] != L2.mul(phi[a], phi[b]):
-                    return None
-        return phi
-
-    def backtrack(k: int, chosen: list[int]) -> Optional[list[int]]:
-        if k == len(gens):
-            return attempt(chosen)
-        for img in candidates[k]:
-            if img in chosen:
-                continue
-            res = backtrack(k + 1, chosen + [img])
-            if res is not None:
-                return res
-        return None
-
-    return backtrack(0, [])
+        for g, img in zip(gens, images):
+            phi[g] = img
+        for c, a, b in steps:
+            phi[c] = t2[phi[a]][phi[b]]
+        ph = np.array(phi)
+        if len(set(phi)) == N and np.array_equal(ph[T1], T2[np.ix_(ph, ph)]):
+            return phi
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +418,11 @@ def read_latin_csv(path: str) -> LoopCtx:
 # report
 
 
-def loop_report(L: LoopCtx, with_mlt: bool = True, seed: int = 0) -> dict:
+def loop_report(L: LoopCtx) -> dict:
     out: dict = {"order": L.size}
-    if with_mlt and L.size <= pg.DEGREE_CAP:
-        M = mlt_group(L, seed=seed)
-        inn_order, _ = inn_group(L, M, cross_check=False)
+    if L.size <= pg.DEGREE_CAP:
+        M = mlt_group(L)
+        inn_order, _ = inn_group(L, M)
         out["mlt_order"] = str(M.order)
         out["inn_order"] = str(inn_order)
     lc, rc, wit = cyclicity(L)

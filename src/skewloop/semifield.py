@@ -129,6 +129,22 @@ class SemifieldCtx:
         T = self.tensor
         return np.stack([T.transpose(2, 0, 1), T.transpose(2, 1, 0)])
 
+    @cached_property
+    def _nuclei(self) -> NucleiReport:
+        """Nuc_l, Nuc_m, Nuc_r as the kernels of x -> [x,e_i,e_j], [e_i,x,e_j]
+        and [e_i,e_j,x] (exact by trilinearity of the associator); Nuc as the
+        kernel of all three, the center as Nuc cut by x e_i = e_i x."""
+        A = _associator_tensor(self)
+        left, middle, right = (np.moveaxis(A, slot, -1) for slot in range(3))
+        T = self.tensor
+        commutator = np.moveaxis(T - T.transpose(1, 0, 2), 0, -1) % self.p
+        nl, nm, nr = (_subspace(self, c) for c in (left, middle, right))
+        if set(nr.elements) != set(nuc_r_membership(self)):
+            raise AssertionError("Nuc_r: associator nullspace and membership formula disagree")
+        nuc = _subspace(self, left, middle, right)
+        center = _subspace(self, left, middle, right, commutator)
+        return NucleiReport(nuc_l=nl, nuc_m=nm, nuc_r=nr, nuc=nuc, center=center)
+
     def mul_vectors(self, x, y) -> np.ndarray:
         """Products of coordinate vectors, broadcast over leading axes."""
         return np.einsum("...i,...j,ijk->...k", x, y, self.tensor) % self.p
@@ -293,19 +309,9 @@ def nuc_r_membership(S: SemifieldCtx) -> list[int]:
 
 
 def nuclei(S: SemifieldCtx) -> NucleiReport:
-    """Nuc_l, Nuc_m, Nuc_r as the kernels of x -> [x,e_i,e_j], [e_i,x,e_j]
-    and [e_i,e_j,x] (exact by trilinearity of the associator); Nuc as the
-    kernel of all three, the center as Nuc cut by x e_i = e_i x."""
-    A = _associator_tensor(S)
-    left, middle, right = (np.moveaxis(A, slot, -1) for slot in range(3))
-    T = S.tensor
-    commutator = np.moveaxis(T - T.transpose(1, 0, 2), 0, -1) % S.p
-    nl, nm, nr = (_subspace(S, c) for c in (left, middle, right))
-    if set(nr.elements) != set(nuc_r_membership(S)):
-        raise AssertionError("Nuc_r: associator nullspace and membership formula disagree")
-    nuc = _subspace(S, left, middle, right)
-    center = _subspace(S, left, middle, right, commutator)
-    return NucleiReport(nuc_l=nl, nuc_m=nm, nuc_r=nr, nuc=nuc, center=center)
+    """The nuclei and the center of S, computed once per S
+    (`SemifieldCtx._nuclei`)."""
+    return S._nuclei
 
 
 def nuclei_bruteforce(S: SemifieldCtx) -> tuple[list[int], list[int], list[int]]:

@@ -1,6 +1,9 @@
 """Multiplicative loops: translations, Mlt/Inn, cyclicity, subloops,
 isomorphism, Latin-square export."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,12 @@ def quat2_loop():
     K = tw.field
     S = sfd.build_semifield(tw, (K.neg(K.p), 0, 1))
     return S, lp.build_loop(S)
+
+
+# the commutative, non-associative loop of
+# test_inn_from_generators_commutative_table_matches_sympy
+COMMUTATIVE6 = [[0, 1, 2, 3, 4, 5], [1, 4, 5, 0, 2, 3], [2, 5, 4, 1, 3, 0],
+                [3, 0, 1, 2, 5, 4], [4, 2, 3, 5, 0, 1], [5, 3, 0, 4, 1, 2]]
 
 
 def quat3_loops():
@@ -129,6 +138,46 @@ def test_subloops_match_join_fixpoint(p, r, n, m, index):
     assert set(subs) == subloops_oracle(L)
 
 
+def closure_oracle(L, seed):
+    """Test oracle: multiply all known pairs until nothing new appears."""
+    known = set(seed)
+    while True:
+        more = {L.mul(a, b) for a in known for b in known} - known
+        if not more:
+            return known
+        known |= more
+
+
+# a loop of order 6 in which {0, 3, 5} is closed under every product but
+# 5 * 3 = 1: <5> is found through 5 * 5 = 3, so it needs the product of an
+# older element by a newer one
+LATIN6 = [[0, 1, 2, 3, 4, 5], [1, 3, 0, 4, 5, 2], [2, 5, 3, 0, 1, 4],
+          [3, 4, 1, 5, 2, 0], [4, 0, 5, 2, 3, 1], [5, 2, 4, 1, 0, 3]]
+
+
+@pytest.mark.parametrize("which", ["quat2", "A_1", "commutative6", "latin6"])
+def test_generate_matches_fixpoint_with_valid_steps(which):
+    L = {"quat2": lambda: quat2_loop()[1], "A_1": lambda: quat3_loops()[0],
+         "commutative6": lambda: lp.loop_from_table(COMMUTATIVE6),
+         "latin6": lambda: lp.loop_from_table(LATIN6)}[which]()
+    rng = random.Random(0)
+    cases = [([a], []) for a in range(L.size)] if L.size <= 15 else []
+    for _ in range(20):
+        closed = sorted(closure_oracle(L, rng.sample(range(L.size), 1)))
+        cases.append((rng.sample(range(L.size), 2), closed))
+    for seed, closed in cases:
+        elems, steps = lp._generate(L, seed, closed)
+        assert len(elems) == len(set(elems))
+        assert set(elems) == closure_oracle(L, closed + seed)
+        start = len(elems) - len(steps)       # where the products begin
+        assert elems[:len(closed)] == closed
+        assert set(elems[len(closed):start]) == set(seed) - set(closed)
+        pos = {e: i for i, e in enumerate(elems)}
+        for k, (c, a, b) in enumerate(steps):
+            assert elems[start + k] == c and L.mul(a, b) == c
+            assert pos[a] < pos[c] and pos[b] < pos[c]
+
+
 def test_subloops_of_elementary_abelian_group():
     # (Z/2)^4 under XOR: subgroups of rank 0..4 number 1, 15, 35, 15, 1, so
     # the lattice needs joins of up to three cyclic subgroups
@@ -152,6 +201,58 @@ def test_isomorphism_is_checked_pointwise():
             assert phi[L.mul(i, j)] == L.mul(phi[i], phi[j])
 
 
+def test_isomorphism_rejects_equal_profiles():
+    """Two loops of order 6 with the same element profiles, not isomorphic:
+    generator images that extend to a bijection still fail the table check."""
+    A = lp.loop_from_table([[0, 1, 2, 3, 4, 5], [1, 2, 5, 0, 3, 4], [2, 4, 1, 5, 0, 3],
+                            [3, 5, 0, 4, 1, 2], [4, 0, 3, 2, 5, 1], [5, 3, 4, 1, 2, 0]])
+    B = lp.loop_from_table([[0, 1, 2, 3, 4, 5], [1, 4, 0, 5, 3, 2], [2, 5, 3, 4, 1, 0],
+                            [3, 0, 1, 2, 5, 4], [4, 2, 5, 1, 0, 3], [5, 3, 4, 0, 2, 1]])
+    assert sorted(lp._element_profile(A)) == sorted(lp._element_profile(B))
+    for rest in itertools.permutations(range(1, 6)):
+        pi = np.array((0,) + rest)
+        assert not np.array_equal(pi[A.table], B.table[np.ix_(pi, pi)])
+    assert lp.loop_isomorphic(A, B) is None
+
+
+def relabelled(L, seed):
+    """L under a seeded permutation pi of the points fixing 0."""
+    rng = np.random.default_rng(seed)
+    pi = np.concatenate([[0], 1 + rng.permutation(L.size - 1)])
+    table = np.empty_like(L.table)
+    table[np.ix_(pi, pi)] = pi[L.table]     # pi(a) pi(b) = pi(ab)
+    return lp.loop_from_table(table)
+
+
+@pytest.mark.parametrize("which", ["quat2", "A_1"])
+def test_isomorphism_of_relabelled_copy(which):
+    L = quat2_loop()[1] if which == "quat2" else quat3_loops()[0]
+    M = relabelled(L, 7)
+    assert not np.array_equal(M.table, L.table)
+    phi = lp.loop_isomorphic(L, M)
+    assert phi is not None and sorted(phi) == list(range(L.size))
+    for i in range(L.size):
+        for j in range(L.size):
+            assert phi[L.mul(i, j)] == M.mul(phi[i], phi[j])
+
+
+@pytest.mark.parametrize("which", ["quat2", "commutative6"])
+def test_batched_inner_rows_match_translations(which):
+    L = quat2_loop()[1] if which == "quat2" else lp.loop_from_table(COMMUTATIVE6)
+    N = L.size
+    left, right = L.left_translation, L.right_translation
+    x, y = (a.ravel() for a in np.meshgrid(np.arange(N), np.arange(N), indexing="ij"))
+    rows = {kind: lp.inner_rows(L, kind, x, y) for kind in lp.KINDS}
+    for i, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
+        assert np.array_equal(rows["T"][i], pg.compose(pg.inverse(left(a)), right(a)))
+        assert np.array_equal(rows["L"][i], pg.compose(
+            pg.inverse(left(L.mul(b, a))), pg.compose(left(b), left(a))))
+        assert np.array_equal(rows["R"][i], pg.compose(
+            pg.inverse(right(L.mul(a, b))), pg.compose(right(b), right(a))))
+        for kind in lp.KINDS:
+            assert np.array_equal(lp.inner_mapping(L, kind, a, b).perm, rows[kind][i])
+
+
 def test_latin_csv_roundtrip(tmp_path):
     _, L = quat2_loop()
     path = tmp_path / "latin.csv"
@@ -166,11 +267,6 @@ def test_loop_report_keys():
     assert rep["order"] == 15
     assert rep["mlt_order"] == "20160"
     assert rep["inn_order"] == "1344"
-
-
-def test_mlt_seed_invariance():
-    _, L = quat2_loop()
-    assert lp.mlt_group(L, seed=0).order == lp.mlt_group(L, seed=99).order
 
 
 # Chains of the two order-80 F_9 loops (A_1, A_2), recorded from the

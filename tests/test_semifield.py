@@ -131,6 +131,19 @@ def test_nuclei_quat2():
     assert rep.center.cardinality == 2 and rep.center.field_tag == "F_2"
 
 
+def test_nuclei_computed_once_per_semifield(monkeypatch):
+    from skewloop import autgroup as ag
+
+    calls = []
+    real = sfd._associator_tensor
+    monkeypatch.setattr(sfd, "_associator_tensor", lambda S: calls.append(S) or real(S))
+    S = quat2()
+    sfd.analysis_json(S)
+    ag.inner_automorphisms(S)
+    assert sfd.nuclei(S) is sfd.nuclei(S)
+    assert calls == [S]
+
+
 def test_nuclei_match_bruteforce():
     for S in (quat2(), quat3(), quat3(1)):
         rep = sfd.nuclei(S)
