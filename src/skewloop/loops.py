@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -51,6 +52,16 @@ class LoopCtx:
 
     def right_translation(self, a: int) -> Perm:
         return self.table[:, a].astype(np.int32)
+
+    @cached_property
+    def ldiv(self) -> np.ndarray:
+        """Left division: row a is L_a^-1, so ldiv[a, b] = a \\ b."""
+        return pg.inverse_many(self.table)
+
+    @cached_property
+    def rdiv(self) -> np.ndarray:
+        """Right division: row a is R_a^-1, so rdiv[a, b] = b / a."""
+        return pg.inverse_many(self.table.T)
 
 
 def _assert_latin(table: np.ndarray) -> None:
@@ -115,8 +126,8 @@ def gl_bound(L: LoopCtx) -> Optional[int]:
 
 
 def mlt_group(L: LoopCtx) -> BSGS:
-    """Exact Mlt(L): seed a few translations, then sift every L_a and R_a,
-    extending the chain on any failure.
+    """Exact Mlt(L): seed a few translations, then sift every L_a and R_a
+    once, extending the chain on any failure.
 
     When `gl_bound` certifies Mlt(L) <= GL(nm,q), the chain stops as soon as
     its order reaches |GL(nm,q)|, and the sweep over the translations is
@@ -136,15 +147,14 @@ def mlt_group(L: LoopCtx) -> BSGS:
     bound = gl_bound(L)
     G = pg.bsgs_build(gens, base_hint=[L.identity], order_bound=bound)
     chunk = pg.chunk_rows(2 * N)
-    changed = True
-    while changed and G.order != bound:
-        changed = False
+    if G.order != bound:
+        # one sweep: the group only grows, so every row tested stays in it
         for s in range(0, N, chunk):
             rows = L.table[s:s + chunk]
             block = np.empty((2 * len(rows), N), dtype=np.int32)
             block[0::2] = rows                       # L_a
             block[1::2] = L.table[:, s:s + chunk].T  # R_a
-            changed |= G.extend_many(block)
+            G.extend_many(block)
     if G.orbit_lengths()[0] != N:
         raise pg.NotTransitive("Mlt(L) is not transitive")
     return G
@@ -189,19 +199,19 @@ def inn_from_generators(L: LoopCtx) -> BSGS:
 
 def inner_rows(L: LoopCtx, kind: str, x, y=None) -> np.ndarray:
     """T_x = L_x^-1 R_x, L_{x,y} = L_{yx}^-1 L_y L_x or R_{x,y} = R_{xy}^-1 R_y R_x,
-    one row per entry of the equal-length index arrays x and y (T ignores y)."""
+    one row per entry of the equal-length index arrays x and y (T ignores y).
+    The inverse of the outer translation is a row of `L.ldiv` or `L.rdiv`."""
     T = L.table
-    Tt = np.ascontiguousarray(T.T)          # row a is R_a
     x, y = np.asarray(x), np.asarray(y)
     if kind == "T":
-        outer, inner = T[x], Tt[x]                                  # L_x, R_x
+        div, outer, inner = L.ldiv, x, T[:, x].T                            # L_x, R_x
     elif kind == "L":
-        outer, inner = T[T[y, x]], pg.compose_rows(T, y, T[x])      # L_yx, L_y L_x
+        div, outer, inner = L.ldiv, T[y, x], pg.compose_rows(T, y, T[x])    # L_yx, L_y L_x
     elif kind == "R":
-        outer, inner = Tt[T[x, y]], pg.compose_rows(Tt, y, Tt[x])   # R_xy, R_y R_x
+        div, outer, inner = L.rdiv, T[x, y], T[T[:, x].T, y[:, None]]       # R_xy, R_y R_x
     else:
         raise ValueError(f"unknown inner mapping kind {kind!r}")
-    return pg.compose_rows(pg.inverse_many(outer), np.arange(len(x)), inner)
+    return pg.compose_rows(div, outer, inner)
 
 
 @dataclass

@@ -1,10 +1,14 @@
 """Permutation groups: Schreier-Sims stabilizer chains with exact orders.
 
 Permutations are numpy int arrays of images; (g*h)(x) = g(h(x)) is the
-fancy-indexing g[h].  The chain is built by the deterministic Schreier-Sims
-procedure, so every Schreier generator is verified to sift to the identity
-before the order is reported, unless the caller supplies an upper bound on
-the group order that the chain reaches first (see `bsgs_build`).
+fancy-indexing g[h].  The chain is built by the iterative deterministic
+Schreier-Sims loop (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, section 4.4): it walks down the levels, and the first Schreier
+generator whose residue is not the identity becomes a strong generator at
+the level j it reached, where the walk resumes; `extend_many` adds a
+non-member the same way.  So the order is reported only once every Schreier
+generator sifts to the identity, unless the caller supplies an upper bound
+on the group order that the chain reaches first (see `bsgs_build`).
 
 Each level of the chain stores its orbit in BFS order, a point -> row index
 and the inverse coset representatives u^-1 as rows of one degree x degree
@@ -45,10 +49,6 @@ class TooLarge(ValueError):
     pass
 
 
-class _BoundReached(Exception):
-    """The chain's orbit product reached the known order bound."""
-
-
 Perm = np.ndarray
 
 
@@ -79,10 +79,14 @@ def compose_rows(table: np.ndarray, rows: np.ndarray, P: np.ndarray) -> np.ndarr
 
 
 def inverse_many(P: np.ndarray) -> np.ndarray:
-    """Row-wise inverses of a stack of permutations."""
+    """Row-wise inverses of a stack of permutations, a chunk of rows at a
+    time (the flat index is an intp array as large as the chunk)."""
     n = P.shape[1]
     inv = np.empty(P.shape, dtype=P.dtype)
-    inv.ravel()[_flat_index(np.arange(len(P)), P, n)] = np.arange(n, dtype=P.dtype)
+    step = chunk_rows(n)
+    for s in range(0, len(P), step):
+        block = P[s:s + step]
+        inv[s:s + step].ravel()[_flat_index(np.arange(len(block)), block, n)] = np.arange(n)
     return inv
 
 
@@ -167,9 +171,6 @@ class BSGS:
         lv.orbit = np.concatenate(orbit)
         lv.fresh = True
         self.stats["rebuilds"] += 1
-        if (self.order_bound is not None and not self.stats["stopped_at_bound"]
-                and self.order == self.order_bound):
-            raise _BoundReached
 
     def _level_gens(self, level: int) -> list[Perm]:
         """Generators of the level-th stabilizer: those fixing base[:level]."""
@@ -246,13 +247,16 @@ class BSGS:
 
     # -- deterministic Schreier-Sims -------------------------------------
 
-    def _schreier_sims(self) -> None:
-        i = len(self.base) - 1
-        while i >= 0:
-            self._recompute_transversal(i)
-            done = self._check_level(i)
-            if done:
-                i -= 1
+    def _first_nonmember(self, H: np.ndarray, start_level: int
+                         ) -> Optional[tuple[int, Perm, int]]:
+        """The first row of H whose residue, sifted from `start_level`, is not
+        the identity: (row, residue, level reached), or None."""
+        residues, reached = self.sift_many(H, start_level)
+        bad = np.flatnonzero((residues != np.arange(self.degree)).any(axis=1))
+        if not bad.size:
+            return None
+        r = int(bad[0])
+        return r, residues[r], int(reached[r])
 
     def _first_residue(self, i: int) -> Optional[tuple[Perm, int]]:
         """The first Schreier generator u_{g(pt)}^-1 g u_pt of level i, with
@@ -260,9 +264,6 @@ class BSGS:
         the identity through levels i+1..: (residue, level reached)."""
         lv = self.levels[i]
         k = len(lv.gens)
-        if not k:
-            return None
-        ident = np.arange(self.degree)
         per = chunk_rows(k * self.degree)
         for s in range(0, len(lv.orbit), per):
             rows = slice(s, min(s + per, len(lv.orbit)))
@@ -274,73 +275,57 @@ class BSGS:
             sg = compose_rows(lv.uinv, lv.row[targets], gu)
             del u, gu
             self.stats["schreier_generators"] += len(sg)
-            nontrivial = np.flatnonzero((sg != ident).any(axis=1))
-            if not nontrivial.size:
-                continue
-            residues, reached = self.sift_many(sg[nontrivial], i + 1)
-            bad = np.flatnonzero((reached < len(self.base))
-                                 | (residues != ident).any(axis=1))
-            if bad.size:
-                return residues[bad[0]], int(reached[bad[0]])
+            found = self._first_nonmember(sg, i + 1)
+            if found is not None:
+                return found[1:]
         return None
 
-    def _check_level(self, i: int) -> bool:
-        """Process all Schreier generators at level i.  Returns True when the
-        level verifies clean; False after extending the chain deeper."""
-        found = self._first_residue(i)
-        if found is None:
-            return True
-        residue, j = found
-        self._add_generator(residue, j)
-        for l in range(j, len(self.base)):
-            self._recompute_transversal(l)
-        # re-verify the deeper levels first
-        k = len(self.base) - 1
-        while k > i:
-            self._recompute_transversal(k)
-            if self._check_level(k):
-                k -= 1
-        return False
-
-    def _complete(self) -> None:
-        """Run Schreier-Sims over fresh transversals, stopping early once the
-        orbit product reaches `order_bound`."""
-        try:
-            for l in range(len(self.base)):
+    def _schreier_sims(self, start: int) -> None:
+        """Verify levels start, start-1, ..., 0, given that every level
+        deeper than `start` is verified (its Schreier generators sift to the
+        identity).  A residue found at level i lands as a strong generator
+        at the level j > i it reached; it moves base[j], so no deeper level
+        gains it, and the loop resumes at j.  It stops, with every level
+        rebuilt, right after the rebuild whose orbit product reaches
+        `order_bound`."""
+        i, stale = start, range(len(self.base))
+        while i >= 0:
+            for l in stale:
                 self._recompute_transversal(l)
-            self._schreier_sims()
-        except _BoundReached:
-            self.stats["stopped_at_bound"] = True
-            for l in range(len(self.base)):
-                self._recompute_transversal(l)
-
-    def extend(self, g: Perm) -> bool:
-        """Add a permutation not yet in the group; returns True if it was new."""
-        if len(g) != self.degree:
-            raise DegreeMismatch("degree mismatch")
-        residue, j = self.sift(g)
-        if is_identity(residue):
-            return False
-        self._add_generator(residue, j)
-        self._complete()
-        return True
+                if self.order == self.order_bound:
+                    self.stats["stopped_at_bound"] = True
+                    for m in range(len(self.base)):
+                        self._recompute_transversal(m)
+                    return
+            found = self._first_residue(i)
+            if found is None:
+                i -= 1
+            else:
+                residue, i = found
+                self._add_generator(residue, i)
+            stale = [i]
 
     def extend_many(self, H: np.ndarray) -> bool:
-        """`extend` by each row of H in turn; returns True if any was new.
-        Membership is tested a chunk at a time, resuming after each row
-        that extends the group."""
+        """Add each row of H that is not yet in the group, in turn; returns
+        True if any was new.  Membership is tested a chunk at a time; the
+        first residue that is not the identity becomes a strong generator at
+        the level j it reached, and the Schreier-Sims loop starts at j."""
+        if H.shape[1] != self.degree:
+            raise DegreeMismatch("degree mismatch")
         changed = False
         start = 0
         per = chunk_rows(self.degree)
         while start < len(H):
             chunk = H[start:start + per]
-            outside = np.flatnonzero(~self.contains_many(chunk))
-            if not outside.size:
+            found = self._first_nonmember(chunk, 0)
+            if found is None:
                 start += len(chunk)
                 continue
-            self.extend(chunk[outside[0]])
+            row, residue, j = found
+            self._add_generator(residue, j)
+            self._schreier_sims(j)
             changed = True
-            start += int(outside[0]) + 1
+            start += row + 1
         return changed
 
     # -- reports ----------------------------------------------------------
@@ -357,14 +342,6 @@ class BSGS:
 
     def strong_generators(self) -> list[Perm]:
         return [g for lst in self.sgs for g in lst]
-
-    def json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "base": list(self.base),
-            "order": str(self.order),
-            "orbit_lengths": self.orbit_lengths(),
-        }
 
 
 def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
@@ -391,12 +368,10 @@ def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
         b._append_base_point(nontrivial[0])
     for g in nontrivial:
         b.sgs[0].append(g)
-    if b.base:
-        b._complete()
+    b._schreier_sims(len(b.base) - 1)
     # deterministic verification: every strong generator sifts to identity
-    for g in b.strong_generators():
-        residue, _ = b.sift(g)
-        assert is_identity(residue), "strong generator fails to sift"
+    sgs = b.strong_generators()
+    assert not sgs or b.contains_many(np.stack(sgs)).all(), "strong generator fails to sift"
     return b
 
 
@@ -427,14 +402,6 @@ class GroupId:
     order_spectrum: Optional[dict[int, int]] = None
 
 
-def _element_order(mul: Sequence[Sequence[int]], e: int, a: int) -> int:
-    k, x = 1, a
-    while x != e:
-        x = mul[x][a]
-        k += 1
-    return k
-
-
 def _inverse_in_table(mul: Sequence[Sequence[int]], e: int, a: int) -> int:
     return next(b for b in range(len(mul)) if mul[a][b] == e)
 
@@ -454,7 +421,7 @@ def identify_small_group(mul: Sequence[Sequence[int]], identity: int = 0) -> Gro
     if n > 512:
         raise TooLarge(f"group of order {n} exceeds the identification bound")
     e = identity
-    orders = {a: _element_order(mul, e, a) for a in range(n)}
+    orders = {a: len(_cyclic_subgroup(mul, e, a)) for a in range(n)}
     spectrum: dict[int, int] = {}
     for o in orders.values():
         spectrum[o] = spectrum.get(o, 0) + 1
@@ -510,7 +477,6 @@ def identify_small_group(mul: Sequence[Sequence[int]], identity: int = 0) -> Gro
                 # all x^i y^j must be distinct
                 seen = set()
                 yj = e
-                ok = True
                 for _ in range(db):
                     xi = e
                     for _ in range(da):

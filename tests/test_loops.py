@@ -1,6 +1,7 @@
 """Multiplicative loops: translations, Mlt/Inn, cyclicity, subloops,
 isomorphism, Latin-square export."""
 
+import hashlib
 import itertools
 import random
 
@@ -300,6 +301,68 @@ def test_mlt_without_certificate_runs_in_full():
         assert not M.stats["stopped_at_bound"]
         # the full run tests every Schreier generator the bounded run skips
         assert M.stats["schreier_generators"] > lp.mlt_group(L).stats["schreier_generators"]
+
+
+# sha256 over the strong generators (little-endian int32 images, in
+# `strong_generators` order) of Mlt and of the T/L/R-generated Inn, recorded
+# from the recursive Schreier-Sims: certified or not, the chain keeps the
+# same residues in the same order.
+SGS_SHA256 = {
+    "quat2": ("5ee9918e2751917b561bc8c6f1693b8e9acf04b4e5b6785f4223310f6685ab8e",
+              "49ae1f778482eda5922404c0d08eb75a38c5f7ff19f956b52bc9021df878c198"),
+    "A_1": ("97fa0c66d36f9ff27d71de0388b04e39e5b1f283834347ee362b3618c9a53e99",
+            "c166528e9d011579d17d460f93f2d5d27b4c9eac3533a00d41d85dd4291c6498"),
+    "A_2": ("eb221bd098a092899f12ed2a63bf93ed2e5dd20752965256aff0a7b5f7ecff44",
+            "857a319f46a178c0a16670fbe596bce356b0bb4ed6456d94cd78daf716da3ea1"),
+}
+
+
+def sgs_sha256(G):
+    h = hashlib.sha256()
+    for g in G.strong_generators():
+        h.update(np.asarray(g, dtype="<i4").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("which", SGS_SHA256)
+def test_strong_generators_pinned(which):
+    L = {"quat2": quat2_loop()[1], "A_1": quat3_loops()[0], "A_2": quat3_loops()[1]}[which]
+    mlt, inn = SGS_SHA256[which]
+    M, bare = lp.mlt_group(L), lp.mlt_group(lp.loop_from_table(L.table))
+    assert M.stats["stopped_at_bound"]
+    assert sgs_sha256(M) == sgs_sha256(bare) == mlt
+    # the stopped chain still rebuilds every transversal from the final
+    # strong generators: the same coset representatives as the full run
+    for a, b in zip(M.levels, bare.levels):
+        assert np.array_equal(a.orbit, b.orbit)
+        assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
+    assert sgs_sha256(lp.inn_from_generators(L)) == inn
+
+
+def test_certified_mlt_skips_verified_levels():
+    """A new strong generator leaves the levels deeper than its own
+    verified, so their Schreier generators are not formed again: the
+    recursive procedure, which re-verified them, formed 6,517 and 6,722 on
+    A_1 and A_2."""
+    for L, recursive in zip(quat3_loops(), (6517, 6722)):
+        assert lp.mlt_group(L).stats["schreier_generators"] < recursive
+
+
+def test_mlt_sweep_adds_what_the_seeds_miss():
+    """F_2^11 under XOR needs 11 generators, more than the 10 seed elements,
+    so only the sweep over all translations reaches Mlt, the regular group
+    of order 2048."""
+    a = np.arange(1 << 11, dtype=np.int32)
+    M = lp.mlt_group(lp.loop_from_table(a[:, None] ^ a))
+    assert M.order == 2048 and M.stats["residues"] == 1
+
+
+@pytest.mark.parametrize("which", ["quat2", "commutative6"])
+def test_division_tables(which):
+    L = quat2_loop()[1] if which == "quat2" else lp.loop_from_table(COMMUTATIVE6)
+    a, b = np.meshgrid(np.arange(L.size), np.arange(L.size), indexing="ij")
+    assert (L.table[a, L.ldiv] == b).all()        # a * (a \ b) = b
+    assert (L.table[L.rdiv, a] == b).all()        # (b / a) * a = b
 
 
 def test_broken_table_fails_certificate():

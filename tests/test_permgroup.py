@@ -147,7 +147,7 @@ def test_batched_sift_and_extend_match_one_at_a_time():
         assert np.array_equal(res, one) and lvl == one_lvl
     seq = pg.bsgs_build([cycle(n, 0, 1, 2), cycle(n, 3, 4, 5)])
     for h in H:
-        seq.extend(h)
+        seq.extend_many(h[None])
     G.extend_many(H)
     assert G.base == seq.base and G.orbit_lengths() == seq.orbit_lengths()
     assert all(np.array_equal(a, b) for a, b in
@@ -169,9 +169,9 @@ def test_chain_keeps_its_own_copy_of_new_generators():
     n = 6
     G = pg.bsgs_build([pg.identity_perm(n)])
     g = cycle(n, 0, 1, 2)
-    assert G.extend(g)
+    assert G.extend_many(g[None])
     g[:] = cycle(n, 3, 4)      # the caller reuses its buffer
-    assert G.extend(g)
+    assert G.extend_many(g[None])
     assert G.order == 6
     assert pg.bsgs_build(G.strong_generators()).order == 6
     assert G.contains(cycle(n, 0, 2, 1)) and G.contains(cycle(n, 3, 4))
