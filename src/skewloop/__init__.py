@@ -6,7 +6,7 @@ from .gf import (FieldCtx, TowerCtx, make_tower, apply_sigma, rel_norm,
                  norm_kernel, field_automorphisms, parse_element,
                  parse_field_descriptor)
 from .skewpoly import (poly, degree, skew_mul, right_divmod, right_rem,
-                       is_irreducible, is_right_invariant, is_admissible,
+                       reduced_norm, is_irreducible, is_right_invariant, is_admissible,
                        enumerate_admissible, parse_poly, format_poly)
 from .semifield import (SemifieldCtx, build_semifield, associator, inverses,
                         nuclei, t_power_diagnostics, analysis_json)

@@ -199,24 +199,21 @@ def similar(tower: TowerCtx, f: sp.SkewPoly, g: sp.SkewPoly) -> bool:
 
 def similarity_classes(tower: TowerCtx, m: int,
                        fs: Sequence[sp.SkewPoly]) -> list[list[sp.SkewPoly]]:
-    """Partition of fs under the similarity relation."""
-    if tower.field.order ** m > CLASSIFY_LIMIT:
-        raise TooLarge("loop size exceeds the classification limit")
-    parent = list(range(len(fs)))
+    """Partition of the monic irreducible degree-m fs under similarity.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if similar(tower, fs[i], fs[j]) or similar(tower, fs[j], fs[i]):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[sp.SkewPoly]] = {}
-    for i, f in enumerate(fs):
-        groups.setdefault(find(i), []).append(f)
+    Irreducible f and g are similar iff R/Rf = R/Rg iff chi_f = chi_g: both
+    are then the simple module of R/R chi(y) = M_n(F_q[y]/chi) (of R/Rt for
+    chi = y), which has only one.  So the classes are the fibres of the
+    reduced norm, members in input order, classes ordered by first member."""
+    groups: dict[sp.SkewPoly, list[sp.SkewPoly]] = {}
+    for f in fs:
+        if sp.degree(f) != m:
+            raise ValueError(f"{f} does not have degree {m}")
+        chi = sp.reduced_norm(tower, f)
+        if not sp.is_irreducible_central(tower, chi):
+            raise ValueError(f"{f} is reducible: similarity by reduced norm "
+                             "needs irreducible f")
+        groups.setdefault(chi, []).append(f)
     return sorted(groups.values(), key=lambda g: g[0])
 
 

@@ -84,6 +84,7 @@ def cmd_skew_irreducible(args) -> int:
         "irreducible": verdict,
         "right_invariant": sp.is_right_invariant(tower, f),
         "admissible": sp.is_admissible(tower, f),
+        "reduced_norm": sp.format_poly(tower, sp.reduced_norm(tower, f), var="y"),
     })
     return EXIT_OK
 
@@ -256,6 +257,10 @@ def _tier2_checks() -> list[tuple[str, bool, str]]:
                               lambda g=gid, t=tag, o=order: _expect((g.tag, g.order), (t, o))))
     results.append(_check("2 classes at (q,m)=(3,2)", lambda: _expect(
         cs.cyclic_algebra_classes(tw3)[0], 2)))
+    for label, tw, m in (("F_9", tw3, 2), ("F_4", make_tower(2, 1, 2), 3)):
+        results.append(_check(f"{label} m={m}: N(q,m) reduced-norm classes of "
+                              "(q^nm-1)/(q^m-1) admissible f",
+                              lambda tw=tw, m=m: _expect_census_identities(tw, m)))
 
     # quat4: K = F_25 = F_5(sqrt 2)
     tw4 = make_tower(5, 1, 2, modulus=[3, 0, 1])
@@ -280,6 +285,16 @@ def _tier2_checks() -> list[tuple[str, bool, str]]:
 
 def _expect(got, want) -> None:
     assert got == want, f"got {got}, want {want}"
+
+
+def _expect_census_identities(tw: TowerCtx, m: int) -> None:
+    """(class count, class sizes, admissible count) of the degree-m
+    admissible f is (N(q,m), {s}, N(q,m) s) with s = (q^(nm)-1)/(q^m-1)."""
+    fs = list(sp.enumerate_admissible(tw, m))
+    classes = cs.similarity_classes(tw, m, fs)
+    n_qm = cs.count_central_irreducible(tw.q, m)
+    size = (tw.q ** (tw.n * m) - 1) // (tw.q ** m - 1)
+    _expect((len(classes), {len(c) for c in classes}, len(fs)), (n_qm, {size}, n_qm * size))
 
 
 def cmd_verify(args) -> int:

@@ -184,34 +184,49 @@ def inn_group(L: LoopCtx, M: BSGS) -> tuple[int, list[Perm]]:
 
 
 def inn_from_generators(L: LoopCtx) -> BSGS:
-    """The subgroup generated by all T_x, L_{x,y}, R_{x,y} (small loops)."""
+    """The subgroup generated by all T_x, L_{x,y}, R_{x,y} (small loops).
+    Every translation is an outer one here, so the outer inverses are read
+    from the full division tables `L.ldiv` and `L.rdiv`."""
     N = L.size
     every = np.arange(N)
-    gens = inner_rows(L, "T", every)
+    div = {"left": L.ldiv, "right": L.rdiv}
+
+    def rows(kind, x, y=None):
+        side, outer, inner = _inner_parts(L, kind, x, y)
+        return pg.compose_rows(div[side], outer, inner)
+
+    gens = rows("T", every)
     G = pg.bsgs_build([g for g in gens if not pg.is_identity(g)] or [pg.identity_perm(N)])
     block = np.empty((2 * N, N), dtype=np.int32)
     for x in range(N):
-        block[0::2] = inner_rows(L, "L", np.full(N, x), every)   # row 2y: L_{x,y}
-        block[1::2] = inner_rows(L, "R", np.full(N, x), every)   # row 2y + 1: R_{x,y}
+        block[0::2] = rows("L", np.full(N, x), every)     # row 2y: L_{x,y}
+        block[1::2] = rows("R", np.full(N, x), every)     # row 2y + 1: R_{x,y}
         G.extend_many(block)
     return G
+
+
+def _inner_parts(L: LoopCtx, kind: str, x, y):
+    """(side, outer, inner): the inner mapping of `kind` at each (x, y) is the
+    inverse of the outer translation (left or right translation by `outer`)
+    composed with the inner product map, one row of `inner` per (x, y)."""
+    T = L.table
+    x, y = np.asarray(x), np.asarray(y)
+    if kind == "T":
+        return "left", x, T[:, x].T                                       # L_x, R_x
+    if kind == "L":
+        return "left", T[y, x], pg.compose_rows(T, y, T[x])               # L_yx, L_y L_x
+    if kind == "R":
+        return "right", T[x, y], T[T[:, x].T, y[:, None]]                 # R_xy, R_y R_x
+    raise ValueError(f"unknown inner mapping kind {kind!r}")
 
 
 def inner_rows(L: LoopCtx, kind: str, x, y=None) -> np.ndarray:
     """T_x = L_x^-1 R_x, L_{x,y} = L_{yx}^-1 L_y L_x or R_{x,y} = R_{xy}^-1 R_y R_x,
     one row per entry of the equal-length index arrays x and y (T ignores y).
-    The inverse of the outer translation is a row of `L.ldiv` or `L.rdiv`."""
-    T = L.table
-    x, y = np.asarray(x), np.asarray(y)
-    if kind == "T":
-        div, outer, inner = L.ldiv, x, T[:, x].T                            # L_x, R_x
-    elif kind == "L":
-        div, outer, inner = L.ldiv, T[y, x], pg.compose_rows(T, y, T[x])    # L_yx, L_y L_x
-    elif kind == "R":
-        div, outer, inner = L.rdiv, T[x, y], T[T[:, x].T, y[:, None]]       # R_xy, R_y R_x
-    else:
-        raise ValueError(f"unknown inner mapping kind {kind!r}")
-    return pg.compose_rows(div, outer, inner)
+    Only the outer translations these rows need are inverted."""
+    side, outer, inner = _inner_parts(L, kind, x, y)
+    trans = L.table[outer] if side == "left" else L.table[:, outer].T
+    return pg.compose_rows(pg.inverse_many(trans), np.arange(len(outer)), inner)
 
 
 @dataclass

@@ -121,38 +121,156 @@ def make_monic(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
     return scalar_mul(ctx, ctx.field.inv(f[-1]), f)
 
 
-def is_irreducible(ctx: TowerCtx, f: SkewPoly) -> bool:
-    """No monic right divisor of degree 1 <= d <= deg(f)/2.
+def reduced_norm(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
+    """chi_f, the characteristic polynomial of y = t^n acting on R/Rf.
 
-    Why half the degree suffices.  The monic right divisors h of f are the
-    quotients R/Rh of the module M = R/Rf, of K-dimension deg(h), and h is
-    irreducible iff R/Rh is simple.  So f (degree m) is reducible iff M has
-    length >= 2, and then M has a simple quotient of dimension <= m/2:
-    - M is the direct sum of its primary parts over the centre F_q[y],
-      y = t^n.  With two or more parts, one has dimension <= m/2; it is a
-      quotient of M, and so is any simple quotient of it.
-    - With one part, killed by a power of a prime h(y), every composition
-      factor is a simple module killed by h, and there is only one up to
-      isomorphism: R/R h(t^n) = M_n(F_q[y]/h) is simple for h != y, and
-      for h = y, t spans the two-sided ideal Rt = tR, so t acts as 0 on a
-      simple module and it is R/Rt.  All factors then have dimension
-      m/length <= m/2, the simple top of M among them.
-    A simple quotient of dimension d is R/Rh for a monic irreducible right
-    divisor h of degree d, so testing remainder zero against the q^(n d)
-    monic candidates of each degree d <= m/2 decides irreducibility.
+    y is central, so left multiplication by y is K-linear on M = R/Rf; its
+    matrix C_f in the basis 1, t, ..., t^(m-1) has row i = t^(i+n) mod_r f.
+    chi_f is read off a Hessenberg form of C_f.  It lies in F_q[y]: on a
+    simple factor of M where t acts invertibly, t is a sigma-semilinear
+    bijection commuting with y, so chi = sigma(chi); where t does not, it acts
+    as 0 (ker t is a submodule, as tR = Rt), so chi = y^d.  The result is a
+    monic tuple of degree m, low degree first, with codes in F_q.
     """
     if not is_monic(f):
-        raise NotMonic("irreducibility test requires a monic polynomial")
-    m = degree(f)
-    if m < 1:
+        raise NotMonic("reduced norm requires a monic polynomial")
+    if degree(f) < 1:
         raise DegreeZero("constant polynomials are units")
     K = ctx.field
-    for d in range(1, m // 2 + 1):
-        for tail in itertools.product(range(K.order), repeat=d):
-            cand = tail + (1,)
-            if not right_rem(ctx, f, cand):
-                return False
+    mul, add = K.mul, K.add
+    m, n = degree(f), ctx.n
+    sig = ctx._sigma[1 % n]
+    tail = [K.neg(c) for c in f[:-1]]                     # t^m = tail mod_r f
+    rows, r = [], [1] + [0] * (m - 1)                     # r = t^k mod_r f
+    for k in range(n + m - 1):
+        if k >= n:
+            rows.append(r)
+        top = sig[r[-1]]                                  # t r = sigma(r) shifted
+        r = [0] + [sig[a] for a in r[:-1]]
+        if top:
+            r = [add(a, mul(top, b)) for a, b in zip(r, tail)]
+    rows.append(r)
+    chi = _charpoly(K, rows)
+    assert all(sig[c] == c for c in chi), f"reduced norm of {f} has a coefficient outside F_q"
+    return chi
+
+
+def _charpoly(K, H: list[list[int]]) -> SkewPoly:
+    """det(y - H) over K.  H (overwritten) is brought to upper Hessenberg
+    form by elementary similarities; then the characteristic polynomials of
+    its leading blocks satisfy p_(k+1) = (y - H_kk) p_k
+    - sum_(i<k) H_ik (H_(i+1,i) ... H_(k,k-1)) p_i."""
+    mul, add, neg = K.mul, K.add, K.neg
+    m = len(H)
+    for k in range(m - 2):
+        piv = next((i for i in range(k + 1, m) if H[i][k]), None)
+        if piv is None:
+            continue
+        if piv != k + 1:                                  # swap rows and columns
+            H[piv], H[k + 1] = H[k + 1], H[piv]
+            for row in H:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+        minus_inv = neg(K.inv(H[k + 1][k]))
+        for i in range(k + 2, m):
+            u = mul(H[i][k], minus_inv)
+            if u:                                         # row i += u row k+1
+                Hi, Hk = H[i], H[k + 1]                   # (both 0 left of k)
+                for j in range(k, m):
+                    if Hk[j]:
+                        Hi[j] = add(Hi[j], mul(u, Hk[j]))
+                u = neg(u)
+                for row in H:                             # column k+1 -= u column i
+                    if row[i]:
+                        row[k + 1] = add(row[k + 1], mul(u, row[i]))
+    ps = [[1]]
+    for k in range(m):
+        c = neg(H[k][k])                                  # (y - H_kk) p_k
+        nxt = [add(a, mul(c, b)) for a, b in zip([0] + ps[k], ps[k] + [0])]
+        prod = 1
+        for i in range(k - 1, -1, -1):
+            prod = mul(prod, H[i + 1][i])
+            if not prod:
+                break
+            c = neg(mul(H[i][k], prod))
+            if c:
+                for j, b in enumerate(ps[i]):
+                    nxt[j] = add(nxt[j], mul(c, b))
+        ps.append(nxt)
+    return tuple(ps[m])
+
+
+def is_irreducible_central(ctx: TowerCtx, h: SkewPoly) -> bool:
+    """A monic h in F_q[y] is irreducible over F_q iff it has no irreducible
+    factor of degree <= deg(h)/2, i.e. gcd(h, y^(q^i) - y) = 1 for
+    1 <= i <= deg(h)/2.  Plain polynomial arithmetic in K codes: the
+    coefficients stay in F_q."""
+    K = ctx.field
+    z = [0, 1]                                            # z = y^(q^i) mod h
+    for _ in range(degree(h) // 2):
+        z = _pow_mod(K, z, ctx.q, h)
+        b = z + [0] * (2 - len(z))
+        b[1] = K.sub(b[1], 1)                             # z - y
+        a, b = list(h), _rem(K, b, h)
+        while b:
+            a, b = b, _rem(K, a, b)
+        if len(a) > 1:
+            return False
     return True
+
+
+def _pow_mod(K, g: list[int], e: int, h: SkewPoly) -> list[int]:
+    """g^e mod h for e >= 1, by squaring."""
+    out = g
+    for bit in bin(e)[3:]:
+        out = _mul_mod(K, out, out, h)
+        if bit == "1":
+            out = _mul_mod(K, out, g, h)
+    return out
+
+
+def _mul_mod(K, a: list[int], b: list[int], h: SkewPoly) -> list[int]:
+    """a b mod h for plain polynomials over K."""
+    mul, add = K.mul, K.add
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, c in enumerate(b):
+                if c:
+                    prod[i + j] = add(prod[i + j], mul(x, c))
+    return _rem(K, prod, h)
+
+
+def _rem(K, a: list[int], b: Sequence[int]) -> list[int]:
+    """a mod b for plain polynomials over K (lists low degree first, b
+    trimmed and nonzero); a is reduced in place and returned trimmed."""
+    mul, add = K.mul, K.add
+    minus_inv = K.neg(K.inv(b[-1]))
+    while len(a) >= len(b):
+        c = mul(a.pop(), minus_inv)                       # cancel the top term
+        if c:
+            d = len(a) - len(b) + 1
+            for j, x in enumerate(b[:-1]):
+                if x:
+                    a[d + j] = add(a[d + j], mul(c, x))
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def is_irreducible(ctx: TowerCtx, f: SkewPoly) -> bool:
+    """chi_f = reduced_norm(f) is irreducible over F_q.
+
+    Why this decides it.  The monic right divisors h of f are the quotients
+    R/Rh of the module M = R/Rf, so f is irreducible iff M is simple (has
+    length 1).  chi is multiplicative along a composition series of M, so
+    chi_f is the product of the chi of its simple factors S.  On S, y acts
+    through an irreducible h(y) in F_q[y] (End_R(S) is a division ring), so
+    S is a simple module of R/R h(y) = M_n(F_q[y]/h) (for h = y: of R/Rt) and
+    has K-dimension d = deg h; chi_S lies in F_q[y] (see reduced_norm) and
+    divides a power of h, so chi_S = h.  Hence chi_f has as many irreducible
+    factors as M has composition factors, and it is irreducible iff f is.
+    """
+    return is_irreducible_central(ctx, reduced_norm(ctx, f))
 
 
 def is_right_invariant(ctx: TowerCtx, f: SkewPoly) -> bool:
@@ -219,7 +337,7 @@ def parse_poly(ctx: TowerCtx, text: str) -> SkewPoly:
     return poly([coeffs.get(i, 0) for i in range(deg + 1)])
 
 
-def format_poly(ctx: TowerCtx, f: SkewPoly) -> str:
+def format_poly(ctx: TowerCtx, f: SkewPoly, var: str = "t") -> str:
     K = ctx.field
     if not f:
         return "0"
@@ -231,7 +349,7 @@ def format_poly(ctx: TowerCtx, f: SkewPoly) -> str:
         if i == 0:
             parts.append(K.format_element(c))
         else:
-            tp = "t" if i == 1 else f"t^{i}"
+            tp = var if i == 1 else f"{var}^{i}"
             parts.append(tp if c == 1 else f"{K.format_element(c)}*{tp}")
     return " + ".join(parts)
 

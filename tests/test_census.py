@@ -196,6 +196,81 @@ def test_similar_matches_exhaustive_scan(p, modulus, m):
             assert cs.similar(tw, f, g) == _similar_scan(tw, f, g)
 
 
+def _oracle_similarity_classes(tw, fs):
+    """The pairwise partition: union-find over every pair f, g joined when
+    similar(f, g) or similar(g, f); classes in order of first member."""
+    parent = list(range(len(fs)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            if cs.similar(tw, fs[i], fs[j]) or cs.similar(tw, fs[j], fs[i]):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, f in enumerate(fs):
+        groups.setdefault(find(i), []).append(f)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+# (p, r, n, modulus, m): the benchmark's two similarity inputs (F_9 with
+# modulus x^2 + 2x + 2, m = 2; F_4, m = 3) and F_8, m = 2; the pairwise
+# oracle makes two annihilator solves per pair
+SIMILARITY_CASES = [(3, 1, 2, [2, 2, 1], 2), (2, 1, 2, None, 3), (2, 1, 3, None, 2)]
+
+
+@pytest.mark.parametrize("p,r,n,modulus,m", SIMILARITY_CASES,
+                         ids=[f"F{p ** (r * n)}/F{p ** r}-m{m}"
+                              for p, r, n, _, m in SIMILARITY_CASES])
+def test_similarity_classes_match_pairwise_oracle(p, r, n, modulus, m):
+    tw = gf.make_tower(p, r, n, modulus=modulus)
+    fs = list(sp.enumerate_admissible(tw, m))
+    assert cs.similarity_classes(tw, m, fs) == _oracle_similarity_classes(tw, fs)
+
+
+def test_similarity_classes_reject_reducible_f():
+    tw = gf.make_tower(2, 1, 2)
+    K = tw.field
+    irreducible = (K.neg(K.p), 0, 1)                      # t^2 - g
+    for reducible in [(1, 0, 1), (0, 1, 1), (0, 0, 1)]:   # t^2 - 1, t^2 + t, t^2
+        assert not sp.is_irreducible(tw, reducible)
+        with pytest.raises(ValueError):
+            cs.similarity_classes(tw, 2, [irreducible, reducible])
+    with pytest.raises(ValueError):                       # degree other than m
+        cs.similarity_classes(tw, 3, [irreducible])
+
+
+# every tower with |K|^m <= 4096, m >= 2: F_4, F_8, F_9, F_16 (both sigma),
+# F_25, F_27, F_32, F_49 and the three F_64 towers
+IDENTITY_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 4), (2, 2, 2), (5, 1, 2),
+                   (3, 1, 3), (2, 1, 5), (7, 1, 2), (2, 1, 6), (2, 2, 3), (2, 3, 2)]
+IDENTITY_CASES = [((p, r, n), m) for p, r, n in IDENTITY_TOWERS
+                  for m in range(2, 7) if p ** (r * n * m) <= 4096]
+
+
+@pytest.mark.parametrize("tower,m", IDENTITY_CASES,
+                         ids=[f"F{p ** (r * n)}/F{p ** r}-m{m}"
+                              for (p, r, n), m in IDENTITY_CASES])
+def test_admissible_census_identities(tower, m):
+    # the reduced norm maps the admissible f onto the N(q,m) monic
+    # irreducibles of degree m in F_q[y], each fibre the (q^(nm)-1)/(q^m-1)
+    # maximal left ideals of M_n(F_{q^m}); so enumerate_admissible has a
+    # second derivation, their product
+    tw = gf.make_tower(*tower)
+    q, n = tw.q, tw.n
+    fs = list(sp.enumerate_admissible(tw, m))
+    classes = cs.similarity_classes(tw, m, fs)
+    n_qm = cs.count_central_irreducible(q, m)
+    size = (q ** (n * m) - 1) // (q ** m - 1)
+    assert len(classes) == n_qm
+    assert all(len(c) == size for c in classes)
+    assert len(fs) == n_qm * size
+
+
 def test_similarity_partition_f4():
     tw = gf.make_tower(2, 1, 2)
     K = tw.field

@@ -27,6 +27,9 @@ def test_skew_irreducible_json(capsys):
     data = json.loads(out)
     assert data["irreducible"] is True
     assert data["admissible"] is True
+    # y = t^2 acts on R/Rf by y 1 = g and y t = t g = g^2 t, so
+    # chi_f = (y - g)(y - g^2) = y^2 + (g + g^2) y + g^3 = y^2 + y + 1 over F_2
+    assert data["reduced_norm"] == "y^2 + y + g^0"
 
 
 def test_skew_divmod_reconstructs(capsys):
@@ -183,7 +186,9 @@ def test_verify_tier2_passes(capsys):
     assert "FAIL" not in out
     assert "|Mlt| = |GL(4,3)| = 24261120" in out
     assert "|Mlt| = |GL(4,5)| = 116064000000" in out
-    assert out.strip().splitlines()[-1].startswith("24/24 passed")
+    assert "F_9 m=2: N(q,m) reduced-norm classes" in out
+    assert "F_4 m=3: N(q,m) reduced-norm classes" in out
+    assert out.strip().splitlines()[-1].startswith("26/26 passed")
 
 
 def test_unknown_subcommand_exits_2(capsys):

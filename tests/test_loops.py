@@ -365,6 +365,22 @@ def test_division_tables(which):
     assert (L.table[L.rdiv, a] == b).all()        # (b / a) * a = b
 
 
+def test_inn_group_builds_division_tables_only_at_80_points():
+    """Above 80 points inn_group checks only 20 sampled inner mappings, and
+    inverts just their outer translations: no N x N division table stays on
+    the loop.  At 80 points the all-generators check reads every row."""
+    tw = gf.make_tower(2, 2, 2)
+    S = sfd.build_semifield(tw, next(iter(sp.enumerate_admissible(tw, 2))))
+    L = lp.build_loop(S)
+    M = lp.mlt_group(L)
+    assert L.size == 255
+    assert lp.inn_group(L, M)[0] == M.order // L.size
+    assert "ldiv" not in vars(L) and "rdiv" not in vars(L)
+    small = quat3_loops()[0]
+    lp.inn_group(small, lp.mlt_group(small))
+    assert "ldiv" in vars(small) and "rdiv" in vars(small)
+
+
 def test_broken_table_fails_certificate():
     from sympy.combinatorics import Permutation, PermutationGroup
 

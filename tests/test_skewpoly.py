@@ -1,6 +1,7 @@
 """Twisted polynomial arithmetic: division, irreducibility, invariance."""
 
 import itertools
+import random
 
 import pytest
 
@@ -41,7 +42,7 @@ def test_division_by_zero_poly():
         sp.right_divmod(tw, (1, 1), ())
 
 
-# -- test oracles: two independent irreducibility tests --
+# -- test oracles: three independent irreducibility tests --
 
 def _oracle_quadratic_irreducible(tw, f):
     """t^2 - a1 t - a0 is irreducible iff z sigma(z) + a1 z - a0 = 0 has no
@@ -58,6 +59,38 @@ def _oracle_full_scan_irreducible(tw, f):
     return all(sp.right_rem(tw, f, tail + (1,))
                for d in range(1, sp.degree(f))
                for tail in itertools.product(range(tw.field.order), repeat=d))
+
+
+def _oracle_divisor_scan_irreducible(tw, f):
+    """No monic right divisor of degree 1 <= d <= deg(f)/2.
+
+    Why half the degree suffices.  The monic right divisors h of f are the
+    quotients R/Rh of the module M = R/Rf, of K-dimension deg(h), and h is
+    irreducible iff R/Rh is simple.  So f (degree m) is reducible iff M has
+    length >= 2, and then M has a simple quotient of dimension <= m/2:
+    - M is the direct sum of its primary parts over the centre F_q[y],
+      y = t^n.  With two or more parts, one has dimension <= m/2; it is a
+      quotient of M, and so is any simple quotient of it.
+    - With one part, killed by a power of a prime h(y), every composition
+      factor is a simple module killed by h, and there is only one up to
+      isomorphism: R/R h(t^n) = M_n(F_q[y]/h) is simple for h != y, and
+      for h = y, t spans the two-sided ideal Rt = tR, so t acts as 0 on a
+      simple module and it is R/Rt.  All factors then have dimension
+      m/length <= m/2, the simple top of M among them.
+    A simple quotient of dimension d is R/Rh for a monic irreducible right
+    divisor h of degree d, so testing remainder zero against the q^(n d)
+    monic candidates of each degree d <= m/2 decides irreducibility.
+    """
+    return all(sp.right_rem(tw, f, tail + (1,))
+               for d in range(1, sp.degree(f) // 2 + 1)
+               for tail in itertools.product(range(tw.field.order), repeat=d))
+
+
+def _central_as_skew(tw, h):
+    """h(y) in F_q[y] as the skew polynomial h(t^n)."""
+    out = [0] * (tw.n * sp.degree(h) + 1)
+    out[::tw.n] = h
+    return tuple(out)
 
 
 def test_quadratic_criterion_matches_divisor_scan():
@@ -78,10 +111,91 @@ def test_half_degree_scan_matches_full_scan(m):
     irreducible = 0
     for tail in itertools.product(range(4), repeat=m):
         f = tail + (1,)
-        verdict = sp.is_irreducible(tw, f)
-        assert verdict == _oracle_full_scan_irreducible(tw, f)
+        verdict = _oracle_full_scan_irreducible(tw, f)
+        assert _oracle_divisor_scan_irreducible(tw, f) == verdict
+        assert sp.is_irreducible(tw, f) == verdict
         irreducible += verdict
     assert 0 < irreducible < 4 ** m
+
+
+# (p, r, n) of the towers whose every monic f with |K|^m <= 4096 is checked:
+# F_4, F_8, F_9, F_16 with both sigma (x^2 and x^4), F_25, F_27, F_32, F_49
+EXHAUSTIVE_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 4), (2, 2, 2),
+                     (5, 1, 2), (3, 1, 3), (2, 1, 5), (7, 1, 2)]
+EXHAUSTIVE_CASES = [((p, r, n), m) for p, r, n in EXHAUSTIVE_TOWERS
+                    for m in range(1, 7) if p ** (r * n * m) <= 4096]
+# the Cayley-Hamilton check multiplies out chi_f(t^n): |K|^m <= 1024 only
+NORM_CASES = [((p, r, n), m) for (p, r, n), m in EXHAUSTIVE_CASES
+              if p ** (r * n * m) <= 1024]
+
+
+def _case_ids(cases):
+    return [f"F{p ** (r * n)}/F{p ** r}-m{m}" for (p, r, n), m in cases]
+
+
+@pytest.mark.parametrize("tower,m", EXHAUSTIVE_CASES, ids=_case_ids(EXHAUSTIVE_CASES))
+def test_irreducible_matches_divisor_scan(tower, m):
+    tw = gf.make_tower(*tower)
+    Q = tw.field.order
+    irreducible = 0
+    for tail in itertools.product(range(Q), repeat=m):
+        f = tail + (1,)
+        verdict = sp.is_irreducible(tw, f)
+        assert verdict == _oracle_divisor_scan_irreducible(tw, f), f
+        if f[0] == 0 and m >= 2:
+            assert not verdict, f                         # t is a right divisor
+        irreducible += verdict
+    assert irreducible == Q if m == 1 else 0 < irreducible < Q ** m
+
+
+@pytest.mark.parametrize("tower,m", NORM_CASES, ids=_case_ids(NORM_CASES))
+def test_reduced_norm_is_monic_central_multiple(tower, m):
+    # chi_f is monic of degree m in F_q[y], and chi_f(t^n) lies in Rf
+    # (Cayley-Hamilton: chi_f(y) kills R/Rf), for every monic f
+    tw = gf.make_tower(*tower)
+    for tail in itertools.product(range(tw.field.order), repeat=m):
+        f = tail + (1,)
+        chi = sp.reduced_norm(tw, f)
+        assert sp.degree(chi) == m and sp.is_monic(chi)
+        assert all(tw.in_fixed_field(c) for c in chi)
+        assert sp.right_rem(tw, _central_as_skew(tw, chi), f) == ()
+
+
+@pytest.mark.parametrize("tower", [(2, 1, 8), (3, 2, 2), (2, 3, 2)],
+                         ids=["F256/F2", "F81/F9", "F64/F8"])
+def test_irreducible_matches_divisor_scan_seeded(tower):
+    # seeded monic f of degree 2 on towers the exhaustive test leaves out
+    tw = gf.make_tower(*tower)
+    Q = tw.field.order
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(150):
+        f = (rng.randrange(Q), rng.randrange(Q), 1)
+        verdicts.append(sp.is_irreducible(tw, f))
+        assert verdicts[-1] == _oracle_divisor_scan_irreducible(tw, f), f
+        chi = sp.reduced_norm(tw, f)
+        assert sp.is_monic(chi) and all(tw.in_fixed_field(c) for c in chi)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_reduced_norm_of_quaternion_example():
+    # f = t^2 - g over F_4: y 1 = g and y t = t g = g^2 t, so C_f = diag(g, g^2)
+    # and chi_f = (y - g)(y - g^2) = y^2 + y + 1, irreducible over F_2
+    tw = tower_f4()
+    K = tw.field
+    g = K.primitive
+    assert sp.reduced_norm(tw, (K.neg(g), 0, 1)) == (1, 1, 1)
+    # f = t^2 - 1 is right-invariant and reducible: chi = (y - 1)^2 = y^2 + 1
+    assert sp.reduced_norm(tw, (1, 0, 1)) == (1, 0, 1)
+    assert not sp.is_irreducible(tw, (1, 0, 1))
+
+
+def test_reduced_norm_rejects_non_monic_and_constants():
+    tw = tower_f4()
+    with pytest.raises(sp.NotMonic):
+        sp.reduced_norm(tw, (1, 2))
+    with pytest.raises(sp.DegreeZero):
+        sp.is_irreducible(tw, (1,))
 
 
 def test_right_invariance_f_in_center():
