@@ -125,13 +125,26 @@ def gl_bound(L: LoopCtx) -> Optional[int]:
     return pg.gl_order(S.tower.n * S.m, q)
 
 
+def _linear_frame(L: LoopCtx, bound: Optional[int]) -> Optional[np.ndarray]:
+    """The loop indices of the F_p-basis of S_f when `bound` is a `gl_bound`
+    certificate, else None.  Every element of Mlt(L) is then F_p-linear, and
+    a linear map that fixes a basis is the identity: the basis is a frame
+    for `pg.bsgs_build`."""
+    if bound is None:
+        return None
+    return np.array(L.semifield.basis()) - 1
+
+
 def mlt_group(L: LoopCtx) -> BSGS:
     """Exact Mlt(L): seed a few translations, then sift every L_a and R_a
     once, extending the chain on any failure.
 
     When `gl_bound` certifies Mlt(L) <= GL(nm,q), the chain stops as soon as
     its order reaches |GL(nm,q)|, and the sweep over the translations is
-    skipped once it has.
+    skipped once it has.  The certificate also makes every element of Mlt(L)
+    F_p-linear, so the F_p-basis is passed as the frame: the Schreier
+    generators are formed and sifted on the basis and base points alone,
+    and the chain is the one built on all N points.
     """
     N = L.size
     if N > pg.DEGREE_CAP:
@@ -145,7 +158,8 @@ def mlt_group(L: LoopCtx) -> BSGS:
         gens.append(L.left_translation(a))
         gens.append(L.right_translation(a))
     bound = gl_bound(L)
-    G = pg.bsgs_build(gens, base_hint=[L.identity], order_bound=bound)
+    G = pg.bsgs_build(gens, base_hint=[L.identity], order_bound=bound,
+                      frame=_linear_frame(L, bound))
     chunk = pg.chunk_rows(2 * N)
     if G.order != bound:
         # one sweep: the group only grows, so every row tested stays in it
@@ -186,7 +200,9 @@ def inn_group(L: LoopCtx, M: BSGS) -> tuple[int, list[Perm]]:
 def inn_from_generators(L: LoopCtx) -> BSGS:
     """The subgroup generated by all T_x, L_{x,y}, R_{x,y} (small loops).
     Every translation is an outer one here, so the outer inverses are read
-    from the full division tables `L.ldiv` and `L.rdiv`."""
+    from the full division tables `L.ldiv` and `L.rdiv`.  These maps lie in
+    Mlt(L), so a `gl_bound` certificate gives the chain the F_p-basis as its
+    frame, as in `mlt_group`."""
     N = L.size
     every = np.arange(N)
     div = {"left": L.ldiv, "right": L.rdiv}
@@ -196,7 +212,8 @@ def inn_from_generators(L: LoopCtx) -> BSGS:
         return pg.compose_rows(div[side], outer, inner)
 
     gens = rows("T", every)
-    G = pg.bsgs_build([g for g in gens if not pg.is_identity(g)] or [pg.identity_perm(N)])
+    G = pg.bsgs_build([g for g in gens if not pg.is_identity(g)] or [pg.identity_perm(N)],
+                      frame=_linear_frame(L, gl_bound(L)))
     block = np.empty((2 * N, N), dtype=np.int32)
     for x in range(N):
         block[0::2] = rows("L", np.full(N, x), every)     # row 2y: L_{x,y}

@@ -14,12 +14,24 @@ Each level of the chain stores its orbit in BFS order, a point -> row index
 and the inverse coset representatives u^-1 as rows of one degree x degree
 int32 table; Schreier generators and sifts are formed a chunk at a time by
 numpy gathers, in the order the one-at-a-time procedure would visit them.
+
+A chain may be given a frame: points that only the identity fixes
+pointwise, in a group holding everything the chain meets (for F_p-linear
+maps on the nonzero vectors of F_p^D, a basis, since a linear map that
+fixes a basis is the identity).  Schreier generators and residues lie in
+that group, so whether one sifts to the identity, and the level it
+reaches, depend only on its images of P = frame + base.  The Schreier
+generators are then formed and sifted on the columns P alone; the first
+that does not sift to the identity is re-formed on all points and sifted
+in full, which gives the residue and level of the all-points run (Seress,
+Permutation Group Algorithms, 2003, sections 4-5).  Without a frame, P is
+every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -116,21 +128,25 @@ class _Level:
 class BSGS:
     """Base and strong generating set with array transversals."""
 
-    def __init__(self, degree: int, order_bound: Optional[int] = None):
+    def __init__(self, degree: int, order_bound: Optional[int] = None,
+                 frame: Optional[Sequence[int]] = None):
         if degree > DEGREE_CAP:
             raise DegreeCapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
         self.degree = degree
         self.order_bound = order_bound
+        self.frame = None if frame is None else np.asarray(frame, dtype=np.intp)
         self.base: list[int] = []
         # sgs[j]: strong generators that fix base[:j] and move base[j]
         # (the seed generators all sit in sgs[0])
         self.sgs: list[list[Perm]] = []
         self.levels: list[_Level] = []
         # counters: Schreier generators formed, residues added as strong
-        # generators, transversal rebuilds, permutations sifted, and whether
-        # the construction stopped at order_bound
+        # generators, transversal rebuilds, permutations sifted, whether the
+        # construction stopped at order_bound, and the number of points whose
+        # images the last Schreier round tracked (see `_tracked`)
         self.stats = {"schreier_generators": 0, "residues": 0, "rebuilds": 0,
-                      "sifts": 0, "stopped_at_bound": False}
+                      "sifts": 0, "stopped_at_bound": False,
+                      "tracked_points": degree if frame is None else len(self.frame)}
 
     # -- chain bookkeeping ----------------------------------------------
 
@@ -213,16 +229,19 @@ class BSGS:
             h = lv.uinv[r][h]
         return h, len(self.base)
 
-    def sift_many(self, H: np.ndarray, start_level: int = 0
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise `sift` of a stack of permutations: (residues, levels)."""
+    def sift_many(self, H: np.ndarray, start_level: int = 0,
+                  points: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise `sift` of a stack of permutations: (residues, levels).
+        With `points`, a sorted array holding every base point, row i of H
+        holds only the images of `points`, and so does its residue."""
         self.stats["sifts"] += len(H)
         residues = np.empty_like(H)
         reached = np.full(len(H), len(self.base), dtype=np.int64)
         active = np.arange(len(H))
         for l in range(start_level, len(self.base)):
             lv = self.levels[l]
-            r = lv.row[H[:, lv.point]]
+            col = lv.point if points is None else np.searchsorted(points, lv.point)
+            r = lv.row[H[:, col]]
             out = r < 0
             if out.any():
                 residues[active[out]] = H[out]
@@ -247,35 +266,50 @@ class BSGS:
 
     # -- deterministic Schreier-Sims -------------------------------------
 
-    def _first_nonmember(self, H: np.ndarray, start_level: int
-                         ) -> Optional[tuple[int, Perm, int]]:
+    def _tracked(self) -> np.ndarray:
+        """The points P whose images the sifts track, sorted: the frame and
+        the base, or every point without a frame."""
+        if self.frame is None:
+            P = np.arange(self.degree)
+        else:
+            P = np.union1d(self.frame, self.base)
+        self.stats["tracked_points"] = len(P)
+        return P
+
+    def _first_nonmember(self, H: np.ndarray, P: np.ndarray, start_level: int,
+                         full_row: Callable[[int], Perm]) -> Optional[tuple[int, Perm, int]]:
         """The first row of H whose residue, sifted from `start_level`, is not
-        the identity: (row, residue, level reached), or None."""
-        residues, reached = self.sift_many(H, start_level)
-        bad = np.flatnonzero((residues != np.arange(self.degree)).any(axis=1))
+        the identity: (row, residue, level reached), or None.  H holds the
+        images of the tracked points P; that row is re-formed as a whole
+        permutation by `full_row(row)` and sifted on all points, which gives
+        the same level reached."""
+        residues, _ = self.sift_many(H, start_level, P)
+        bad = np.flatnonzero((residues != P).any(axis=1))
         if not bad.size:
             return None
         r = int(bad[0])
-        return r, residues[r], int(reached[r])
+        return (r,) + self.sift(full_row(r), start_level)
 
     def _first_residue(self, i: int) -> Optional[tuple[Perm, int]]:
         """The first Schreier generator u_{g(pt)}^-1 g u_pt of level i, with
         pt in BFS order and g in `_level_gens` order, that does not sift to
-        the identity through levels i+1..: (residue, level reached)."""
+        the identity through levels i+1..: (residue, level reached).  The
+        generators are formed on the tracked points only."""
         lv = self.levels[i]
         k = len(lv.gens)
+        P = self._tracked()
         per = chunk_rows(k * self.degree)
         for s in range(0, len(lv.orbit), per):
             rows = slice(s, min(s + per, len(lv.orbit)))
             u = inverse_many(lv.uinv[rows])
-            # row pt * k + g: g u_pt, then u_{g(pt)}^-1 g u_pt
+            # row pt * k + g: g u_pt, then u_{g(pt)}^-1 g u_pt, on P
             gu = lv.gens.ravel()[(np.arange(k, dtype=np.intp) * self.degree)[:, None]
-                                 + u[:, None, :]].reshape(-1, self.degree)
-            targets = lv.gens[:, lv.orbit[rows]].T.ravel()
-            sg = compose_rows(lv.uinv, lv.row[targets], gu)
-            del u, gu
+                                 + u[:, None, P]].reshape(-1, len(P))
+            back = lv.row[lv.gens[:, lv.orbit[rows]].T.ravel()]
+            sg = compose_rows(lv.uinv, back, gu)
             self.stats["schreier_generators"] += len(sg)
-            found = self._first_nonmember(sg, i + 1)
+            found = self._first_nonmember(
+                sg, P, i + 1, lambda r: lv.uinv[back[r]][lv.gens[r % k][u[r // k]]])
             if found is not None:
                 return found[1:]
         return None
@@ -317,7 +351,8 @@ class BSGS:
         per = chunk_rows(self.degree)
         while start < len(H):
             chunk = H[start:start + per]
-            found = self._first_nonmember(chunk, 0)
+            P = self._tracked()
+            found = self._first_nonmember(chunk[:, P], P, 0, lambda r: chunk[r])
             if found is None:
                 start += len(chunk)
                 continue
@@ -345,7 +380,8 @@ class BSGS:
 
 
 def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
-               order_bound: Optional[int] = None) -> BSGS:
+               order_bound: Optional[int] = None,
+               frame: Optional[Sequence[int]] = None) -> BSGS:
     """The stabilizer chain of <gens>.
 
     `order_bound`, when given, must be a proven upper bound on |<gens>|.
@@ -353,6 +389,13 @@ def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
     reaches it: every level's orbit is an orbit of a subgroup of the true
     point stabilizer, so that product never exceeds |<gens>|, and equality
     forces each level to be the full stabilizer.
+
+    `frame`, when given, must be a set of points that only the identity
+    fixes pointwise, in a group holding <gens> and every row later passed to
+    `extend_many` (for a group of F_p-linear maps on the nonzero vectors of
+    F_p^D, a basis: a linear map that fixes a basis is the identity).  The
+    Schreier generators and sifts then track only the frame and the base.
+    The chain is the same as without a frame.
     """
     gens = [np.array(g, dtype=np.int32) for g in gens]
     if not gens:
@@ -360,7 +403,7 @@ def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
     degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise DegreeMismatch("generators act on different point sets")
-    b = BSGS(degree, order_bound=order_bound)
+    b = BSGS(degree, order_bound=order_bound, frame=frame)
     for pt in base_hint or []:
         b._add_level(int(pt))
     nontrivial = [g for g in gens if not is_identity(g)]

@@ -314,6 +314,8 @@ SGS_SHA256 = {
             "c166528e9d011579d17d460f93f2d5d27b4c9eac3533a00d41d85dd4291c6498"),
     "A_2": ("eb221bd098a092899f12ed2a63bf93ed2e5dd20752965256aff0a7b5f7ecff44",
             "857a319f46a178c0a16670fbe596bce356b0bb4ed6456d94cd78daf716da3ea1"),
+    # Mlt only: the loop is too large for the all-generators Inn
+    "F9m3:728": ("d0666a3f08c49114ba112e330342c475e6b91cb831600bf1b9910655e2551b27", None),
 }
 
 
@@ -324,7 +326,7 @@ def sgs_sha256(G):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("which", SGS_SHA256)
+@pytest.mark.parametrize("which", ["quat2", "A_1", "A_2"])
 def test_strong_generators_pinned(which):
     L = {"quat2": quat2_loop()[1], "A_1": quat3_loops()[0], "A_2": quat3_loops()[1]}[which]
     mlt, inn = SGS_SHA256[which]
@@ -337,6 +339,47 @@ def test_strong_generators_pinned(which):
         assert np.array_equal(a.orbit, b.orbit)
         assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
     assert sgs_sha256(lp.inn_from_generators(L)) == inn
+
+
+# (make_tower arguments, f) of the `groups` benchmark loops of 255, 624 and
+# 728 points
+FRAME_LOOPS = {
+    "F16m2:255": ((2, 2, 2, None), (4, 9, 1)),
+    "F25:sqrt2": ((5, 1, 2, [3, 0, 1]), (20, 0, 1)),
+    "F9m3:728": ((3, 1, 2, None), (1, 0, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("which", FRAME_LOOPS)
+def test_certified_mlt_frame_keeps_the_full_point_chain(monkeypatch, which):
+    """The certified Mlt sifts on the F_p-basis and the base points only;
+    its chain is byte for byte the one built from the same seeds and bound
+    on all N points."""
+    (p, r, n, modulus), f = FRAME_LOOPS[which]
+    L = lp.build_loop(sfd.build_semifield(gf.make_tower(p, r, n, modulus=modulus), f))
+    build, calls = pg.bsgs_build, []
+    monkeypatch.setattr(pg, "bsgs_build", lambda gens, **kw: calls.append(gens) or build(gens, **kw))
+    M = lp.mlt_group(L)
+    (gens,) = calls
+    bound = lp.gl_bound(L)
+    full = build(gens, base_hint=[0], order_bound=bound)
+    assert M.stats["stopped_at_bound"] and M.order == full.order == bound
+    assert M.stats["tracked_points"] < L.size == full.stats["tracked_points"]
+    assert M.base == full.base
+    for a, b in zip(M.levels, full.levels):
+        assert np.array_equal(a.orbit, b.orbit)
+        assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
+    assert sgs_sha256(M) == sgs_sha256(full)
+    assert M.stats["schreier_generators"] == full.stats["schreier_generators"]
+    if which in SGS_SHA256:
+        assert sgs_sha256(M) == SGS_SHA256[which][0]
+
+
+def test_tracked_points_below_degree_only_when_certified():
+    L = quat3_loops()[0]
+    assert lp.mlt_group(L).stats["tracked_points"] < L.size
+    assert lp.mlt_group(lp.loop_from_table(L.table)).stats["tracked_points"] == L.size
+    assert lp.inn_from_generators(L).stats["tracked_points"] < L.size
 
 
 def test_certified_mlt_skips_verified_levels():

@@ -175,3 +175,69 @@ def test_chain_keeps_its_own_copy_of_new_generators():
     assert G.order == 6
     assert pg.bsgs_build(G.strong_generators()).order == 6
     assert G.contains(cycle(n, 0, 2, 1)) and G.contains(cycle(n, 3, 4))
+
+
+def linear_group_on_vectors(p, d, mats):
+    """The F_p-linear maps with the given d x d matrices, acting on the
+    p^d - 1 nonzero vectors of F_p^d; vector v (base-p digits of a code) is
+    point code - 1, so the basis e_k is point p^k - 1."""
+    vecs = np.array([[(c // p ** k) % p for k in range(d)] for c in range(1, p ** d)])
+    weights = p ** np.arange(d)
+    return [(vecs @ np.array(M).T % p @ weights - 1).astype(np.int32) for M in mats]
+
+
+def f4_block(a):
+    """The 2 x 2 F_2-matrix of x -> a x on F_4 = F_2[w]/(w^2 + w + 1), with
+    a = a_0 + a_1 w in the basis 1, w."""
+    return np.array([[a & 1, a >> 1], [a >> 1, (a & 1) ^ (a >> 1)]])
+
+
+def f4_matrix(rows):
+    """A 2 x 2 F_4-matrix as the 4 x 4 F_2-matrix acting on F_4^2 = F_2^4."""
+    return np.block([[f4_block(a) for a in row] for row in rows])
+
+
+def span_size(points, p, d):
+    span = {(0,) * d}
+    for pt in points:
+        v = [((pt + 1) // p ** k) % p for k in range(d)]
+        span = {tuple((s + c * x) % p for s, x in zip(vec, v)) for vec in span for c in range(p)}
+    return len(span)
+
+
+@pytest.mark.parametrize("name,p,d,mats,order", [
+    ("GL(3,2)", 2, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+     pg.gl_order(3, 2)),
+    ("GL(2,3)", 3, 2, [[[2, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]], pg.gl_order(2, 3)),
+    ("GL(2,4)", 2, 4, [f4_matrix([[2, 0], [0, 1]]), f4_matrix([[1, 1], [0, 1]]),
+                       f4_matrix([[0, 1], [1, 0]])], pg.gl_order(2, 4)),
+])
+def test_frame_chain_equals_full_point_chain(monkeypatch, name, p, d, mats, order):
+    """A group of F_p-linear maps built with the basis as its frame has the
+    chain built on all points: same base, orbits, inverse representatives,
+    strong generators and Schreier generator count.  At least one residue
+    lands while the base points span a proper subspace, so the frame, not
+    the base alone, decides those sifts."""
+    gens = linear_group_on_vectors(p, d, mats)
+    frame = [p ** k - 1 for k in range(d)]
+    full = pg.bsgs_build(gens)
+    spans = []
+    add = pg.BSGS._add_generator
+
+    def spy(self, residue, j):
+        spans.append(span_size(self.base, p, d))
+        add(self, residue, j)
+
+    monkeypatch.setattr(pg.BSGS, "_add_generator", spy)
+    framed = pg.bsgs_build(gens, frame=frame)
+    assert framed.order == full.order == order
+    assert framed.base == full.base
+    for a, b in zip(framed.levels, full.levels):
+        assert np.array_equal(a.orbit, b.orbit)
+        assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
+    assert all(np.array_equal(a, b) for a, b in
+               zip(framed.strong_generators(), full.strong_generators()))
+    assert len(framed.strong_generators()) == len(full.strong_generators())
+    assert framed.stats["schreier_generators"] == full.stats["schreier_generators"]
+    assert min(spans) < p ** d
+    assert full.stats["tracked_points"] == len(gens[0]) > framed.stats["tracked_points"]
