@@ -14,10 +14,10 @@ from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
-from sympy import factorint, mobius, primefactors
 
 from . import skewpoly as sp
-from .gf import FieldCtx, TowerCtx, apply_sigma
+from .gf import (FieldCtx, TowerCtx, apply_sigma, factorint, isprime, mobius,
+                 poly_is_irreducible, primefactors)
 from .semifield import SemifieldCtx, annihilator
 
 CLASSIFY_LIMIT = 2 ** 16
@@ -63,7 +63,7 @@ def theta(q: int, m: int) -> int:
 
 def count_central_irreducible(q: int, m: int) -> int:
     """N(q,m) via the Moebius sum, cross-checked against (q^m - theta)/m."""
-    by_mobius = sum(int(mobius(l)) * q ** (m // l)
+    by_mobius = sum(mobius(l) * q ** (m // l)
                     for l in range(1, m + 1) if m % l == 0) // m
     num = q ** m - theta(q, m)
     if num % m or num // m != by_mobius:
@@ -150,7 +150,7 @@ def numb_bound(q: int, m: int) -> Optional[int]:
     if (q - 1) % m != 0:
         num = q ** m - q
         return num // (m * (q - 1))
-    if len(factorint(m)) == 1 and list(factorint(m).values()) == [1]:
+    if isprime(m):
         num = q ** m - q - (q - 1) * (m - 1)
         return m - 1 + num // (m * (q - 1))
     return None
@@ -210,7 +210,7 @@ def similarity_classes(tower: TowerCtx, m: int,
         if sp.degree(f) != m:
             raise ValueError(f"{f} does not have degree {m}")
         chi = sp.reduced_norm(tower, f)
-        if not sp.is_irreducible_central(tower, chi):
+        if not poly_is_irreducible(tower.field, chi, tower.q):
             raise ValueError(f"{f} is reducible: similarity by reduced norm "
                              "needs irreducible f")
         groups.setdefault(chi, []).append(f)
@@ -222,7 +222,7 @@ def sandler_exists(p: int, r: int, l: int, m: int) -> tuple[bool, list[int]]:
     semifield over F_{p^l}; returns (exists, admissible exponents mod p^l-1)."""
     if l % r != 0:
         raise PreconditionViolated("r must divide l")
-    if m not in (2, 3) and (len(factorint(m)) != 1 or (p ** r - 1) % m != 0):
+    if not isprime(m) or (m not in (2, 3) and (p ** r - 1) % m != 0):
         raise PreconditionViolated("m must be prime dividing p^r - 1 (or 2, 3)")
     exists = gcd((p ** l - 1) * (p ** r - 1), p ** (m * r) - 1) > p ** r - 1
     s = (p ** (m * r) - 1) // (p ** r - 1)

@@ -9,18 +9,20 @@ zech[j] = log(1 + g^j).  Products, quotients, sums and negatives are then
 O(1) lookups, and nothing grows with |K|^2.  The same tables, copied to
 int64 arrays on first use, give elementwise products, sums and powers of
 whole code arrays.
+
+The module also holds the integer helpers (trial division) and the plain
+polynomial arithmetic over a field (remainder, power mod, the gcd
+irreducibility test) that the modulus search runs over Z/pZ and skewpoly
+runs over K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from sympy import isprime, primefactors
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
 LOG_TABLE_LIMIT = 2 ** 20
 
@@ -38,18 +40,118 @@ class NonPrimitiveModulusRoot(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Z/pZ: coefficient lists low degree first here, high degree
-# first in sympy.polys.galoistools
+# integers, by trial division: the n met here are prime powers q, group
+# orders p^l - 1 <= 2^20 and small degrees, so it is cheap
+
+def factorint(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, primes ascending."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def primefactors(n: int) -> list[int]:
+    return list(factorint(n))
+
+
+def isprime(n: int) -> bool:
+    return n >= 2 and factorint(n) == {n: 1}
+
+
+def mobius(n: int) -> int:
+    fac = factorint(n)
+    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
+
+
+# ---------------------------------------------------------------------------
+# plain polynomials over a field F (a FieldCtx): lists of F's codes, low
+# degree first.  skewpoly runs them over K, the modulus search over Z/pZ.
+
+def poly_rem(F, a: list[int], b: Sequence[int]) -> list[int]:
+    """a mod b (b trimmed and nonzero); a is reduced in place and returned
+    trimmed."""
+    mul, add = F.mul, F.add
+    minus_inv = F.neg(F.inv(b[-1]))
+    while len(a) >= len(b):
+        c = mul(a.pop(), minus_inv)                       # cancel the top term
+        if c:
+            d = len(a) - len(b) + 1
+            for j, x in enumerate(b[:-1]):
+                if x:
+                    a[d + j] = add(a[d + j], mul(c, x))
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def poly_mul_mod(F, a: list[int], b: list[int], h: Sequence[int]) -> list[int]:
+    """a b mod h."""
+    mul, add = F.mul, F.add
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, c in enumerate(b):
+                if c:
+                    prod[i + j] = add(prod[i + j], mul(x, c))
+    return poly_rem(F, prod, h)
+
+
+def poly_pow_mod(F, g: list[int], e: int, h: Sequence[int]) -> list[int]:
+    """g^e mod h for e >= 1 and g reduced mod h, by squaring."""
+    out = g
+    for bit in bin(e)[3:]:
+        out = poly_mul_mod(F, out, out, h)
+        if bit == "1":
+            out = poly_mul_mod(F, out, g, h)
+    return out
+
+
+def poly_is_irreducible(F, h: Sequence[int], q: int) -> bool:
+    """Monic h of degree >= 1 with coefficients in the subfield F_q of F is
+    irreducible over F_q iff it has no irreducible factor of degree <=
+    deg(h)/2, i.e. gcd(h, y^(q^i) - y) = 1 for 1 <= i <= deg(h)/2 (Rabin,
+    SIAM J. Comput. 9, 1980)."""
+    z = [0, 1]                                            # z = y^(q^i) mod h
+    for _ in range((len(h) - 1) // 2):
+        z = poly_pow_mod(F, z, q, h)
+        b = z + [0] * (2 - len(z))
+        b[1] = F.sub(b[1], 1)                             # z - y
+        a, b = list(h), poly_rem(F, b, h)
+        while b:
+            a, b = b, poly_rem(F, a, b)
+        if len(a) > 1:
+            return False
+    return True
+
+
+@cache
+def _prime_field(p: int) -> "FieldCtx":
+    """Z/pZ as a FieldCtx: codes are the residues themselves."""
+    return FieldCtx.create(p, 1)
+
 
 def poly_is_irreducible_zp(coeffs: Sequence[int], p: int) -> bool:
     """Irreducibility over Z/pZ of a monic polynomial with coefficients in
     [0, p); constants count as reducible."""
-    return len(coeffs) > 1 and gf_irreducible_p(list(reversed(coeffs)), p, ZZ)
+    if len(coeffs) < 3:      # no arithmetic: create(p, 1) checks its modulus here
+        return len(coeffs) == 2
+    return poly_is_irreducible(_prime_field(p), coeffs, p)
 
 
 def _pow_is_one(coeffs: Sequence[int], e: int, modulus: Sequence[int], p: int) -> bool:
-    """(sum_i coeffs[i] x^i)^e == 1 in Z/pZ[x]/(modulus)."""
-    return gf_pow_mod(list(reversed(coeffs)), e, list(reversed(modulus)), p, ZZ) == [1]
+    """(sum_i coeffs[i] x^i)^e == 1 in Z/pZ[x]/(modulus), for coeffs of
+    degree below the modulus."""
+    g = list(coeffs)
+    while g and not g[-1]:                                # reduced means trimmed
+        g.pop()
+    return poly_pow_mod(_prime_field(p), g, e, modulus) == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +177,14 @@ class FieldCtx:
 
     def __post_init__(self) -> None:
         self.order = self.p ** self.l
-        if self.order > LOG_TABLE_LIMIT:
-            raise NotImplementedError("fields beyond 2^20 elements are out of scope")
         self._build_log_tables()
 
     # -- construction ----------------------------------------------------
 
     @staticmethod
     def create(p: int, l: int, modulus: Optional[Sequence[int]] = None) -> "FieldCtx":
+        if p ** l > LOG_TABLE_LIMIT:               # before the searches below
+            raise NotImplementedError("fields beyond 2^20 elements are out of scope")
         if not isprime(p):
             raise NotPrime(f"{p} is not prime")
         if modulus is None:
@@ -92,11 +194,8 @@ class FieldCtx:
             raise ReducibleModulus(f"modulus must be monic of degree {l}")
         if not poly_is_irreducible_zp(modulus, p):
             raise ReducibleModulus(f"modulus {list(modulus)} is reducible over Z/{p}Z")
-        if l == 1:
-            prim = next(g for g in range(1, p) if _is_primitive_root(g, p))
-        else:
-            prim = _find_primitive(p, l, modulus)
-        return FieldCtx(p=p, l=l, modulus=modulus, primitive=prim)
+        return FieldCtx(p=p, l=l, modulus=modulus,
+                        primitive=primitive_element(p, l, modulus))
 
     def _build_log_tables(self) -> None:
         """exp by doubling.  Row i of the F_p-matrix A holds the digits of
@@ -234,8 +333,11 @@ class FieldCtx:
         return f"g^{self.log[e]}"
 
 
-def _find_primitive(p: int, l: int, modulus: Sequence[int]) -> int:
-    """Smallest-code primitive element of Z/pZ[x]/(modulus); prefers x itself."""
+def primitive_element(p: int, l: int, modulus: Sequence[int]) -> int:
+    """Smallest-code primitive element of Z/pZ[x]/(modulus); for l > 1 it
+    prefers x itself."""
+    if l == 1:
+        return next(g for g in range(1, p) if _is_primitive_root(g, p))
     n1 = p ** l - 1
     fac = primefactors(n1)
 
@@ -268,16 +370,17 @@ def default_modulus(p: int, l: int) -> tuple[int, ...]:
                 return ((-g) % p, 1)
     n1 = p ** l - 1
     fac = primefactors(n1)
-    for tail in itertools.product(range(p), repeat=l):
-        coeffs = list(tail) + [1]
+    for c0 in range(1, p):
         # the norm (-1)^l c0 of a primitive root generates F_p^x
-        if coeffs[0] == 0 or not _is_primitive_root((-1) ** l * coeffs[0] % p, p):
+        if not _is_primitive_root((-1) ** l * c0 % p, p):
             continue
-        if not poly_is_irreducible_zp(coeffs, p):
-            continue
-        # root x primitive <=> x^(n1/ell) != 1 for every prime ell | n1
-        if not any(_pow_is_one([0, 1], n1 // ell, coeffs, p) for ell in fac):
-            return tuple(coeffs)
+        for rest in itertools.product(range(p), repeat=l - 1):
+            coeffs = [c0, *rest, 1]
+            if not poly_is_irreducible_zp(coeffs, p):
+                continue
+            # root x primitive <=> x^(n1/ell) != 1 for every prime ell | n1
+            if not any(_pow_is_one([0, 1], n1 // ell, coeffs, p) for ell in fac):
+                return tuple(coeffs)
     raise ReducibleModulus(f"no primitive irreducible of degree {l} over F_{p}")
 
 
@@ -318,12 +421,10 @@ class TowerCtx:
 
 def make_tower(p: int, r: int, n: int, modulus: Optional[Sequence[int]] = None) -> TowerCtx:
     """Build F_{p^r} <= F_{p^(n r)} with sigma(x) = x^(p^r)."""
-    if not isprime(p):
-        raise NotPrime(f"{p} is not prime")
     if n < 2:
         raise ValueError("n must be at least 2")
     l = n * r
-    K = FieldCtx.create(p, l, modulus)
+    K = FieldCtx.create(p, l, modulus)                    # checks p is prime
     tower = TowerCtx(field=K, r=r, n=n)
     # sigma must have exact order n
     if any(tower.sigma(a, 0) != a for a in range(K.order)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .gf import TowerCtx
+from .gf import TowerCtx, poly_is_irreducible
 
 SkewPoly = tuple  # tuple of K element codes, low degree first, trimmed
 
@@ -199,64 +199,6 @@ def _charpoly(K, H: list[list[int]]) -> SkewPoly:
     return tuple(ps[m])
 
 
-def is_irreducible_central(ctx: TowerCtx, h: SkewPoly) -> bool:
-    """A monic h in F_q[y] is irreducible over F_q iff it has no irreducible
-    factor of degree <= deg(h)/2, i.e. gcd(h, y^(q^i) - y) = 1 for
-    1 <= i <= deg(h)/2.  Plain polynomial arithmetic in K codes: the
-    coefficients stay in F_q."""
-    K = ctx.field
-    z = [0, 1]                                            # z = y^(q^i) mod h
-    for _ in range(degree(h) // 2):
-        z = _pow_mod(K, z, ctx.q, h)
-        b = z + [0] * (2 - len(z))
-        b[1] = K.sub(b[1], 1)                             # z - y
-        a, b = list(h), _rem(K, b, h)
-        while b:
-            a, b = b, _rem(K, a, b)
-        if len(a) > 1:
-            return False
-    return True
-
-
-def _pow_mod(K, g: list[int], e: int, h: SkewPoly) -> list[int]:
-    """g^e mod h for e >= 1, by squaring."""
-    out = g
-    for bit in bin(e)[3:]:
-        out = _mul_mod(K, out, out, h)
-        if bit == "1":
-            out = _mul_mod(K, out, g, h)
-    return out
-
-
-def _mul_mod(K, a: list[int], b: list[int], h: SkewPoly) -> list[int]:
-    """a b mod h for plain polynomials over K."""
-    mul, add = K.mul, K.add
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, c in enumerate(b):
-                if c:
-                    prod[i + j] = add(prod[i + j], mul(x, c))
-    return _rem(K, prod, h)
-
-
-def _rem(K, a: list[int], b: Sequence[int]) -> list[int]:
-    """a mod b for plain polynomials over K (lists low degree first, b
-    trimmed and nonzero); a is reduced in place and returned trimmed."""
-    mul, add = K.mul, K.add
-    minus_inv = K.neg(K.inv(b[-1]))
-    while len(a) >= len(b):
-        c = mul(a.pop(), minus_inv)                       # cancel the top term
-        if c:
-            d = len(a) - len(b) + 1
-            for j, x in enumerate(b[:-1]):
-                if x:
-                    a[d + j] = add(a[d + j], mul(c, x))
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def is_irreducible(ctx: TowerCtx, f: SkewPoly) -> bool:
     """chi_f = reduced_norm(f) is irreducible over F_q.
 
@@ -270,7 +212,7 @@ def is_irreducible(ctx: TowerCtx, f: SkewPoly) -> bool:
     divides a power of h, so chi_S = h.  Hence chi_f has as many irreducible
     factors as M has composition factors, and it is irreducible iff f is.
     """
-    return is_irreducible_central(ctx, reduced_norm(ctx, f))
+    return poly_is_irreducible(ctx.field, reduced_norm(ctx, f), ctx.q)
 
 
 def is_right_invariant(ctx: TowerCtx, f: SkewPoly) -> bool:

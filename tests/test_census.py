@@ -292,6 +292,15 @@ def test_sandler_known_cases():
         cs.sandler_exists(2, 2, 3, 5)  # r does not divide l
 
 
+@pytest.mark.parametrize("p,r,l,m", [(5, 1, 4, 4), (3, 2, 8, 4), (3, 2, 8, 8)])
+def test_sandler_rejects_prime_power_m(p, r, l, m):
+    # m | p^r - 1 but m is not prime: the gcd criterion returned 620, 6552
+    # and 6556 exponents here where a direct scan of t^m - alpha^u finds
+    # 600, 6480 and 3280
+    with pytest.raises(cs.PreconditionViolated):
+        cs.sandler_exists(p, r, l, m)
+
+
 def test_sandler_against_direct_enumeration():
     # admissible exponents match direct skew-irreducibility for small towers
     cases = [(2, 1, 2, 2), (3, 1, 2, 2), (5, 1, 2, 2), (2, 1, 3, 3), (2, 1, 4, 2)]

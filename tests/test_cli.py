@@ -1,10 +1,16 @@
 """CLI exit codes, JSON determinism, verify tiers 1 and 2."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from skewloop import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -188,6 +194,22 @@ def test_verify_tier2_passes(capsys):
     assert "|Mlt| = |GL(4,5)| = 116064000000" in out
     assert "F_9 m=2: N(q,m) reduced-norm classes" in out
     assert "F_4 m=3: N(q,m) reduced-norm classes" in out
+    assert out.strip().splitlines()[-1].startswith("26/26 passed")
+
+
+def test_import_loads_no_sympy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, skewloop, skewloop.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         check=True, timeout=120).stdout
+    assert out == b"False\n"
+
+
+def test_verify_tier2_passes_without_sympy(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)       # any import of it fails
+    rc, out, _ = run(capsys, "verify", "--tier", "2")
+    assert rc == cli.EXIT_OK
     assert out.strip().splitlines()[-1].startswith("26/26 passed")
 
 

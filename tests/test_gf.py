@@ -267,3 +267,75 @@ def test_large_prime_field_tables():
     for _ in range(2000):
         a, b = rng.randrange(p), rng.randrange(p)
         assert (K.add(a, b), K.sub(a, b), K.neg(a)) == ((a + b) % p, (a - b) % p, -a % p)
+
+
+# -- integer helpers and F_p[x] routines against sympy as an oracle ----------
+
+def _prime_powers_minus_one(bound):
+    sieve = np.ones(bound + 2, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, int((bound + 1) ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    for p in np.flatnonzero(sieve).tolist():
+        q = p
+        while q - 1 <= bound:
+            yield q - 1
+            q *= p
+
+
+def test_integer_helpers_match_sympy_below_2_16():
+    import sympy
+
+    for n in range(1, 2 ** 16):
+        fac = sympy.factorint(n)
+        assert gf.factorint(n) == fac, n
+        assert gf.primefactors(n) == sympy.primefactors(n), n
+        assert gf.isprime(n) == sympy.isprime(n), n
+        assert gf.mobius(n) == (0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)), n
+    assert [gf.mobius(n) for n in range(1, 2 ** 10)] == \
+        [int(sympy.mobius(n)) for n in range(1, 2 ** 10)]
+    assert not gf.isprime(0)
+
+
+def test_integer_helpers_match_sympy_on_field_orders():
+    """Every p^l - 1 <= 2^20, the multiplicative group orders of the fields
+    in scope."""
+    import sympy
+
+    for n in _prime_powers_minus_one(2 ** 20):
+        if n >= 2 ** 16:                                  # smaller n: the test above
+            fac = sympy.factorint(n)
+            assert gf.factorint(n) == fac, n
+            assert gf.primefactors(n) == sorted(fac), n
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 8), (3, 5), (5, 3), (7, 3)])
+def test_irreducible_zp_matches_sympy(p, max_deg):
+    import itertools
+
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    for d in range(max_deg + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            coeffs = list(tail) + [1]
+            expected = d >= 1 and gf_irreducible_p(coeffs[::-1], p, ZZ)
+            assert gf.poly_is_irreducible_zp(coeffs, p) == expected, coeffs
+
+
+# sha256 of repr([(p, l, modulus, primitive), ...]) over every prime p and
+# l >= 1 with p^l <= 2^16, in (p, l) order; recorded when the moduli were
+# still searched with sympy's F_p[x] routines
+DEFAULT_FIELDS = (6635, "4eaf5c8880ed7ff15231228abeb6819792ec4579615cbe661254600330d574b6")
+
+
+def test_default_fields_pinned():
+    rows = []
+    for p in filter(gf.isprime, range(2 ** 16 + 1)):
+        l = 1
+        while p ** l <= 2 ** 16:
+            modulus = gf.default_modulus(p, l)
+            rows.append((p, l, modulus, gf.primitive_element(p, l, modulus)))
+            l += 1
+    assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()) == DEFAULT_FIELDS
