@@ -2,9 +2,8 @@
 structure of their multiplicative loops: nuclei, multiplication and inner
 mapping groups, automorphisms, and counting/classification reports."""
 
-from .gf import (FieldCtx, TowerCtx, make_tower, apply_sigma, rel_norm,
-                 norm_kernel, field_automorphisms, parse_element,
-                 parse_field_descriptor)
+from .gf import (FieldCtx, TowerCtx, make_tower, rel_norm, norm_kernel,
+                 field_automorphisms, parse_element, parse_field_descriptor)
 from .skewpoly import (poly, degree, skew_mul, right_divmod, right_rem,
                        reduced_norm, is_irreducible, is_right_invariant, is_admissible,
                        enumerate_admissible, parse_poly, format_poly)

@@ -20,7 +20,7 @@ import numpy as np
 from . import permgroup as pg
 from . import semifield as sfd
 from . import skewpoly as sp
-from .gf import TowerCtx, apply_sigma, rel_norm
+from .gf import TowerCtx, rel_norm
 
 
 class NotClosed(RuntimeError):
@@ -54,29 +54,9 @@ def _tau_apply(S: sfd.SemifieldCtx, tau_exp: int, z: int) -> int:
 
 
 def _sigma_prefix(S: sfd.SemifieldCtx, k: int, i: int) -> int:
-    """prod_{l=0}^{i-1} sigma^l(k)."""
-    K = S.tower.field
-    out = 1
-    for l in range(i):
-        out = K.mul(out, apply_sigma(S.tower, k, l))
-    return out
-
-
-def hk_condition(S: sfd.SemifieldCtx, tau_exp: int, k: int) -> bool:
-    """tau(a_i) = (prod_{l=i}^{m-1} sigma^l(k)) a_i for every coefficient of
-    f = t^m - sum a_i t^i.  Stored coefficients are -a_i; the sign cancels.
-    Indices with a_i = 0 read 0 = 0 and are skipped."""
-    K = S.tower.field
-    for i in range(S.m):
-        c = S.f[i] if i < len(S.f) else 0
-        if c == 0:
-            continue
-        lam = 1
-        for l in range(i, S.m):
-            lam = K.mul(lam, apply_sigma(S.tower, k, l))
-        if _tau_apply(S, tau_exp, c) != K.mul(lam, c):
-            return False
-    return True
+    """prod_{l=0}^{i-1} sigma^l(k) = k^(1 + q + ... + q^(i-1))."""
+    q = S.tower.q
+    return S.tower.field.pow_int(k, (q ** i - 1) // (q - 1))
 
 
 def realize_hk(S: sfd.SemifieldCtx, tau_exp: int, k: int) -> AutHK:
@@ -100,7 +80,9 @@ def apply_aut(S: sfd.SemifieldCtx, phi: AutHK | InnerAut, x):
 def _is_multiplicative(S: sfd.SemifieldCtx, M: np.ndarray) -> bool:
     """phi(e_i e_j) = phi(e_i) phi(e_j) on the D^2 basis pairs; exact, since
     both sides of phi(xy) = phi(x) phi(y) are bilinear in (x, y)."""
-    return np.array_equal(S.tensor @ M % S.p, S.mul_vectors(M[:, None], M[None, :]))
+    D, p = S.dim_prime, S.p
+    images = M @ (M @ S.tensor.reshape(D, D * D) % p).reshape(D, D, D) % p
+    return np.array_equal(S.tensor @ M % p, images)
 
 
 def _ring_scaling_ok(S: sfd.SemifieldCtx, tau_exp: int, k: int) -> bool:
@@ -113,14 +95,24 @@ def _ring_scaling_ok(S: sfd.SemifieldCtx, tau_exp: int, k: int) -> bool:
 
 
 def solve_aut_conditions(S: sfd.SemifieldCtx) -> list[AutHK]:
-    """Exhaustive scan over (tau, k) in Aut(K) x K^x; every returned map is
-    verified multiplicative and checked to scale f by a unit at ring level."""
-    K = S.tower.field
+    """All H_(tau,k), tau-major and k by code.  With x = log k the
+    coefficient equation tau(a_i) = (prod_{l=i}^{m-1} sigma^l(k)) a_i reads
+    x e_i = (p^tau - 1) log a_i mod |K|-1, e_i = (q^m - q^i)/(q - 1), at
+    each a_i != 0 (stored coefficients are -a_i; the sign cancels), and is
+    tested for every x at once.  Every solution is verified multiplicative
+    and checked to scale f by a unit at ring level."""
+    K, q = S.tower.field, S.tower.q
+    n1 = K.order - 1
+    x = np.arange(n1, dtype=np.int64)
+    residues = [(x * ((q ** S.m - q ** i) // (q - 1) % n1) % n1, K.log[c])
+                for i, c in enumerate(S.f[:S.m]) if c]
+    exp = np.array(K.exp, dtype=np.int64)
     out = []
     for tau_exp in range(K.l):
-        for k in range(1, K.order):
-            if not hk_condition(S, tau_exp, k):
-                continue
+        ok = np.ones(n1, dtype=bool)
+        for r, log_c in residues:
+            ok &= r == (K.p ** tau_exp - 1) * log_c % n1
+        for k in np.sort(exp[ok]).tolist():
             H = realize_hk(S, tau_exp, k)
             assert _is_multiplicative(S, H.matrix), \
                 f"H_(tau^{tau_exp},{k}) solves the coefficient equation but is not multiplicative"
@@ -136,22 +128,34 @@ def compose_params(S: sfd.SemifieldCtx, a: AutHK, b: AutHK) -> tuple[int, int]:
             K.mul(_tau_apply(S, a.tau_exp, b.k), a.k))
 
 
+def _cayley_table(S: sfd.SemifieldCtx,
+                  maps: list[AutHK] | list[InnerAut]) -> tuple[list[list[int]], int]:
+    """table[i][j] = index of maps[i] after maps[j] (matrix M_j M_i) and the
+    index of the identity; NotClosed if either is missing from maps."""
+    index = {phi.matrix.tobytes(): i for i, phi in enumerate(maps)}
+    table = []
+    for i, a in enumerate(maps):
+        row = []
+        for j, b in enumerate(maps):
+            key = (b.matrix @ a.matrix % S.p).tobytes()
+            if key not in index:
+                raise NotClosed(f"map {i} after map {j} is missing from the set")
+            row.append(index[key])
+        table.append(row)
+    identity = index.get(np.eye(S.dim_prime, dtype=np.int64).tobytes())
+    if identity is None:
+        raise NotClosed("the identity is missing from the set")
+    return table, identity
+
+
 def aut_group_structure(S: sfd.SemifieldCtx, auts: list[AutHK]) -> pg.GroupId:
-    """Identify the group on parameter pairs; composition law cross-checked
-    against the matrix product of the maps."""
-    index = {(H.tau_exp, H.k): i for i, H in enumerate(auts)}
-    n = len(auts)
-    table = [[0] * n for _ in range(n)]
-    for i, a in enumerate(auts):
-        for j, b in enumerate(auts):
-            params = compose_params(S, a, b)
-            if params not in index:
-                raise NotClosed(f"composite {params} missing from the solution set")
-            k = index[params]
-            assert np.array_equal(b.matrix @ a.matrix % S.p, auts[k].matrix), \
+    """Identify the group of the maps; the parameter law is cross-checked
+    against their matrix products."""
+    table, identity = _cayley_table(S, auts)
+    for a, row in zip(auts, table):
+        for b, k in zip(auts, row):
+            assert compose_params(S, a, b) == (auts[k].tau_exp, auts[k].k), \
                 "parameter law disagrees with map composition"
-            table[i][j] = k
-    identity = index[(0, 1)]
     return pg.identify_small_group(table, identity=identity)
 
 
@@ -175,22 +179,9 @@ def inner_automorphisms(S: sfd.SemifieldCtx) -> list[InnerAut]:
 
 
 def inner_group_structure(S: sfd.SemifieldCtx, inners: list[InnerAut]) -> pg.GroupId:
-    """{G_c} = Nuc^x / centre^x is a group (G_c G_d = G_(dc)); its table is
-    read off the matrix products, and a missing product raises NotClosed."""
-    index = {ia.matrix.tobytes(): i for i, ia in enumerate(inners)}
-    table = []
-    for a in inners:
-        row = []
-        for b in inners:
-            key = (b.matrix @ a.matrix % S.p).tobytes()
-            if key not in index:
-                raise NotClosed(f"G_{a.c} after G_{b.c} is no G_c")
-            row.append(index[key])
-        table.append(row)
-    identity = index.get(np.eye(S.dim_prime, dtype=np.int64).tobytes())
-    if identity is None:
-        raise NotClosed("the identity is no G_c")
-    return pg.identify_small_group(table, identity=identity)
+    """{G_c} = Nuc^x / centre^x is a group (G_c G_d = G_(dc)); a missing
+    product or identity raises NotClosed."""
+    return pg.identify_small_group(*_cayley_table(S, inners))
 
 
 def match_inner_to_hk(S: sfd.SemifieldCtx, inners: list[InnerAut],
@@ -238,15 +229,3 @@ def subgroup_comparison(tower: TowerCtx, g: sp.SkewPoly, f: sp.SkewPoly) -> bool
     params_g = {(H.tau_exp, H.k) for H in solve_aut_conditions(S_g)}
     params_f = {(H.tau_exp, H.k) for H in solve_aut_conditions(S_f)}
     return params_g <= params_f
-
-
-def aut_json(S: sfd.SemifieldCtx, auts: list[AutHK],
-             inners: list[InnerAut]) -> dict:
-    gid = aut_group_structure(S, auts)
-    return {
-        "hk_parameters": [{"tau_exponent": H.tau_exp, "k": H.k} for H in auts],
-        "hk_group": {"tag": gid.tag, "order": str(gid.order), "params": gid.params},
-        "inner_count": len(inners),
-        "inner_group": {"tag": (g := inner_group_structure(S, inners)).tag,
-                        "order": str(g.order)} if inners else None,
-    }

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import skewpoly as sp
-from .gf import (FieldCtx, TowerCtx, apply_sigma, factorint, isprime, mobius,
+from .gf import (FieldCtx, TowerCtx, factorint, isprime, mobius,
                  poly_is_irreducible, primefactors)
 from .semifield import SemifieldCtx, annihilator
 
@@ -160,7 +160,7 @@ def _in_proper_subfield(tower: TowerCtx, a: int) -> bool:
     """a inside some F_{q^e}, e | n, e < n (subfields of K containing F)."""
     n = tower.n
     for e in range(1, n):
-        if n % e == 0 and apply_sigma(tower, a, e) == a:
+        if n % e == 0 and tower.sigma(a, e) == a:
             return True
     return False
 
@@ -179,7 +179,7 @@ def cyclic_algebra_classes(tower: TowerCtx) -> tuple[int, list[int]]:
     for a in admissible:
         if a in seen:
             continue
-        orbit = {K.mul(k, apply_sigma(tower, a, i))
+        orbit = {K.mul(k, tower.sigma(a, i))
                  for k in fixed for i in range(m)}
         assert orbit <= set(admissible)
         seen |= orbit

@@ -391,7 +391,8 @@ def main(argv=None) -> int:
         print(f"cap violation: {exc}", file=sys.stderr)
         print(exc.estimate, file=sys.stderr)
         return EXIT_CAP
-    except (pg.DegreeCapExceeded, lp.SizeCapExceeded, cs.TooLarge) as exc:
+    except (pg.DegreeCapExceeded, lp.SizeCapExceeded, cs.TooLarge,
+            NotImplementedError) as exc:
         print(f"cap violation: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (AssertionError, cs.FormulaMismatch, ag.NotClosed) as exc:

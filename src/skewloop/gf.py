@@ -410,6 +410,7 @@ class TowerCtx:
                        for i in range(self.n)]
 
     def sigma(self, a: int, i: int = 1) -> int:
+        """sigma^i(a) = a^(p^(r i)); i is reduced mod n, negatives allowed."""
         return self._sigma[i % self.n][a]
 
     def in_fixed_field(self, a: int) -> bool:
@@ -436,18 +437,9 @@ def make_tower(p: int, r: int, n: int, modulus: Optional[Sequence[int]] = None) 
     return tower
 
 
-def apply_sigma(ctx: TowerCtx, x: int, i: int = 1) -> int:
-    """sigma^i(x) = x^(p^(r i)); i is reduced mod n, negatives allowed."""
-    return ctx.sigma(x, i % ctx.n)
-
-
 def rel_norm(ctx: TowerCtx, x: int) -> int:
-    """N_{K/F}(x) = prod_{i<n} sigma^i(x)."""
-    K = ctx.field
-    out = 1
-    for i in range(ctx.n):
-        out = K.mul(out, ctx.sigma(x, i))
-    return out if x != 0 else 0
+    """N_{K/F}(x) = prod_{i<n} sigma^i(x) = x^((q^n - 1)/(q - 1))."""
+    return ctx.field.pow_int(x, (ctx.field.order - 1) // (ctx.q - 1))
 
 
 def norm_kernel(ctx: TowerCtx) -> tuple[int, int]:

@@ -1,5 +1,7 @@
 """H_{tau,k} enumeration, group structure, inner automorphisms, gcd counts."""
 
+import hashlib
+import random
 import tracemalloc
 
 import numpy as np
@@ -24,11 +26,42 @@ def image_table(S, phi):
     return ag.apply_aut(S, phi, np.arange(S.size))
 
 
+def sigma_product(tw, k, lo, hi):
+    """Test oracle: prod_{l=lo}^{hi-1} sigma^l(k), factor by factor."""
+    K = tw.field
+    out = 1
+    for l in range(lo, hi):
+        out = K.mul(out, tw.sigma(k, l))
+    return out
+
+
+def hk_condition(S, tau_exp, k):
+    """Test oracle: tau(a_i) = (prod_{l=i}^{m-1} sigma^l(k)) a_i for every
+    coefficient of f = t^m - sum a_i t^i, by field products.  Stored
+    coefficients are -a_i; the sign cancels.  Indices with a_i = 0 read
+    0 = 0 and are skipped."""
+    K = S.tower.field
+    return all(ag._tau_apply(S, tau_exp, c) == K.mul(sigma_product(S.tower, k, i, S.m), c)
+               for i, c in enumerate(S.f[:S.m]) if c)
+
+
+def hk_scan(S):
+    """Test oracle: every (tau, k) in Aut(K) x K^x passing hk_condition, in
+    the order solve_aut_conditions emits them."""
+    K = S.tower.field
+    return [(tau, k) for tau in range(K.l) for k in range(1, K.order)
+            if hk_condition(S, tau, k)]
+
+
+def hk_params(S):
+    return [(H.tau_exp, H.k) for H in ag.solve_aut_conditions(S)]
+
+
 def hk_images_oracle(S, tau_exp, k):
     """Test oracle: the per-element formula
     sum x_i t^i -> sum tau(x_i) (prod_{l<i} sigma^l(k)) t^i on every code."""
     K = S.tower.field
-    lam = [ag._sigma_prefix(S, k, i) for i in range(S.m)]
+    lam = [sigma_product(S.tower, k, 0, i) for i in range(S.m)]
     images = []
     for code in range(S.size):
         xs = list(S.decode(code)) + [0] * S.m
@@ -122,7 +155,7 @@ def test_exact_check_rejects_non_automorphisms_at_729():
     # equation is linear but not multiplicative
     K = S.tower.field
     tau, k = next((t, k) for t in range(K.l) for k in range(1, K.order)
-                  if not ag.hk_condition(S, t, k))
+                  if not hk_condition(S, t, k))
     assert not ag._is_multiplicative(S, ag.realize_hk(S, tau, k).matrix)
 
 
@@ -230,10 +263,53 @@ def test_subgroup_comparison():
         ag.subgroup_comparison(tw, f, (K.neg(K.add(K.p, 1)), 0, 1))
 
 
-def test_aut_json_shape():
-    S = make_quat(2, None, [0, 1])
+@pytest.mark.parametrize("p,r,n,m", [(2, 1, 2, 2), (2, 1, 2, 3), (2, 1, 2, 4), (2, 1, 3, 2),
+                                     (2, 1, 3, 3), (2, 1, 4, 2), (2, 1, 5, 2), (2, 2, 2, 2),
+                                     (3, 1, 2, 2), (3, 1, 2, 3), (3, 1, 3, 2), (5, 1, 2, 2),
+                                     (7, 1, 2, 2)])
+def test_closed_form_equals_scan_on_every_admissible_f(p, r, n, m):
+    tw = gf.make_tower(p, r, n)
+    for f in sp.enumerate_admissible(tw, m):
+        S = sfd.build_semifield(tw, f)
+        assert hk_params(S) == hk_scan(S), f
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 1, 8), (2, 2, 4), (2, 4, 2), (2, 1, 7), (2, 3, 2),
+                                   (3, 1, 5), (3, 2, 2), (5, 1, 3), (11, 1, 2), (13, 1, 2)])
+def test_closed_form_equals_scan_on_seeded_f(p, r, n):
+    tw = gf.make_tower(p, r, n)
+    K = tw.field
+    assert K.order <= 256
+    rng = random.Random(K.order * 100 + r)
+    found = 0
+    while found < 10:
+        f = (*(rng.randrange(K.order) for _ in range(2)), 1)
+        if not sp.is_admissible(tw, f):
+            continue
+        S = sfd.build_semifield(tw, f)
+        assert hk_params(S) == hk_scan(S), f
+        found += 1
+
+
+def test_closed_form_at_two_to_the_sixteen():
+    # 24 maps, pinned by the sha256 of the (tau, k) list an exhaustive scan
+    # over the 16 * 65535 pairs found
+    tw = gf.make_tower(2, 1, 16)
+    S = sfd.build_semifield(tw, sp.parse_poly(tw, "t^2 - g^1"))
     auts = ag.solve_aut_conditions(S)
-    inners = ag.inner_automorphisms(S)
-    data = ag.aut_json(S, auts, inners)
-    assert data["hk_group"]["order"] == "3"
-    assert data["inner_count"] == 3
+    params = [(H.tau_exp, H.k) for H in auts]
+    assert len(params) == 24
+    assert hashlib.sha256(repr(params).encode()).hexdigest() == \
+        "8a59c88b34bc7f7870abf2ce3361f0f74c711e7c412344a161d90eb1acc67b9d"
+    gid = ag.aut_group_structure(S, auts)
+    assert (gid.tag, gid.order) == ("cyclic", 24)
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 1, 5), (3, 1, 3), (2, 2, 3)])
+def test_sigma_products_are_field_powers(p, r, n):
+    tw = gf.make_tower(p, r, n)
+    S = sfd.build_semifield(tw, next(iter(sp.enumerate_admissible(tw, 3))))
+    for k in range(tw.field.order):
+        assert gf.rel_norm(tw, k) == sigma_product(tw, k, 0, n)
+        for i in range(S.m + 1):
+            assert ag._sigma_prefix(S, k, i) == sigma_product(tw, k, 0, i)

@@ -179,6 +179,12 @@ def test_exit_cap_with_sandwich(capsys):
     assert "900 bytes per level" in err  # one 15 x 15 int32 table
 
 
+def test_exit_cap_on_field_beyond_log_tables(capsys):
+    rc, out, err = run(capsys, "field", "info", "--field", "2^21")
+    assert rc == cli.EXIT_CAP
+    assert out == "" and err.startswith("cap violation:")
+
+
 def test_verify_tier1_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--tier", "1")
     assert rc == cli.EXIT_OK

@@ -57,8 +57,8 @@ def test_mul_against_hand_formula():
             for yu in range(4):
                 for yv in range(4):
                     got = S.mul(S.encode(sp.poly([xu, xv])), S.encode(sp.poly([yu, yv])))
-                    c0 = K.add(K.mul(xu, yu), K.mul(a, K.mul(xv, gf.apply_sigma(tw, yv, 1))))
-                    c1 = K.add(K.mul(xu, yv), K.mul(xv, gf.apply_sigma(tw, yu, 1)))
+                    c0 = K.add(K.mul(xu, yu), K.mul(a, K.mul(xv, tw.sigma(yv, 1))))
+                    c1 = K.add(K.mul(xu, yv), K.mul(xv, tw.sigma(yu, 1)))
                     assert got == S.encode(sp.poly([c0, c1]))
 
 

@@ -22,7 +22,7 @@ def test_twist_commutation_rule():
     # t*a = sigma(a)*t for every a
     for a in range(4):
         left = sp.skew_mul(tw, (0, 1), (a,))
-        assert left == sp.poly([0, gf.apply_sigma(tw, a, 1)])
+        assert left == sp.poly([0, tw.sigma(a, 1)])
 
 
 def test_right_divmod_identity():
