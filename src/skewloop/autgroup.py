@@ -73,8 +73,9 @@ def realize_hk(S: sfd.SemifieldCtx, tau_exp: int, k: int) -> AutHK:
 
 
 def apply_aut(S: sfd.SemifieldCtx, phi: AutHK | InnerAut, x):
-    """phi(x); codes in, codes out (arrays broadcast)."""
-    return S.from_vector(S.to_vector(x) @ phi.matrix % S.p)
+    """phi(x); codes in, codes out (a code or an array of codes)."""
+    x = np.asarray(x)
+    return S.images(S.to_vector(x.ravel()), phi.matrix[None])[0].reshape(x.shape)[()]
 
 
 def _is_multiplicative(S: sfd.SemifieldCtx, M: np.ndarray) -> bool:

@@ -98,30 +98,43 @@ def gl_bound(L: LoopCtx) -> Optional[int]:
     """|GL(nm,q)| if every translation of L is certified F_q-linear on
     S_f = F_q^(nm), else None.
 
-    A translation T is F_p-linear when its permutation equals the action of
-    the D x D prime-field matrix read off the images of the basis, on all N
-    nonzero vectors.  It is then F_q-linear when it also commutes with
+    A translation is F_p-linear when its permutation equals the action of
+    the D x D prime-field matrix read off the images of the basis e_i, on
+    all N nonzero vectors.  Every left translation L_a (every row of the
+    table) is tested, but only the D right translations R_(e_j) by the
+    basis (the basis columns): that is exact.  With T(a, b) = ab, rows
+    linear give T(a, b) = sum_j b_j T(a, e_j), and basis columns linear give
+    T(a, e_j) = sum_i a_i T(e_i, e_j), so T(a, b) = sum_ij a_i b_j T(e_i, e_j)
+    is bilinear and every right translation R_b = sum_j b_j R_(e_j) is
+    linear too.
+
+    The translations are then F_q-linear when they also commute with
     x -> cx for a generator c of F_q^*: the constants of F_q are central,
-    so that map is the left translation L_c.
+    so that map is the left translation L_c, linear as a row.  Both
+    a(cx) = c(ax) and (cx)b = c(xb) are bilinear in the pair of variables,
+    so the D^2 basis pairs decide them.
     """
     S = L.semifield
     if S is None:
         return None
     K = S.tower.field
     q = S.tower.q
-    Y = S.to_vector(np.arange(1, S.size))
-    cols = np.array(S.basis()) - 1
-    c = K.pow_int(K.primitive, (K.order - 1) // (q - 1))
-    Lc = L.table[c - 1]
+    T = L.table
+    Y = S.to_vector(np.arange(1, S.size)).astype(np.float64)
+    basis = np.array(S.basis()) - 1
     chunk = pg.chunk_rows(L.size * S.dim_prime)
-    # left translations are the rows of the table, right ones its columns
-    for perms in (L.table, L.table.T):
-        for s in range(0, L.size, chunk):
+    # the rows, then the basis columns, as permutations of the N points
+    for perms in (T, T[:, basis].T):
+        for s in range(0, len(perms), chunk):
             P = perms[s:s + chunk]
-            M = Y[P[:, cols]]            # M[t][i] = T(e_i): the matrix of each T
-            if not (np.array_equal(S.from_vector(Y @ M % S.p) - 1, P)
-                    and np.array_equal(P[:, Lc], Lc[P])):
+            # M[t][i] = to_vector(P_t(e_i)): the matrix of each translation
+            if not np.array_equal(S.images(Y, Y[P[:, basis]]) - 1, P):
                 return None
+    Lc = T[K.pow_int(K.primitive, (K.order - 1) // (q - 1)) - 1]
+    pairs = T[np.ix_(basis, basis)]
+    if not (np.array_equal(T[np.ix_(basis, Lc[basis])], Lc[pairs])
+            and np.array_equal(T[np.ix_(Lc[basis], basis)], Lc[pairs])):
+        return None
     return pg.gl_order(S.tower.n * S.m, q)
 
 
@@ -319,8 +332,11 @@ def _generate(L: LoopCtx, seed: Iterable[int], closed: Iterable[int] = ()
         ab = np.concatenate([(new * N)[:, None] + cur, (old * N)[:, None] + new], axis=None)
         c = flat[ab]
         fresh = np.flatnonzero(~member[c])
-        c, first = np.unique(c[fresh], return_index=True)
-        a, b = np.divmod(ab[fresh[first]], N)
+        # each new product once, ascending, with the first offset giving it
+        first = np.full(N, len(fresh))
+        np.minimum.at(first, c[fresh], np.arange(len(fresh)))
+        c = np.flatnonzero(first < len(fresh))
+        a, b = np.divmod(ab[fresh[first[c]]], N)
         member[c] = True
         frontier = c.tolist()
         elems += frontier

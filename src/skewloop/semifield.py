@@ -13,6 +13,15 @@ tensor[i, j] = to_vector(e_i e_j), a D x D x D array over F_p (Knuth's
 cubical array of a semifield).  All batch arithmetic -- product tables,
 associators, the nuclei equations, translation matrices and inverses -- is
 a contraction with that tensor mod p.
+
+`SemifieldCtx.images` is the one kernel that applies a stack of D x D
+matrices over F_p to coordinate vectors (product table rows, the
+translations `loops.gl_bound` certifies, automorphisms).  It runs as one
+float64 GEMM: with entries in [0, p) every sum it forms is an integer of at
+most D (p-1)^2, exact in float64 while that is below 2^53, and it is
+reduced mod p in int32 while D (p-1)^2 < 2^31 (else int64) before the
+codes are formed (exact linear algebra mod p on floating-point BLAS, as in
+FFLAS-FFPACK).
 """
 
 from __future__ import annotations
@@ -149,18 +158,35 @@ class SemifieldCtx:
         """Products of coordinate vectors, broadcast over leading axes."""
         return np.einsum("...i,...j,ijk->...k", x, y, self.tensor) % self.p
 
+    def images(self, Y, mats) -> np.ndarray:
+        """images[k, y] = code of Y[y] @ mats[k] mod p, for coordinate rows Y
+        and a stack of D x D matrices with entries in [0, p), in one float64
+        GEMM; OverflowError where D (p-1)^2 leaves the exact range.  Callers
+        that reuse Y pass it as float64, which is then not copied."""
+        D, p = self.dim_prime, self.p
+        peak = D * (p - 1) ** 2
+        if peak >= 2 ** 53:
+            raise OverflowError(f"D (p-1)^2 = {peak} is not exact in float64")
+        mats = np.asarray(mats)
+        # row kD + j of the stacked matrix is column j of mats[k]
+        stacked = mats.transpose(0, 2, 1).reshape(len(mats) * D, D).astype(np.float64)
+        vecs = (stacked @ np.asarray(Y, dtype=np.float64).T).astype(
+            np.int32 if peak < 2 ** 31 else np.int64)
+        vecs -= p * (vecs // p)    # vecs %= p; numpy floor-divides by a scalar faster
+        return self.from_vector(vecs.reshape(len(mats), D, -1).transpose(0, 2, 1))
+
     def product_table(self, codes) -> np.ndarray:
         """table[a, b] = code of codes[a] * codes[b] (int32), a chunk of rows
         at a time: each row x is the matrix of y -> xy applied to all y."""
         D = self.dim_prime
         codes = np.asarray(codes)
-        Y = self.to_vector(codes)
+        Y = self.to_vector(codes).astype(np.float64)
         T = self.tensor.reshape(D, D * D)
         table = np.empty((len(codes), len(codes)), dtype=np.int32)
         step = chunk_rows(len(codes) * D)
         for s in range(0, len(codes), step):
-            rows = (Y[s:s + step] @ T).reshape(-1, D, D)   # rows[x][j] = x e_j
-            table[s:s + step] = self.from_vector(Y @ rows % self.p)
+            rows = (Y[s:s + step] @ T).reshape(-1, D, D) % self.p   # rows[x][j] = x e_j
+            table[s:s + step] = self.images(Y, rows)
         return table
 
 

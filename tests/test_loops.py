@@ -179,6 +179,59 @@ def test_generate_matches_fixpoint_with_valid_steps(which):
             assert pos[a] < pos[c] and pos[b] < pos[c]
 
 
+def generate_oracle(L, seed, closed=()):
+    """Test oracle: `lp._generate` with each round's new products sorted
+    and deduplicated by np.unique (first index of each)."""
+    N, flat = L.size, L.table.ravel()
+    member = np.zeros(N, dtype=bool)
+    elems = list(closed)
+    member[elems] = True
+    frontier = [s for s in dict.fromkeys(seed) if not member[s]]
+    member[frontier] = True
+    elems += frontier
+    steps = []
+    while frontier and len(elems) < N:
+        cur, new = np.array(elems), np.array(frontier)
+        old = cur[:len(cur) - len(new)]
+        ab = np.concatenate([(new * N)[:, None] + cur, (old * N)[:, None] + new], axis=None)
+        c = flat[ab]
+        fresh = np.flatnonzero(~member[c])
+        c, first = np.unique(c[fresh], return_index=True)
+        a, b = np.divmod(ab[fresh[first]], N)
+        member[c] = True
+        frontier = c.tolist()
+        elems += frontier
+        steps += zip(frontier, a.tolist(), b.tolist())
+    return elems, steps
+
+
+@pytest.mark.parametrize("which", ["F16m2:255", "F25:sqrt2"])
+def test_generate_matches_unique_oracle(monkeypatch, which):
+    """Equal (elems, steps) on every call `subloops` makes: every <a>, then
+    every join."""
+    L = groups_loop(which)
+    generate, calls = lp._generate, []
+
+    def checked(L, seed, closed=()):
+        got = generate(L, seed, closed)
+        assert got == generate_oracle(L, seed, closed)
+        calls.append(list(seed))
+        return got
+
+    monkeypatch.setattr(lp, "_generate", checked)
+    lp.subloops(L)
+    assert calls[:L.size] == [[a] for a in range(L.size)] and len(calls) > L.size
+
+
+@pytest.mark.parametrize("which", ["quat2", "A_1"])
+def test_isomorphism_witness_unchanged_by_closure(monkeypatch, which):
+    L = quat2_loop()[1] if which == "quat2" else quat3_loops()[0]
+    pairs = [(L, L), (L, relabelled(L, 7))]
+    phis = [lp.loop_isomorphic(*pair) for pair in pairs]
+    monkeypatch.setattr(lp, "_generate", generate_oracle)
+    assert [lp.loop_isomorphic(*pair) for pair in pairs] == phis
+
+
 def test_subloops_of_elementary_abelian_group():
     # (Z/2)^4 under XOR: subgroups of rank 0..4 number 1, 15, 35, 15, 1, so
     # the lattice needs joins of up to three cyclic subgroups
@@ -375,6 +428,63 @@ def test_certified_mlt_frame_keeps_the_full_point_chain(monkeypatch, which):
         assert sgs_sha256(M) == SGS_SHA256[which][0]
 
 
+# (make_tower arguments, f) of the six `groups` benchmark loops
+GROUPS_LOOPS = {
+    "F9:A_1": ((3, 1, 2, [2, 2, 1]), (6, 0, 1)),
+    "F9:A_2": ((3, 1, 2, [2, 2, 1]), (8, 0, 1)),
+    "F25:1+2sqrt2": ((5, 1, 2, [3, 0, 1]), (19, 0, 1)),
+    **FRAME_LOOPS,
+}
+
+
+def groups_loop(which):
+    (p, r, n, modulus), f = GROUPS_LOOPS[which]
+    return lp.build_loop(sfd.build_semifield(gf.make_tower(p, r, n, modulus=modulus), f))
+
+
+def gl_bound_oracle(L):
+    """Test oracle: every one of the 2N translations (rows and columns) is
+    checked linear against its basis matrix and to commute with L_c."""
+    S = L.semifield
+    K, q = S.tower.field, S.tower.q
+    Y = S.to_vector(np.arange(1, S.size))
+    cols = np.array(S.basis()) - 1
+    Lc = L.table[K.pow_int(K.primitive, (K.order - 1) // (q - 1)) - 1]
+    for P in itertools.chain(L.table, L.table.T):
+        M = Y[P[cols]]
+        if not (np.array_equal(S.from_vector(Y @ M % S.p) - 1, P)
+                and np.array_equal(P[Lc], Lc[P])):
+            return None
+    return pg.gl_order(S.tower.n * S.m, q)
+
+
+@pytest.mark.parametrize("which", GROUPS_LOOPS)
+def test_gl_bound_matches_all_translations_oracle(which):
+    L = groups_loop(which)
+    S = L.semifield
+    assert lp.gl_bound(L) == gl_bound_oracle(L) == pg.gl_order(S.tower.n * S.m, S.tower.q)
+
+
+@pytest.mark.parametrize("i,j", [(1, 4), (2, 3), (4, 5)])
+def test_gl_bound_on_coordinate_swaps(i, j):
+    """Relabel the F_16/F_4 loop by phi, the swap of the F_2-coordinates i
+    and j (phi(1) = 1): ab -> phi(phi(a) phi(b)) is F_2-bilinear, so only
+    the F_4 check can fail, and its L_c is multiplication by phi(c).  The
+    swap of t and xt fixes c = 1 + x + x^3 and keeps the bound.  The swap of
+    x^2 and x^3 moves c to 1 + x + x^2, in K = Nuc_l but not central:
+    (cx)b = c(xb) holds, a(cx) = c(ax) does not.  The swap of x and t moves
+    c out of K."""
+    L = groups_loop("F16m2:255")
+    S = L.semifield
+    perm = np.arange(S.dim_prime)
+    perm[[i, j]] = perm[[j, i]]
+    phi = S.from_vector(S.to_vector(np.arange(1, S.size))[:, perm]) - 1
+    table = phi[L.table[np.ix_(phi, phi)]]
+    swapped = lp.LoopCtx(semifield=S, table=table)
+    want = pg.gl_order(4, 4) if (i, j) == (4, 5) else None
+    assert lp.gl_bound(swapped) == gl_bound_oracle(swapped) == want
+
+
 def test_tracked_points_below_degree_only_when_certified():
     L = quat3_loops()[0]
     assert lp.mlt_group(L).stats["tracked_points"] < L.size
@@ -424,14 +534,58 @@ def test_inn_group_builds_division_tables_only_at_80_points():
     assert "ldiv" in vars(small) and "rdiv" in vars(small)
 
 
+def fq_points(L):
+    """The index of c (the generator of F_q^* that `gl_bound` uses) and the
+    points its F_q check reads: the basis, c e_j and e_i e_j."""
+    S = L.semifield
+    K = S.tower.field
+    c = K.pow_int(K.primitive, (K.order - 1) // (S.tower.q - 1)) - 1
+    basis = np.array(S.basis()) - 1
+    return c, set(basis) | set(L.table[c, basis]) | set(L.table[np.ix_(basis, basis)].ravel())
+
+
+def test_broken_columns_fail_certificate():
+    """Swap two columns u, v of the F_16/F_4 loop away from the points the
+    F_q check reads: every column stays a linear translation, the basis
+    columns included, and that check still passes, but no row L_a composed
+    with the swap is linear.  Only the row check can fail."""
+    L = groups_loop("F16m2:255")
+    u, v = sorted(set(range(L.size)) - fq_points(L)[1])[:2]
+    table = L.table.copy()
+    table[:, [u, v]] = table[:, [v, u]]
+    broken = lp.LoopCtx(semifield=L.semifield, table=table)
+    assert lp.gl_bound(broken) is None
+    assert gl_bound_oracle(broken) is None
+
+
+def test_certificate_checks_c_on_the_right():
+    """ab -> psi(a) b on the F_16/F_4 loop's table, psi the swap of the
+    F_2-coordinates of t and xt (not F_4-linear; it fixes c, which lies in
+    K = the t^0 block): F_2-bilinear, and a(cx) = c(ax) holds, but
+    (cx)b = c(xb) does not.  (Not a loop: the certificate reads linearity
+    only.)"""
+    L = groups_loop("F16m2:255")
+    S = L.semifield
+    perm = np.arange(S.dim_prime)
+    perm[[4, 5]] = [5, 4]
+    psi = S.from_vector(S.to_vector(np.arange(1, S.size))[:, perm]) - 1
+    c, _ = fq_points(L)
+    assert psi[c] == c
+    skewed = lp.LoopCtx(semifield=S, table=L.table[psi])
+    assert lp.gl_bound(skewed) is None
+    assert gl_bound_oracle(skewed) is None
+
+
 def test_broken_table_fails_certificate():
     from sympy.combinatorics import Permutation, PermutationGroup
 
     S, L = quat2_loop()
     table = L.table.copy()
-    table[[1, 2]] = table[[2, 1]]   # rows stay permutations; columns do not stay linear
+    # rows stay linear translations; the basis column of e_1 does not
+    table[[1, 2]] = table[[2, 1]]
     broken = lp.LoopCtx(semifield=S, table=table)
     assert lp.gl_bound(broken) is None
+    assert gl_bound_oracle(broken) is None
     M = lp.mlt_group(broken)
     assert not M.stats["stopped_at_bound"]
     perms = [broken.left_translation(a) for a in range(broken.size)]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,6 +81,41 @@ def test_codec_is_base_p_digits():
     for c in (2 ** 63, 2 ** 64 - 1, 3 * 2 ** 40 + 5):
         assert big.to_vector(c).tolist() == [c >> k & 1 for k in range(64)]
         assert big.from_vector(big.to_vector(c)) == c
+
+
+def prime_space(p, D):
+    """The codec of F_p^D alone: f = t^D over K = F_p (no valid f needed)."""
+    K = gf.FieldCtx.create(p, 1)
+    return sfd.SemifieldCtx(tower=gf.TowerCtx(field=K, r=1, n=1), f=sp.t_power(D))
+
+
+# (p, D): int32 reduction up to (4093, 1), int64 at (65521, 2)
+IMAGES_CASES = [(2, 12), (3, 7), (5, 5), (7, 4), (4093, 1), (65521, 2)]
+
+
+@pytest.mark.parametrize("p,D", IMAGES_CASES)
+def test_images_matches_int64_oracle(p, D):
+    S = prime_space(p, D)
+    assert (S.p, S.dim_prime) == (p, D)
+    rng = np.random.default_rng(p * 100 + D)
+    Y = rng.integers(0, p, size=(300, D))
+    # the all-(p-1) rows reach the largest sum D (p-1)^2
+    Y[0] = p - 1
+    mats = rng.integers(0, p, size=(5, D, D))
+    mats[0] = p - 1
+    want = np.stack([S.from_vector(Y @ M % p) for M in mats])
+    assert np.array_equal(S.images(Y, mats), want)
+    assert np.array_equal(S.images(Y.astype(np.float64), mats), want)
+
+
+def test_images_refuses_sums_past_float64():
+    """Where D (p-1)^2 >= 2^53 a sum could round in float64: the kernel
+    raises instead of returning codes.  The check reads only p and D."""
+    p, D = 1048573, 8193              # the largest prime below 2^20
+    assert D * (p - 1) ** 2 >= 2 ** 53 > (D - 1) * (p - 1) ** 2
+    stub = SimpleNamespace(p=p, dim_prime=D)
+    with pytest.raises(OverflowError):
+        sfd.SemifieldCtx.images(stub, np.zeros((1, D)), np.zeros((1, D, D)))
 
 
 @pytest.mark.parametrize("args,m", BATTERY_TOWERS,
