@@ -13,22 +13,17 @@ are bilinear.  Nothing here grows with |S|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from . import permgroup as pg
 from . import semifield as sfd
 from . import skewpoly as sp
-from .gf import TowerCtx, rel_norm
+from .gf import SizeCapExceeded
 
 
 class NotClosed(RuntimeError):
     """The enumerated parameter set is not closed under composition."""
-
-
-class InadmissiblePolynomial(ValueError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,12 +65,6 @@ def realize_hk(S: sfd.SemifieldCtx, tau_exp: int, k: int) -> AutHK:
         targets = [K.mul(_tau_apply(S, tau_exp, K.p ** j), lam) for j in range(l)]
         M[i * l:(i + 1) * l, i * l:(i + 1) * l] = S.to_vector(targets)[:, :l]
     return AutHK(tau_exp=tau_exp, k=k, matrix=M)
-
-
-def apply_aut(S: sfd.SemifieldCtx, phi: AutHK | InnerAut, x):
-    """phi(x); codes in, codes out (a code or an array of codes)."""
-    x = np.asarray(x)
-    return S.images(S.to_vector(x.ravel()), phi.matrix[None])[0].reshape(x.shape)[()]
 
 
 def _is_multiplicative(S: sfd.SemifieldCtx, M: np.ndarray) -> bool:
@@ -132,7 +121,12 @@ def compose_params(S: sfd.SemifieldCtx, a: AutHK, b: AutHK) -> tuple[int, int]:
 def _cayley_table(S: sfd.SemifieldCtx,
                   maps: list[AutHK] | list[InnerAut]) -> tuple[list[list[int]], int]:
     """table[i][j] = index of maps[i] after maps[j] (matrix M_j M_i) and the
-    index of the identity; NotClosed if either is missing from maps."""
+    index of the identity; NotClosed if either is missing from maps.  With
+    more maps than `pg.identify_small_group` takes it raises
+    SizeCapExceeded before forming any product."""
+    if len(maps) > pg.IDENTIFY_LIMIT:
+        raise SizeCapExceeded(f"{len(maps)} maps exceed the group identification "
+                              f"bound {pg.IDENTIFY_LIMIT}")
     index = {phi.matrix.tobytes(): i for i, phi in enumerate(maps)}
     table = []
     for i, a in enumerate(maps):
@@ -183,50 +177,3 @@ def inner_group_structure(S: sfd.SemifieldCtx, inners: list[InnerAut]) -> pg.Gro
     """{G_c} = Nuc^x / centre^x is a group (G_c G_d = G_(dc)); a missing
     product or identity raises NotClosed."""
     return pg.identify_small_group(*_cayley_table(S, inners))
-
-
-def match_inner_to_hk(S: sfd.SemifieldCtx, inners: list[InnerAut],
-                      auts: list[AutHK]) -> dict[int, int]:
-    """For each G_c find the H_{id,k} with the same matrix; the match must
-    satisfy N_{K/F}(k) = 1.  Returns {c: k}."""
-    by_matrix = {H.matrix.tobytes(): H for H in auts if H.tau_exp == 0}
-    out = {}
-    for ia in inners:
-        H = by_matrix.get(ia.matrix.tobytes())
-        if H is None:
-            raise AssertionError(f"G_c for c={ia.c} matches no H_(id,k)")
-        assert rel_norm(S.tower, H.k) == 1
-        out[ia.c] = H.k
-    return out
-
-
-def s_gcd_count(p: int, r: int, m: int, l: int) -> int:
-    """S(r,m,l) = gcd((p^{rm}-1)/(p^r-1), p^l-1): a lower bound on the number
-    of H_{id,k} with k an s-th root of unity."""
-    if l % r != 0:
-        raise ValueError("r must divide l")
-    s = (p ** (r * m) - 1) // (p ** r - 1)
-    return gcd(s, p ** l - 1)
-
-
-def subgroup_comparison(tower: TowerCtx, g: sp.SkewPoly, f: sp.SkewPoly) -> bool:
-    """f arises from g by zeroing some coefficients; then every (tau,k)
-    solving the coefficient equation for g also solves it for f."""
-    g = sp.make_monic(tower, g)
-    f = sp.make_monic(tower, f)
-    if sp.degree(f) != sp.degree(g):
-        raise InadmissiblePolynomial("f and g must share a degree")
-    m = sp.degree(g)
-    for i in range(m):
-        fi = f[i] if i < len(f) else 0
-        gi = g[i] if i < len(g) else 0
-        if fi not in (0, gi):
-            raise InadmissiblePolynomial("f must agree with g or vanish coefficientwise")
-    for h in (g, f):
-        if not sp.is_admissible(tower, h):
-            raise InadmissiblePolynomial(f"{h} is not admissible")
-    S_g = sfd.build_semifield(tower, g)
-    S_f = sfd.build_semifield(tower, f)
-    params_g = {(H.tau_exp, H.k) for H in solve_aut_conditions(S_g)}
-    params_f = {(H.tau_exp, H.k) for H in solve_aut_conditions(S_f)}
-    return params_g <= params_f

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import skewpoly as sp
-from .gf import (FieldCtx, TowerCtx, factorint, isprime, mobius,
+from .gf import (FieldCtx, SizeCapExceeded, TowerCtx, factorint, isprime, mobius,
                  poly_is_irreducible, primefactors)
 from .semifield import SemifieldCtx, annihilator
 
@@ -24,10 +24,6 @@ CLASSIFY_LIMIT = 2 ** 16
 
 
 class FormulaMismatch(AssertionError):
-    pass
-
-
-class TooLarge(ValueError):
     pass
 
 
@@ -107,7 +103,7 @@ def enumerate_irreducible(K: FieldCtx, m: int) -> list[tuple[int, ...]]:
 def count_irreducible_enum(q: int, m: int) -> int:
     """Enumeration oracle for N(q,m); q^m <= 2^16."""
     if q ** m > CLASSIFY_LIMIT:
-        raise TooLarge(f"q^m = {q**m} exceeds {CLASSIFY_LIMIT}")
+        raise SizeCapExceeded(f"q^m = {q**m} exceeds {CLASSIFY_LIMIT}")
     p, r = _prime_power(q)
     K = FieldCtx.create(p, r)
     return len(enumerate_irreducible(K, m))
@@ -121,7 +117,7 @@ def gammaL_orbit_count(q: int, m: int) -> int:
     applied to every irreducible at once, and an orbit is counted at its
     member of least index."""
     if q ** m > CLASSIFY_LIMIT:
-        raise TooLarge(f"q^m = {q**m} exceeds {CLASSIFY_LIMIT}")
+        raise SizeCapExceeded(f"q^m = {q**m} exceeds {CLASSIFY_LIMIT}")
     p, r = _prime_power(q)
     K = FieldCtx.create(p, r)
     polys = np.array(enumerate_irreducible(K, m), dtype=np.int64)
@@ -171,7 +167,7 @@ def cyclic_algebra_classes(tower: TowerCtx) -> tuple[int, list[int]]:
     K = tower.field
     m = tower.n
     if K.order > CLASSIFY_LIMIT:
-        raise TooLarge(f"|K| = {K.order} exceeds {CLASSIFY_LIMIT}")
+        raise SizeCapExceeded(f"|K| = {K.order} exceeds {CLASSIFY_LIMIT}")
     admissible = [a for a in range(1, K.order) if not _in_proper_subfield(tower, a)]
     fixed = [c for c in tower.fixed_field_elements() if c != 0]
     seen: set[int] = set()

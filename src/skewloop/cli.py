@@ -2,7 +2,8 @@
 
 Subcommands: field info; skew irreducible|divmod; semifield analyze;
 loop mlt|inn|aut|inner|cyclic|lagrange|latin; census count|classify|bounds;
-verify.  Exit codes: 0 success, 2 usage, 3 cap violation, 4 internal
+verify.  Exit codes: 0 success, 2 usage, 3 cap violation (the one cap
+exception `gf.SizeCapExceeded`, or a number beyond float range), 4 internal
 invariant failure.  JSON output renders group orders as decimal strings so
 the format is independent of native integer width.
 """
@@ -20,7 +21,7 @@ from . import loops as lp
 from . import permgroup as pg
 from . import semifield as sfd
 from . import skewpoly as sp
-from .gf import TowerCtx, make_tower, parse_field_descriptor
+from .gf import SizeCapExceeded, TowerCtx, make_tower, parse_field_descriptor
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,6 +38,8 @@ class CapViolation(Exception):
 def _tower_from_args(args) -> TowerCtx:
     p, l = parse_field_descriptor(args.field)
     r = args.sigma_r
+    if r < 1:
+        raise ValueError(f"--sigma-r must be at least 1, got {r}")
     if l % r != 0 or l // r < 2:
         raise ValueError(f"sigma-r {r} does not split {args.field} into a tower")
     modulus = None
@@ -391,8 +394,7 @@ def main(argv=None) -> int:
         print(f"cap violation: {exc}", file=sys.stderr)
         print(exc.estimate, file=sys.stderr)
         return EXIT_CAP
-    except (pg.DegreeCapExceeded, lp.SizeCapExceeded, cs.TooLarge,
-            NotImplementedError) as exc:
+    except (SizeCapExceeded, OverflowError) as exc:
         print(f"cap violation: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (AssertionError, cs.FormulaMismatch, ag.NotClosed) as exc:

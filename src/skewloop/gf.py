@@ -27,6 +27,12 @@ import numpy as np
 LOG_TABLE_LIMIT = 2 ** 20
 
 
+class SizeCapExceeded(ValueError):
+    """An input exceeds a size cap of the library: the 2^20 field, the Mlt
+    degree, the census, subloop and isomorphism sizes, or small-group
+    identification.  The one cap exception; the CLI exits with code 3 on it."""
+
+
 class NotPrime(ValueError):
     pass
 
@@ -184,7 +190,7 @@ class FieldCtx:
     @staticmethod
     def create(p: int, l: int, modulus: Optional[Sequence[int]] = None) -> "FieldCtx":
         if p ** l > LOG_TABLE_LIMIT:               # before the searches below
-            raise NotImplementedError("fields beyond 2^20 elements are out of scope")
+            raise SizeCapExceeded("fields beyond 2^20 elements are out of scope")
         if not isprime(p):
             raise NotPrime(f"{p} is not prime")
         if modulus is None:
@@ -279,14 +285,6 @@ class FieldCtx:
                 raise ZeroDivisionError
             return 0 if e else 1
         return self.exp[(self.log[a] * e) % (self.order - 1)]
-
-    def mult_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("order of zero")
-        n1 = self.order - 1
-        j = self.log[a]
-        from math import gcd
-        return n1 // gcd(j, n1)
 
     # -- elementwise arithmetic on int64 code arrays -----------------------
 
@@ -427,51 +425,11 @@ def make_tower(p: int, r: int, n: int, modulus: Optional[Sequence[int]] = None) 
     l = n * r
     K = FieldCtx.create(p, l, modulus)                    # checks p is prime
     tower = TowerCtx(field=K, r=r, n=n)
-    # sigma must have exact order n
-    if any(tower.sigma(a, 0) != a for a in range(K.order)):
-        raise AssertionError("sigma^0 is not the identity")
-    # Fix(sigma) must have exactly p^r elements
-    fixed = sum(1 for a in range(K.order) if tower.in_fixed_field(a))
+    # Fix(sigma) must have exactly p^r elements, i.e. sigma has order n
+    fixed = len(tower.fixed_field_elements())
     if fixed != p ** r:
         raise AssertionError(f"fixed field has {fixed} elements, expected {p ** r}")
     return tower
-
-
-def rel_norm(ctx: TowerCtx, x: int) -> int:
-    """N_{K/F}(x) = prod_{i<n} sigma^i(x) = x^((q^n - 1)/(q - 1))."""
-    return ctx.field.pow_int(x, (ctx.field.order - 1) // (ctx.q - 1))
-
-
-def norm_kernel(ctx: TowerCtx) -> tuple[int, int]:
-    """A generator of ker(N_{K/F}) and its order s = (q^n - 1)/(q - 1).
-
-    At finite-field scale Hilbert 90 gives the generator sigma(alpha)/alpha.
-    """
-    K = ctx.field
-    s = (K.order - 1) // (ctx.q - 1)
-    alpha = K.exp[1]
-    g = K.div(ctx.sigma(alpha, 1), alpha)
-    if K.mult_order(g) != s:
-        raise AssertionError("norm-kernel generator has unexpected order")
-    return g, s
-
-
-@dataclass(frozen=True)
-class FieldAutomorphism:
-    """x |-> x^(p^j); fixes_f reports pointwise fixing of F = F_{p^r}."""
-
-    exponent: int
-    fixes_f: bool
-
-
-def field_automorphisms(ctx: TowerCtx) -> list[FieldAutomorphism]:
-    """All l automorphisms of K as Frobenius powers."""
-    K = ctx.field
-    out = []
-    for j in range(K.l):
-        fixes = all(K.pow_int(a, K.p ** j) == a for a in ctx.fixed_field_elements())
-        out.append(FieldAutomorphism(exponent=j, fixes_f=fixes))
-    return out
 
 
 # ---------------------------------------------------------------------------

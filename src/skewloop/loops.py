@@ -22,16 +22,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import permgroup as pg
+from .gf import SizeCapExceeded
 from .permgroup import BSGS, Perm
 from .semifield import SemifieldCtx
 
 SUBLOOP_SIZE_CAP = 700
 ISO_SIZE_CAP = 255
 KINDS = ("T", "L", "R")
-
-
-class SizeCapExceeded(ValueError):
-    pass
 
 
 @dataclass
@@ -161,7 +158,7 @@ def mlt_group(L: LoopCtx) -> BSGS:
     """
     N = L.size
     if N > pg.DEGREE_CAP:
-        raise pg.DegreeCapExceeded(f"loop of size {N} exceeds the Mlt degree cap")
+        raise SizeCapExceeded(f"loop of size {N} exceeds the Mlt degree cap")
     rng = random.Random(0)
     picks = {1 % N, N - 1}
     while len(picks) < min(10, N):
@@ -257,22 +254,6 @@ def inner_rows(L: LoopCtx, kind: str, x, y=None) -> np.ndarray:
     side, outer, inner = _inner_parts(L, kind, x, y)
     trans = L.table[outer] if side == "left" else L.table[:, outer].T
     return pg.compose_rows(pg.inverse_many(trans), np.arange(len(outer)), inner)
-
-
-@dataclass
-class InnerMapping:
-    kind: str
-    x: int
-    y: Optional[int]
-    perm: Perm
-
-
-def inner_mapping(L: LoopCtx, kind: str, x: int, y: Optional[int] = None) -> InnerMapping:
-    """One row of `inner_rows`."""
-    perm = inner_rows(L, kind, [x], [y])[0]
-    if int(perm[L.identity]) != L.identity:
-        raise AssertionError("inner mapping does not fix the identity")
-    return InnerMapping(kind=kind, x=x, y=y, perm=perm)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +422,7 @@ def loop_isomorphic(L1: LoopCtx, L2: LoopCtx) -> Optional[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Latin square export / import
+# Latin square export
 
 
 def write_latin_csv(L: LoopCtx, path: str) -> None:
@@ -458,33 +439,3 @@ def write_latin_csv(L: LoopCtx, path: str) -> None:
         wr.writerow(["legend"] + (legend or []))
         for i in range(L.size):
             wr.writerow(L.table[i, :].tolist())
-
-
-def read_latin_csv(path: str) -> LoopCtx:
-    import csv
-
-    with open(path) as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        n = int(header[1])
-        next(rd)  # legend
-        rows = [[int(v) for v in next(rd)] for _ in range(n)]
-    return loop_from_table(rows)
-
-
-# ---------------------------------------------------------------------------
-# report
-
-
-def loop_report(L: LoopCtx) -> dict:
-    out: dict = {"order": L.size}
-    if L.size <= pg.DEGREE_CAP:
-        M = mlt_group(L)
-        inn_order, _ = inn_group(L, M)
-        out["mlt_order"] = str(M.order)
-        out["inn_order"] = str(inn_order)
-    lc, rc, wit = cyclicity(L)
-    out["left_cyclic"] = lc
-    out["right_cyclic"] = rc
-    out["cyclic_witnesses"] = wit
-    return out

@@ -35,7 +35,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .gf import SizeCapExceeded
+
 DEGREE_CAP = 5000
+# the largest group `identify_small_group` reads from its table
+IDENTIFY_LIMIT = 512
 # permutation cells (rows x degree) formed per numpy batch
 CHUNK_CELLS = 1 << 16
 
@@ -53,30 +57,11 @@ class NotTransitive(ValueError):
     pass
 
 
-class DegreeCapExceeded(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
-    pass
-
-
 Perm = np.ndarray
 
 
 def identity_perm(n: int) -> Perm:
     return np.arange(n, dtype=np.int32)
-
-
-def compose(g: Perm, h: Perm) -> Perm:
-    """Apply h first, then g."""
-    return g[h]
-
-
-def inverse(g: Perm) -> Perm:
-    inv = np.empty_like(g)
-    inv[g] = np.arange(len(g), dtype=g.dtype)
-    return inv
 
 
 def _flat_index(rows: np.ndarray, P: np.ndarray, n: int) -> np.ndarray:
@@ -131,7 +116,7 @@ class BSGS:
     def __init__(self, degree: int, order_bound: Optional[int] = None,
                  frame: Optional[Sequence[int]] = None):
         if degree > DEGREE_CAP:
-            raise DegreeCapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
+            raise SizeCapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
         self.degree = degree
         self.order_bound = order_bound
         self.frame = None if frame is None else np.asarray(frame, dtype=np.intp)
@@ -459,10 +444,12 @@ def _cyclic_subgroup(mul, e, a) -> set[int]:
 
 
 def identify_small_group(mul: Sequence[Sequence[int]], identity: int = 0) -> GroupId:
-    """Identify a group given by its multiplication table (order <= 512)."""
+    """Identify a group given by its multiplication table (order at most
+    IDENTIFY_LIMIT)."""
     n = len(mul)
-    if n > 512:
-        raise TooLarge(f"group of order {n} exceeds the identification bound")
+    if n > IDENTIFY_LIMIT:
+        raise SizeCapExceeded(f"group of order {n} exceeds the identification "
+                              f"bound {IDENTIFY_LIMIT}")
     e = identity
     orders = {a: len(_cyclic_subgroup(mul, e, a)) for a in range(n)}
     spectrum: dict[int, int] = {}

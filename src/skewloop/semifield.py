@@ -93,9 +93,6 @@ class SemifieldCtx:
     def p(self) -> int:
         return self.tower.field.p
 
-    def add(self, x: int, y: int) -> int:
-        return int(self.from_vector((self.to_vector(x) + self.to_vector(y)) % self.p))
-
     def mul(self, x: int, y: int) -> int:
         prod = sp.skew_mul(self.tower, self.decode(x), self.decode(y))
         if sp.degree(prod) >= self.m:
@@ -237,13 +234,6 @@ def _kernel(rows: np.ndarray, p: int) -> list[list[int]]:
     basis[range(len(free)), free] = 1
     basis[:, pivots] = -A[:len(pivots), free].T % p
     return basis.tolist()
-
-
-def associator(S: SemifieldCtx, x, y, z):
-    """[x,y,z] = (xy)z - x(yz); codes in, codes out (arrays broadcast)."""
-    X, Y, Z = (S.to_vector(v) for v in (x, y, z))
-    diff = S.mul_vectors(S.mul_vectors(X, Y), Z) - S.mul_vectors(X, S.mul_vectors(Y, Z))
-    return S.from_vector(diff % S.p)
 
 
 def inverses(S: SemifieldCtx, x: int) -> tuple[int, int]:

@@ -43,19 +43,8 @@ def is_monic(f: SkewPoly) -> bool:
     return bool(f) and f[-1] == 1
 
 
-def one() -> SkewPoly:
-    return (1,)
-
-
 def t_power(i: int) -> SkewPoly:
     return (0,) * i + (1,)
-
-
-def skew_add(ctx: TowerCtx, f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    K = ctx.field
-    n = max(len(f), len(g))
-    return poly([K.add(f[i] if i < len(f) else 0, g[i] if i < len(g) else 0)
-                 for i in range(n)])
 
 
 def skew_mul(ctx: TowerCtx, f: SkewPoly, g: SkewPoly) -> SkewPoly:

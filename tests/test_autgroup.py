@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from skewloop import autgroup as ag
 from skewloop import gf
 from skewloop import loops as lp
@@ -23,7 +24,7 @@ def make_quat(p, modulus, a_coeffs):
 
 def image_table(S, phi):
     """phi(x) for every code x, from the matrix."""
-    return ag.apply_aut(S, phi, np.arange(S.size))
+    return oracles.apply_aut(S, phi, np.arange(S.size))
 
 
 def sigma_product(tw, k, lo, hi):
@@ -95,7 +96,7 @@ def test_scale_two_to_the_twenty():
         gid = ag.aut_group_structure(S, auts)
         inners = ag.inner_automorphisms(S)
         inner_gid = ag.inner_group_structure(S, inners)
-        match = ag.match_inner_to_hk(S, inners, auts)
+        match = oracles.match_inner_to_hk(S, inners, auts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -118,7 +119,7 @@ def test_quat2_hk_and_inner():
     with pytest.raises(ag.NotClosed):   # no 2-subset of Z/3 is closed
         ag.inner_group_structure(S, inners[1:])
     # every G_c equals some H_{id,k} with N(k) = 1
-    match = ag.match_inner_to_hk(S, inners, auts)
+    match = oracles.match_inner_to_hk(S, inners, auts)
     assert len(match) == 3
 
 
@@ -140,8 +141,8 @@ def test_hk_action_on_t_powers():
     K = S.tower.field
     for H in ag.solve_aut_conditions(S):
         # H(t) = k t and H(1) = 1
-        assert ag.apply_aut(S, H, S.one) == S.one
-        assert ag.apply_aut(S, H, S.t) == S.mul(H.k, S.t)
+        assert oracles.apply_aut(S, H, S.one) == S.one
+        assert oracles.apply_aut(S, H, S.t) == S.mul(H.k, S.t)
 
 
 def test_exact_check_rejects_non_automorphisms_at_729():
@@ -235,38 +236,50 @@ def test_g_c_trivial_for_central_c():
     assert len(trivial) == 1
 
 
+# the (p, r, n, m) towers of the closed-form battery below
+BATTERY = [(2, 1, 2, 2), (2, 1, 2, 3), (2, 1, 2, 4), (2, 1, 3, 2), (2, 1, 3, 3), (2, 1, 4, 2),
+           (2, 1, 5, 2), (2, 2, 2, 2), (3, 1, 2, 2), (3, 1, 2, 3), (3, 1, 3, 2), (5, 1, 2, 2),
+           (7, 1, 2, 2)]
+
+
 def test_s_gcd_count():
-    assert ag.s_gcd_count(11, 1, 5, 2) == 5
-    assert ag.s_gcd_count(3, 1, 2, 2) == 4
-    # p = 1 mod m implies S >= m
-    for p, m in [(11, 5), (5, 2), (7, 3), (13, 3)]:
-        assert ag.s_gcd_count(p, 1, m, 2) >= m
+    # for a binomial f = t^m - a the only condition on k for tau = id is
+    # k^s = 1 with s = (q^m - 1)/(q - 1), so there are S(r,m,l) maps H_(id,k)
+    binomials = 0
+    for p, r, n, m in BATTERY:
+        tw = gf.make_tower(p, r, n)
+        K = tw.field
+        for a in range(1, K.order):
+            f = (K.neg(a),) + (0,) * (m - 1) + (1,)
+            if not sp.is_admissible(tw, f):
+                continue
+            S = sfd.build_semifield(tw, f)
+            ids = [H for H in ag.solve_aut_conditions(S) if H.tau_exp == 0]
+            assert len(ids) == oracles.s_gcd_count(p, r, m, K.l), (p, r, n, m, f)
+            binomials += 1
+    assert binomials > 0
+    assert oracles.s_gcd_count(11, 1, 5, 2) == 5
     with pytest.raises(ValueError):
-        ag.s_gcd_count(3, 2, 2, 3)
+        oracles.s_gcd_count(3, 2, 2, 3)
 
 
 def test_subgroup_comparison():
+    # f arises from g by zeroing a coefficient: every (tau, k) solving the
+    # coefficient equation for g solves it for f
     tw = gf.make_tower(3, 1, 2, modulus=[2, 2, 1])
     K = tw.field
     f = (K.neg(K.p), 0, 1)
-    found = False
+    params_f = set(hk_params(sfd.build_semifield(tw, f)))
+    compared = 0
     for a1 in range(1, K.order):
         g = (K.neg(K.p), a1, 1)
         if sp.is_admissible(tw, g):
-            assert ag.subgroup_comparison(tw, g, f)
-            found = True
-            break
-    assert found
-    # f = g: equality case
-    assert ag.subgroup_comparison(tw, f, f)
-    with pytest.raises(ag.InadmissiblePolynomial):
-        ag.subgroup_comparison(tw, f, (K.neg(K.add(K.p, 1)), 0, 1))
+            assert set(hk_params(sfd.build_semifield(tw, g))) <= params_f, g
+            compared += 1
+    assert compared > 0
 
 
-@pytest.mark.parametrize("p,r,n,m", [(2, 1, 2, 2), (2, 1, 2, 3), (2, 1, 2, 4), (2, 1, 3, 2),
-                                     (2, 1, 3, 3), (2, 1, 4, 2), (2, 1, 5, 2), (2, 2, 2, 2),
-                                     (3, 1, 2, 2), (3, 1, 2, 3), (3, 1, 3, 2), (5, 1, 2, 2),
-                                     (7, 1, 2, 2)])
+@pytest.mark.parametrize("p,r,n,m", BATTERY)
 def test_closed_form_equals_scan_on_every_admissible_f(p, r, n, m):
     tw = gf.make_tower(p, r, n)
     for f in sp.enumerate_admissible(tw, m):
@@ -310,6 +323,6 @@ def test_sigma_products_are_field_powers(p, r, n):
     tw = gf.make_tower(p, r, n)
     S = sfd.build_semifield(tw, next(iter(sp.enumerate_admissible(tw, 3))))
     for k in range(tw.field.order):
-        assert gf.rel_norm(tw, k) == sigma_product(tw, k, 0, n)
+        assert oracles.rel_norm(tw, k) == sigma_product(tw, k, 0, n)
         for i in range(S.m + 1):
             assert ag._sigma_prefix(S, k, i) == sigma_product(tw, k, 0, i)

@@ -332,5 +332,5 @@ def test_bounds_report_assembly():
 
 
 def test_too_large_guard():
-    with pytest.raises(cs.TooLarge):
+    with pytest.raises(gf.SizeCapExceeded):
         cs.gammaL_orbit_count(16, 5)

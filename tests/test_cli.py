@@ -185,6 +185,28 @@ def test_exit_cap_on_field_beyond_log_tables(capsys):
     assert out == "" and err.startswith("cap violation:")
 
 
+def test_exit_cap_before_identifying_513_automorphisms(capsys):
+    # 513 maps H_(tau,k) on F_(2^18) over F_(2^9): the Cayley table is refused
+    # before any product is formed
+    rc, out, err = run(capsys, "loop", "aut", "--field", "2^18", "--sigma-r", "9",
+                       "--f", "t^2 - g^1")
+    assert rc == cli.EXIT_CAP
+    assert out == "" and err.startswith("cap violation:") and "513 maps" in err
+
+
+def test_exit_usage_on_sigma_r_zero(capsys):
+    rc, out, err = run(capsys, "field", "info", "--field", "2^2", "--sigma-r", "0")
+    assert rc == cli.EXIT_USAGE
+    assert out == "" and "--sigma-r must be at least 1" in err
+
+
+@pytest.mark.parametrize("n,m", [(2, 1100), (600, 2)])
+def test_exit_cap_on_bounds_beyond_float_range(capsys, n, m):
+    rc, out, err = run(capsys, "census", "bounds", "--q", "2", "--n", str(n), "--m", str(m))
+    assert rc == cli.EXIT_CAP
+    assert out == "" and err.startswith("cap violation:")
+
+
 def test_verify_tier1_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--tier", "1")
     assert rc == cli.EXIT_OK

@@ -3,6 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from oracles import add
 from skewloop import gf
 from skewloop import loops as lp
 from skewloop import semifield as sfd
@@ -36,8 +38,8 @@ def test_no_zero_divisors_and_distributivity(i, rng):
         y = rng.randrange(1, S.size)
         z = rng.randrange(S.size)
         assert S.mul(x, y) != 0
-        assert S.mul(x, S.add(y, z)) == S.add(S.mul(x, y), S.mul(x, z))
-        assert S.mul(S.add(y, z), x) == S.add(S.mul(y, x), S.mul(z, x))
+        assert S.mul(x, add(S, y, z)) == add(S, S.mul(x, y), S.mul(x, z))
+        assert S.mul(add(S, y, z), x) == add(S, S.mul(y, x), S.mul(z, x))
 
 
 @settings(max_examples=20, deadline=None)
@@ -74,7 +76,7 @@ def test_inverses_and_associator(i, rng):
     for c in rep.nuc.elements[:6]:
         y = rng.randrange(S.size)
         z = rng.randrange(S.size)
-        assert sfd.associator(S, c, y, z) == 0
+        assert oracles.associator(S, c, y, z) == 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -85,7 +87,7 @@ def test_skew_divmod_reconstructs(i, rng):
     deg_g = rng.randrange(len(f) - 1, len(f) + 3)
     g = tuple(rng.randrange(K.order) for _ in range(deg_g)) + (1,)
     q_, r_ = sp.right_divmod(tw, g, f)
-    back = sp.skew_add(tw, sp.skew_mul(tw, q_, f), r_)
+    back = oracles.skew_add(tw, sp.skew_mul(tw, q_, f), r_)
     assert sp.poly(list(back)) == sp.poly(list(g))
     assert sp.degree(r_) < sp.degree(f)
 

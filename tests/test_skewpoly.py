@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from skewloop import gf
 from skewloop import skewpoly as sp
 
@@ -33,7 +34,7 @@ def test_right_divmod_identity():
     for g in polys[:200]:
         q, r = sp.right_divmod(tw, g, f)
         assert sp.degree(r) < 2 or r == ()
-        assert sp.skew_add(tw, sp.skew_mul(tw, q, f), r) == g
+        assert oracles.skew_add(tw, sp.skew_mul(tw, q, f), r) == g
 
 
 def test_division_by_zero_poly():
