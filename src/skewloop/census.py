@@ -17,7 +17,7 @@ import numpy as np
 
 from . import skewpoly as sp
 from .gf import (FieldCtx, SizeCapExceeded, TowerCtx, factorint, isprime, mobius,
-                 poly_is_irreducible, primefactors)
+                 monic_rows, primefactors)
 from .semifield import SemifieldCtx, annihilator
 
 CLASSIFY_LIMIT = 2 ** 16
@@ -68,36 +68,34 @@ def count_central_irreducible(q: int, m: int) -> int:
     return by_mobius
 
 
-# -- monic polynomials over F_q as rows of a code array (low degree first) --
-
-def _monic_array(q: int, d: int) -> np.ndarray:
-    """All q^d monic degree-d polynomials, row n in itertools.product order
-    (c0 the most significant digit of n), with the leading 1 as last column."""
-    digits = np.arange(q ** d)[:, None] // q ** np.arange(d - 1, -1, -1) % q
-    return np.hstack([digits, np.ones((q ** d, 1), dtype=digits.dtype)])
-
-
-def enumerate_irreducible(K: FieldCtx, m: int) -> list[tuple[int, ...]]:
+def enumerate_irreducible(K: FieldCtx, m: int) -> np.ndarray:
     """Monic irreducible degree-m polynomials over F_q by a product sieve:
-    mark every monic product (irreducible of degree <= m/2) * (monic cofactor),
-    one irreducible g at a time against all cofactors at once."""
+    mark every monic product (irreducible g of degree e <= d/2) * (monic
+    cofactor), all g of one degree against all cofactors at once.  Only
+    degree m and the degrees up to m/2 its factors can have are sieved, and
+    the coefficient arithmetic goes through q x q addition and
+    multiplication tables, flattened so that a x b is entry a q + b (the
+    callers' CLASSIFY_LIMIT keeps q <= 256).  Rows of codes, low degree
+    first, in itertools.product order."""
     q = K.order
+    codes = np.arange(q)
+    add = K.add_array(codes[:, None], codes).ravel().astype(np.int32)
+    mul = K.mul_array(codes[:, None], codes).ravel().astype(np.int32)
     irr_by_deg: dict[int, np.ndarray] = {}
-    for d in range(1, m + 1):
+    for d in [*range(1, m // 2 + 1), m]:
         composite = np.zeros(q ** d, dtype=bool)
         weights = q ** np.arange(d - 1, -1, -1)
         for e in range(1, d // 2 + 1):
-            h = _monic_array(q, d - e)
-            for g in irr_by_deg[e].tolist():
-                prod = np.zeros((len(h), d + 1), dtype=np.int64)
-                prod[:, e:] = h                 # g is monic: start from y^e h
-                for i, c in enumerate(g[:e]):
-                    if c:
-                        window = prod[:, i:i + d - e + 1]
-                        window[:] = K.add_array(window, K.mul_array(c, h))
-                composite[prod[:, :d] @ weights] = True
-        irr_by_deg[d] = _monic_array(q, d)[~composite]
-    return list(map(tuple, irr_by_deg[m].tolist()))
+            g = q * irr_by_deg[e][:, None, :, None].astype(np.int32)
+            h = monic_rows(q, d - e, np.arange(q ** (d - e))).astype(np.int32)
+            prod = np.zeros((len(g), len(h), d + 1), dtype=np.int32)
+            prod[:, :, e:] = h                  # g is monic: start from y^e h
+            for i in range(e):
+                window = prod[:, :, i:i + d - e + 1]
+                window[:] = add[q * window + mul[g[:, :, i] + h]]
+            composite[prod[:, :, :d] @ weights] = True
+        irr_by_deg[d] = monic_rows(q, d, np.flatnonzero(~composite))
+    return irr_by_deg[m]
 
 
 def count_irreducible_enum(q: int, m: int) -> int:
@@ -120,7 +118,7 @@ def gammaL_orbit_count(q: int, m: int) -> int:
         raise SizeCapExceeded(f"q^m = {q**m} exceeds {CLASSIFY_LIMIT}")
     p, r = _prime_power(q)
     K = FieldCtx.create(p, r)
-    polys = np.array(enumerate_irreducible(K, m), dtype=np.int64)
+    polys = enumerate_irreducible(K, m)
     weights = q ** np.arange(m - 1, -1, -1)
     index = np.full(q ** m, -1, dtype=np.int64)
     index[polys[:, :m] @ weights] = np.arange(len(polys))
@@ -200,16 +198,25 @@ def similarity_classes(tower: TowerCtx, m: int,
     Irreducible f and g are similar iff R/Rf = R/Rg iff chi_f = chi_g: both
     are then the simple module of R/R chi(y) = M_n(F_q[y]/chi) (of R/Rt for
     chi = y), which has only one.  So the classes are the fibres of the
-    reduced norm, members in input order, classes ordered by first member."""
-    groups: dict[sp.SkewPoly, list[sp.SkewPoly]] = {}
-    for f in fs:
-        if sp.degree(f) != m:
-            raise ValueError(f"{f} does not have degree {m}")
-        chi = sp.reduced_norm(tower, f)
-        if not poly_is_irreducible(tower.field, chi, tower.q):
-            raise ValueError(f"{f} is reducible: similarity by reduced norm "
-                             "needs irreducible f")
-        groups.setdefault(chi, []).append(f)
+    reduced norm, members in input order, classes ordered by first member.
+    The fs are checked in input order, and the first that is not monic of
+    degree m, or is reducible, raises ValueError."""
+    fs = list(fs)
+    good = next((i for i, f in enumerate(fs)
+                 if sp.degree(f) != m or not sp.is_monic(f)), len(fs))
+    groups: dict[tuple[int, ...], list[sp.SkewPoly]] = {}
+    if good:
+        chi = sp.reduced_norms(tower, np.array(fs[:good], dtype=np.int64))
+        irreducible = sp.irreducible_norms(tower, chi)
+        if not irreducible.all():
+            raise ValueError(f"{fs[int(np.argmin(irreducible))]} is reducible: "
+                             "similarity by reduced norm needs irreducible f")
+        for f, h in zip(fs, chi.tolist()):
+            groups.setdefault(tuple(h), []).append(f)
+    if good < len(fs):
+        if sp.degree(fs[good]) != m:
+            raise ValueError(f"{fs[good]} does not have degree {m}")
+        raise sp.NotMonic("reduced norm requires a monic polynomial")
     return sorted(groups.values(), key=lambda g: g[0])
 
 
@@ -229,7 +236,12 @@ def sandler_exists(p: int, r: int, l: int, m: int) -> tuple[bool, list[int]]:
 
 def kantor_bound(q: int, n: int, m: int) -> float:
     size = q ** (n * m)
-    return size * math.sqrt(math.log2(size))
+    try:
+        return size * math.sqrt(math.log2(size))
+    except OverflowError:
+        raise OverflowError(
+            f"kantor_bound q^(nm) sqrt(log2 q^(nm)) is beyond float range at "
+            f"q^(nm) = {q}^{n * m}; it needs q^(nm) below about 2^1019") from None
 
 
 @dataclass
@@ -267,8 +279,14 @@ def bounds_report(q: int, n: int, m: int,
     Kantor bound, and observed class counts (n = m with a tower supplied)."""
     p, r = _prime_power(q)
     th = theta(q, m)
+    try:
+        low = (q ** m - th) / (m * r * (q - 1))
+    except OverflowError:
+        raise OverflowError(
+            f"sandwich_low (q^m - theta)/(m r (q-1)) is beyond float range at "
+            f"q^m = {q}^{m}; it needs q^m below 2^1024") from None
     rep = CensusReport(q=q, n=n, m=m, r=r,
-                       sandwich_low=(q ** m - th) / (m * r * (q - 1)),
+                       sandwich_low=low,
                        sandwich_high=(q ** m - th) // m,
                        numb=numb_bound(q, m) if n == m else None,
                        kantor=kantor_bound(q, n, m))

@@ -19,7 +19,7 @@ runs over K.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -137,6 +137,16 @@ def poly_is_irreducible(F, h: Sequence[int], q: int) -> bool:
     return True
 
 
+def monic_rows(q: int, d: int, index) -> np.ndarray:
+    """Rows `index` of the q^d monic degree-d polynomials over a field of
+    order q, numbered in itertools.product order of (c0, ..., c_(d-1)) (c0
+    the most significant digit): codes low degree first, the leading 1 as
+    last column."""
+    index = np.asarray(index, dtype=np.int64)
+    digits = index[:, None] // q ** np.arange(d - 1, -1, -1) % q
+    return np.hstack([digits, np.ones((len(index), 1), dtype=np.int64)])
+
+
 @cache
 def _prime_field(p: int) -> "FieldCtx":
     """Z/pZ as a FieldCtx: codes are the residues themselves."""
@@ -180,6 +190,8 @@ class FieldCtx:
     exp: list[int] = field(init=False, repr=False)
     log: list[Optional[int]] = field(init=False, repr=False)
     zech: list[Optional[int]] = field(init=False, repr=False)
+    _array_tables: Optional[tuple] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
         self.order = self.p ** self.l
@@ -288,18 +300,23 @@ class FieldCtx:
 
     # -- elementwise arithmetic on int64 code arrays -----------------------
 
-    @cached_property
+    @property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """int64 exp, log and zech, built on first array use.  Z = 2(|K|-1)
         stands for log 0 and for the Zech logarithm of 1 + g^j = 0; exp runs
         to 2Z with exp[k] = g^k below Z and 0 from Z on, so the sum of two
-        logs indexes it unreduced and reads 0 whenever one of them is Z."""
-        n1 = self.order - 1
-        exp = np.zeros(4 * n1 + 1, dtype=np.int64)
-        exp[:2 * n1] = np.tile(np.array(self.exp, dtype=np.int64), 2)
-        log = np.array([2 * n1] + self.log[1:], dtype=np.int64)
-        zech = np.array([2 * n1 if z is None else z for z in self.zech], dtype=np.int64)
-        return exp, log, zech
+        logs indexes it unreduced and reads 0 whenever one of them is Z.
+        They are kept in a declared field, not by cached_property: writing
+        the instance __dict__ would materialise it, after which every
+        attribute read of the scalar ops (mul, add) is slower."""
+        if self._array_tables is None:
+            n1 = self.order - 1
+            exp = np.zeros(4 * n1 + 1, dtype=np.int64)
+            exp[:2 * n1] = np.tile(np.array(self.exp, dtype=np.int64), 2)
+            log = np.array([2 * n1] + self.log[1:], dtype=np.int64)
+            zech = np.array([2 * n1 if z is None else z for z in self.zech], dtype=np.int64)
+            self._array_tables = (exp, log, zech)
+        return self._array_tables
 
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise a * b of code arrays (numpy broadcasting)."""

@@ -158,19 +158,23 @@ class SemifieldCtx:
     def images(self, Y, mats) -> np.ndarray:
         """images[k, y] = code of Y[y] @ mats[k] mod p, for coordinate rows Y
         and a stack of D x D matrices with entries in [0, p), in one float64
-        GEMM; OverflowError where D (p-1)^2 leaves the exact range.  Callers
-        that reuse Y pass it as float64, which is then not copied."""
+        GEMM, and the codes in a float64 product with the weights p^k;
+        OverflowError where D (p-1)^2 or |S| leaves the exact range.
+        Callers that reuse Y pass it as float64, which is then not copied."""
         D, p = self.dim_prime, self.p
         peak = D * (p - 1) ** 2
         if peak >= 2 ** 53:
             raise OverflowError(f"D (p-1)^2 = {peak} is not exact in float64")
+        if self.size > 2 ** 53:
+            raise OverflowError(f"|S| = {p}^{D} codes are not exact in float64")
         mats = np.asarray(mats)
         # row kD + j of the stacked matrix is column j of mats[k]
         stacked = mats.transpose(0, 2, 1).reshape(len(mats) * D, D).astype(np.float64)
         vecs = (stacked @ np.asarray(Y, dtype=np.float64).T).astype(
             np.int32 if peak < 2 ** 31 else np.int64)
         vecs -= p * (vecs // p)    # vecs %= p; numpy floor-divides by a scalar faster
-        return self.from_vector(vecs.reshape(len(mats), D, -1).transpose(0, 2, 1))
+        codes = self._weights.astype(np.float64) @ vecs.reshape(len(mats), D, -1)
+        return codes.astype(np.int64)
 
     def product_table(self, codes) -> np.ndarray:
         """table[a, b] = code of codes[a] * codes[b] (int32), a chunk of rows

@@ -8,10 +8,11 @@ Multiplication twists coefficients past t: t*a = sigma(a)*t.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Sequence
 
-from .gf import TowerCtx, poly_is_irreducible
+import numpy as np
+
+from .gf import TowerCtx, monic_rows, poly_is_irreducible
 
 SkewPoly = tuple  # tuple of K element codes, low degree first, trimmed
 
@@ -227,15 +228,114 @@ def is_admissible(ctx: TowerCtx, f: SkewPoly) -> bool:
             and is_irreducible(ctx, f) and not is_right_invariant(ctx, f))
 
 
+def reduced_norms(ctx: TowerCtx, F) -> np.ndarray:
+    """chi_f for every row f of F, an (#f, m+1) array of monic codes (low
+    degree first): `reduced_norm` on code arrays, the chi rows in the same
+    order.  Every C_f is built at once, one sigma gather per step, and its
+    characteristic polynomial is taken by Berkowitz's division-free
+    recurrence (S. J. Berkowitz, Inf. Process. Lett. 18, 1984), which picks
+    no pivots, so one array program serves every row."""
+    K = ctx.field
+    mul, add = K.mul_array, K.add_array
+    F = np.asarray(F, dtype=np.int64)
+    count, m = len(F), F.shape[1] - 1
+    if m < 1:
+        raise DegreeZero("constant polynomials are units")
+    if not (F[:, m] == 1).all():
+        raise NotMonic("reduced norm requires a monic polynomial")
+    sig = np.array(ctx._sigma[1 % ctx.n])
+
+    def neg(a):
+        return mul(K.p - 1, a)                            # -1 is the digit p - 1
+
+    def dot(a, b):                                        # sum over the last axis
+        out = mul(a[..., 0], b[..., 0])
+        for j in range(1, a.shape[-1]):
+            out = add(out, mul(a[..., j], b[..., j]))
+        return out
+
+    tail = neg(F[:, :m])                                  # t^m = tail mod_r f
+    C = np.empty((count, m, m), dtype=np.int64)           # row i: t^(i+n) mod_r f
+    r = np.zeros((count, m), dtype=np.int64)
+    r[:, 0] = 1
+    for k in range(ctx.n + m - 1):
+        if k >= ctx.n:
+            C[:, k - ctx.n] = r
+        top = sig[r[:, -1:]]                              # t r = sigma(r) shifted
+        r = add(np.hstack([np.zeros((count, 1), dtype=np.int64), sig[r[:, :-1]]]),
+                mul(top, tail))
+    C[:, m - 1] = r
+    # Berkowitz: with C_i the trailing block from (i, i) on, a its corner,
+    # R and c the rest of its first row and column and A = C_(i+1),
+    # chi(C_i) = T chi(A) for the Toeplitz T of first column
+    # (1, -a, -R c, -R A c, ..., -R A^(m-i-2) c); coefficients highest first
+    chi = [np.ones(count, dtype=np.int64)]
+    for i in range(m - 1, -1, -1):
+        R, c, A = C[:, i, i + 1:], C[:, i + 1:, i], C[:, i + 1:, i + 1:]
+        col = [chi[0], neg(C[:, i, i])]
+        for j in range(m - 1 - i):
+            if j:
+                c = dot(A, c[:, None, :])
+            col.append(neg(dot(R, c)))
+        new = [col[0]]
+        for k in range(1, len(chi) + 1):
+            acc = col[k]                                  # chi[0] = 1
+            for j in range(1, min(k, len(chi) - 1) + 1):
+                acc = add(acc, mul(col[k - j], chi[j]))
+            new.append(acc)
+        chi = new
+    chi = np.stack(chi[::-1], axis=1)
+    assert (sig[chi] == chi).all(), "a reduced norm has a coefficient outside F_q"
+    return chi
+
+
+def irreducible_norms(ctx: TowerCtx, chi: np.ndarray) -> np.ndarray:
+    """Which rows of a chi array (from `reduced_norms`) are irreducible over
+    F_q: one `poly_is_irreducible` per distinct row, of which there are at
+    most q^m however many rows there are.  Rows are ranked one column at a
+    time, so no key exceeds #rows * |K|."""
+    key = np.zeros(len(chi), dtype=np.int64)
+    for col in chi.T[:-1]:                                # the last is 1
+        _, first, key = np.unique(key * ctx.field.order + col,
+                                  return_index=True, return_inverse=True)
+    verdict = [poly_is_irreducible(ctx.field, h, ctx.q) for h in chi[first].tolist()]
+    return np.array(verdict, dtype=bool)[key]
+
+
+def _right_invariant(ctx: TowerCtx, F: np.ndarray) -> np.ndarray:
+    """`is_right_invariant` on the rows of F (monic, degree m), in closed
+    form.  f z - sigma^m(z) f = sum_(i<m) f_i (sigma^i(z) - sigma^m(z)) t^i
+    is its own remainder, zero iff f_i = 0 wherever i != m mod n (z is
+    primitive, so sigma^i(z) = sigma^m(z) iff n | i - m).  f t - t f =
+    sum_(i<m) d_i t^(i+1) with d_i = f_i - sigma(f_i) has the remainder
+    sum_(1<=j<m) (d_(j-1) - d_(m-1) f_j) t^j - d_(m-1) f_0."""
+    K = ctx.field
+    mul, add = K.mul_array, K.add_array
+    m = F.shape[1] - 1
+    low = F[:, :m]
+    sig = np.array(ctx._sigma[1 % ctx.n])
+    z_ok = ((low == 0) | (np.arange(m) % ctx.n == m % ctx.n)).all(axis=1)
+    d = add(low, mul(K.p - 1, sig[low]))
+    shifted = np.hstack([np.zeros((len(F), 1), dtype=np.int64), d[:, :-1]])
+    t_ok = (add(shifted, mul(K.p - 1, mul(d[:, -1:], low))) == 0).all(axis=1)
+    return z_ok & t_ok
+
+
+_ENUMERATE_CHUNK = 2 ** 14
+
+
 def enumerate_admissible(ctx: TowerCtx, m: int) -> Iterator[SkewPoly]:
-    """All monic degree-m admissible f, in lexicographic coefficient order."""
+    """All monic degree-m admissible f, in lexicographic coefficient order.
+    The |K|^m candidates go through `reduced_norms` a chunk at a time, and
+    only the irreducible ones through the right-invariance test."""
     if m < 2:
         raise ValueError("admissible polynomials have degree at least 2")
-    K = ctx.field
-    for tail in itertools.product(range(K.order), repeat=m):
-        f = tail + (1,)
-        if is_admissible(ctx, f):
-            yield f
+    total = ctx.field.order ** m
+    for start in range(0, total, _ENUMERATE_CHUNK):
+        F = monic_rows(ctx.field.order, m,
+                       np.arange(start, min(start + _ENUMERATE_CHUNK, total)))
+        F = F[irreducible_norms(ctx, reduced_norms(ctx, F))]
+        yield from map(tuple, F[~_right_invariant(ctx, F)].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ import numpy as np
 from skewloop import loops as lp
 
 
+# (p, r, n, m) of a battery of towers and degrees: every admissible f of
+# each is small enough to list with the scalar tests
+BATTERY = [(2, 1, 2, 2), (2, 1, 2, 3), (2, 1, 2, 4), (2, 1, 3, 2), (2, 1, 3, 3), (2, 1, 4, 2),
+           (2, 1, 5, 2), (2, 2, 2, 2), (3, 1, 2, 2), (3, 1, 2, 3), (3, 1, 3, 2), (5, 1, 2, 2),
+           (7, 1, 2, 2)]
+
+
 def inverse(g):
     """Test oracle: the inverse of one permutation, by a scatter."""
     inv = np.empty_like(g)

@@ -237,9 +237,7 @@ def test_g_c_trivial_for_central_c():
 
 
 # the (p, r, n, m) towers of the closed-form battery below
-BATTERY = [(2, 1, 2, 2), (2, 1, 2, 3), (2, 1, 2, 4), (2, 1, 3, 2), (2, 1, 3, 3), (2, 1, 4, 2),
-           (2, 1, 5, 2), (2, 2, 2, 2), (3, 1, 2, 2), (3, 1, 2, 3), (3, 1, 3, 2), (5, 1, 2, 2),
-           (7, 1, 2, 2)]
+BATTERY = oracles.BATTERY
 
 
 def test_s_gcd_count():

@@ -1,5 +1,6 @@
 """Counting formulas against enumeration oracles; classification relations."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -111,7 +112,8 @@ ORBIT_CASES = [(2, 2), (3, 2), (4, 2), (5, 2), (7, 3), (9, 3), (16, 3), (25, 2),
 def test_enumerate_irreducible_matches_oracle(q, m):
     p, r = cs._prime_power(q)
     K = gf.FieldCtx.create(p, r)
-    assert cs.enumerate_irreducible(K, m) == _oracle_enumerate_irreducible(K, m)
+    assert list(map(tuple, cs.enumerate_irreducible(K, m).tolist())) == \
+        _oracle_enumerate_irreducible(K, m)
 
 
 @pytest.mark.parametrize("q,m", ORBIT_CASES)
@@ -242,6 +244,14 @@ def test_similarity_classes_reject_reducible_f():
             cs.similarity_classes(tw, 2, [irreducible, reducible])
     with pytest.raises(ValueError):                       # degree other than m
         cs.similarity_classes(tw, 3, [irreducible])
+    # the first offending f in input order decides the error
+    with pytest.raises(ValueError, match="is reducible"):
+        cs.similarity_classes(tw, 2, [irreducible, (1, 0, 1), (1, 1)])
+    with pytest.raises(ValueError, match="does not have degree 2"):
+        cs.similarity_classes(tw, 2, [irreducible, (1, 1), (1, 0, 1)])
+    with pytest.raises(sp.NotMonic):
+        cs.similarity_classes(tw, 2, [irreducible, (1, 0, K.p), (1, 0, 1)])
+    assert cs.similarity_classes(tw, 2, []) == []
 
 
 # every tower with |K|^m <= 4096, m >= 2: F_4, F_8, F_9, F_16 (both sigma),
@@ -256,19 +266,42 @@ IDENTITY_CASES = [((p, r, n), m) for p, r, n in IDENTITY_TOWERS
                          ids=[f"F{p ** (r * n)}/F{p ** r}-m{m}"
                               for (p, r, n), m in IDENTITY_CASES])
 def test_admissible_census_identities(tower, m):
+    tw = gf.make_tower(*tower)
+    _expect_census_identities(tw, m, list(sp.enumerate_admissible(tw, m)))
+
+
+def _expect_census_identities(tw, m, fs):
     # the reduced norm maps the admissible f onto the N(q,m) monic
     # irreducibles of degree m in F_q[y], each fibre the (q^(nm)-1)/(q^m-1)
     # maximal left ideals of M_n(F_{q^m}); so enumerate_admissible has a
     # second derivation, their product
-    tw = gf.make_tower(*tower)
     q, n = tw.q, tw.n
-    fs = list(sp.enumerate_admissible(tw, m))
     classes = cs.similarity_classes(tw, m, fs)
     n_qm = cs.count_central_irreducible(q, m)
     size = (q ** (n * m) - 1) // (q ** m - 1)
     assert len(classes) == n_qm
     assert all(len(c) == size for c in classes)
     assert len(fs) == n_qm * size
+
+
+# the three towers with |K|^m = 2^16, and the sha256 of repr(list) of their
+# admissible f as the one-f-at-a-time is_admissible filter listed them
+TOWERS_2_16 = [((2, 1, 8), 2, 21845,
+                "0a46a63c46cf91c0354486f094f516944e05e31c3e26c1ac5a463ef2cbd3d142"),
+               ((2, 1, 4), 4, 13107,
+                "7704c6420725da0d4aeb28b0b0df8202e47d2bd8691023a94daf8556e00a6f66"),
+               ((2, 2, 2), 4, 15420,
+                "45e5fb871e60536ec80ec1df6cb4404a4d33fce8b3052bf25c8498b5b94fe8ef")]
+
+
+@pytest.mark.parametrize("tower,m,count,digest", TOWERS_2_16,
+                         ids=["F256/F2-m2", "F16/F2-m4", "F16/F4-m4"])
+def test_admissible_census_at_two_to_the_sixteen(tower, m, count, digest):
+    tw = gf.make_tower(*tower)
+    fs = list(sp.enumerate_admissible(tw, m))
+    assert len(fs) == count
+    assert hashlib.sha256(repr(fs).encode()).hexdigest() == digest
+    _expect_census_identities(tw, m, fs)
 
 
 def test_similarity_partition_f4():

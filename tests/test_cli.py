@@ -202,9 +202,15 @@ def test_exit_usage_on_sigma_r_zero(capsys):
 
 @pytest.mark.parametrize("n,m", [(2, 1100), (600, 2)])
 def test_exit_cap_on_bounds_beyond_float_range(capsys, n, m):
+    # q^m = 2^1100 overflows the float sandwich_low, q^(nm) = 2^1200 the
+    # kantor_bound; the message names the bound, the input and its limit
     rc, out, err = run(capsys, "census", "bounds", "--q", "2", "--n", str(n), "--m", str(m))
     assert rc == cli.EXIT_CAP
     assert out == "" and err.startswith("cap violation:")
+    if m > n:
+        assert "sandwich_low" in err and "q^m = 2^1100" in err and "below 2^1024" in err
+    else:
+        assert "kantor_bound" in err and "q^(nm) = 2^1200" in err and "below about 2^1019" in err
 
 
 def test_verify_tier1_passes(capsys):

@@ -51,6 +51,46 @@ def test_loop_is_latin_with_identity():
     assert all(L.mul(L.identity, j) == j == L.mul(j, L.identity) for j in range(n))
 
 
+def _sorted_latin_verdict(table):
+    """Test oracle: the first row, then the first column, whose sorted
+    values differ from 0..n-1, as the message _assert_latin raises."""
+    ref = np.arange(len(table))
+    for what, lines in (("row", table), ("column", table.T)):
+        bad = np.flatnonzero((np.sort(lines, axis=1) != ref).any(axis=1))
+        if bad.size:
+            return f"{what} {bad[0]} is not a permutation"
+    return None
+
+
+@pytest.mark.parametrize("n", [6, 80, 700])
+def test_assert_latin_matches_sorting_oracle(n):
+    # a cyclic group table, then single-entry damage: a duplicate in a row
+    # (which also breaks a column), a swap within a row (columns only), and
+    # values out of range on either side
+    rng = np.random.default_rng(n)
+    good = ((np.arange(n)[:, None] + np.arange(n)) % n).astype(np.int32)
+    lp._assert_latin(good)
+    for trial in range(12):
+        table = good.copy()
+        i, j, k = rng.integers(1, n, size=3)
+        kind = trial % 4
+        if kind == 0:
+            table[i, j] = table[i, k if k != j else (j % (n - 1)) + 1]
+        elif kind == 1:
+            table[i, [j, k]] = table[i, [k, j]]
+        else:
+            table[i, j] = -1 if kind == 2 else n + int(k)
+        want = _sorted_latin_verdict(table)
+        if want is None:
+            lp._assert_latin(table)
+            continue
+        with pytest.raises(AssertionError) as exc:
+            lp._assert_latin(table)
+        assert str(exc.value) == want
+    with pytest.raises(AssertionError, match="not square"):
+        lp._assert_latin(good[:, :-1])
+
+
 def test_table_matches_semifield_mul():
     S, L = quat2_loop()
     for x in range(1, S.size):

@@ -120,6 +120,14 @@ def test_images_refuses_sums_past_float64():
         sfd.SemifieldCtx.images(stub, np.zeros((1, D)), np.zeros((1, D, D)))
 
 
+def test_images_refuses_codes_past_float64():
+    """The codes come from a float64 product with the weights p^k, exact
+    only while |S| <= 2^53: above that the kernel raises."""
+    stub = SimpleNamespace(p=2, dim_prime=54, size=2 ** 54)
+    with pytest.raises(OverflowError, match=r"\|S\|"):
+        sfd.SemifieldCtx.images(stub, np.zeros((1, 54)), np.zeros((1, 54, 54)))
+
+
 @pytest.mark.parametrize("args,m", BATTERY_TOWERS,
                          ids=[f"F{p ** (r * n)}m{m}" for (p, r, n), m in BATTERY_TOWERS])
 def test_tensor_reproduces_mul(args, m):

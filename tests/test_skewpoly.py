@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -160,6 +161,43 @@ def test_reduced_norm_is_monic_central_multiple(tower, m):
         assert sp.degree(chi) == m and sp.is_monic(chi)
         assert all(tw.in_fixed_field(c) for c in chi)
         assert sp.right_rem(tw, _central_as_skew(tw, chi), f) == ()
+
+
+@pytest.mark.parametrize("tower,m", EXHAUSTIVE_CASES, ids=_case_ids(EXHAUSTIVE_CASES))
+def test_reduced_norms_match_scalar_path(tower, m):
+    # the batch, row for row, against reduced_norm (a Hessenberg form) and
+    # is_right_invariant (two right remainders) on every monic f
+    tw = gf.make_tower(*tower)
+    Q = tw.field.order
+    F = gf.monic_rows(Q, m, np.arange(Q ** m))
+    fs = list(map(tuple, F.tolist()))
+    chi = sp.reduced_norms(tw, F)
+    assert chi.tolist() == [list(sp.reduced_norm(tw, f)) for f in fs]
+    verdicts = {}
+    for h in map(tuple, chi.tolist()):
+        verdicts.setdefault(h, gf.poly_is_irreducible(tw.field, h, tw.q))
+    assert sp.irreducible_norms(tw, chi).tolist() == [verdicts[tuple(h)] for h in chi.tolist()]
+    assert sp._right_invariant(tw, F).tolist() == [sp.is_right_invariant(tw, f) for f in fs]
+
+
+@pytest.mark.parametrize("p,r,n,m", oracles.BATTERY,
+                         ids=[f"F{p ** (r * n)}/F{p ** r}-m{m}" for p, r, n, m in oracles.BATTERY])
+def test_enumerate_admissible_matches_scalar_filter(p, r, n, m):
+    tw = gf.make_tower(p, r, n)
+    want = [tail + (1,) for tail in itertools.product(range(tw.field.order), repeat=m)
+            if sp.is_admissible(tw, tail + (1,))]
+    assert list(sp.enumerate_admissible(tw, m)) == want
+
+
+def test_reduced_norms_of_no_rows_and_bad_rows():
+    tw = tower_f4()
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert sp.reduced_norms(tw, empty).shape == (0, 3)
+    assert sp.irreducible_norms(tw, sp.reduced_norms(tw, empty)).shape == (0,)
+    with pytest.raises(sp.NotMonic):
+        sp.reduced_norms(tw, [(1, 0, 1), (1, 2, 3)])
+    with pytest.raises(sp.DegreeZero):
+        sp.reduced_norms(tw, [(1,)])
 
 
 @pytest.mark.parametrize("tower", [(2, 1, 8), (3, 2, 2), (2, 3, 2)],
