@@ -150,39 +150,34 @@ def numb_bound(q: int, m: int) -> Optional[int]:
     return None
 
 
-def _in_proper_subfield(tower: TowerCtx, a: int) -> bool:
-    """a inside some F_{q^e}, e | n, e < n (subfields of K containing F)."""
-    n = tower.n
-    for e in range(1, n):
-        if n % e == 0 and tower.sigma(a, e) == a:
-            return True
-    return False
-
-
 def cyclic_algebra_classes(tower: TowerCtx) -> tuple[int, list[int]]:
     """Isomorphism classes of (K/F, sigma, a), m = n: a ranges over elements
-    in no proper subfield of K/F, modulo a ~ k*sigma^i(a) for k in F^x."""
+    in no proper subfield of K/F, modulo a ~ k*sigma^i(a) for k in F^x.
+
+    In logarithms a = g^x, x mod |K|-1: a lies in F_(q^e) iff
+    (|K|-1)/(q^e-1) divides x, F^x = <g^s> with s = (|K|-1)/(q-1) moves x
+    by multiples of s, and sigma^i sends x to q^i x.  Every (|K|-1)/(q^e-1)
+    divides s, so a class is a set of residues x mod s closed under
+    x -> q x: the least code of each F^x-coset is one min over a
+    (q-1) x s reshape of the exp table, and a class is represented by the
+    least of those minima along its sigma-orbit."""
     K = tower.field
-    m = tower.n
+    q, m, n1 = tower.q, tower.n, K.order - 1
     if K.order > CLASSIFY_LIMIT:
         raise SizeCapExceeded(f"|K| = {K.order} exceeds {CLASSIFY_LIMIT}")
-    admissible = [a for a in range(1, K.order) if not _in_proper_subfield(tower, a)]
-    fixed = [c for c in tower.fixed_field_elements() if c != 0]
-    seen: set[int] = set()
-    reps: list[int] = []
-    for a in admissible:
-        if a in seen:
-            continue
-        orbit = {K.mul(k, tower.sigma(a, i))
-                 for k in fixed for i in range(m)}
-        assert orbit <= set(admissible)
-        seen |= orbit
-        reps.append(min(orbit))
-    q = tower.field.p ** tower.r
+    s = n1 // (q - 1)
+    coset_min = np.array(K.exp).reshape(q - 1, s).min(axis=0)
+    x = np.arange(s)
+    admissible = np.all([x % (n1 // (q ** e - 1)) != 0
+                         for e in range(1, m) if m % e == 0], axis=0)
+    orbits = np.array([pow(q, i, s) for i in range(m)])[:, None] * x[admissible] % s
+    assert admissible[orbits].all(), "sigma moves an admissible a into a subfield"
+    reps = sorted(set(coset_min[orbits].min(axis=0).tolist()))
     bound = numb_bound(q, m)
     if bound is not None:
-        assert len(reps) <= bound, "class count exceeds its stated upper bound"
-    return len(reps), sorted(reps)
+        assert len(reps) <= bound, (
+            f"F_{K.order}/F_{q}: {len(reps)} classes exceed numb_bound({q}, {m}) = {bound}")
+    return len(reps), reps
 
 
 def similar(tower: TowerCtx, f: sp.SkewPoly, g: sp.SkewPoly) -> bool:

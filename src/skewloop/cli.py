@@ -112,11 +112,10 @@ def cmd_semifield_analyze(args) -> int:
 
 def _loop_from_args(args) -> lp.LoopCtx:
     S = _semifield_from_args(args)
-    cap = args.cap_degree or pg.DEGREE_CAP
-    if S.size - 1 > cap:
+    if S.size - 1 > pg.DEGREE_CAP:
         d, q = S.tower.n * S.m, S.tower.q
         raise CapViolation(
-            f"loop degree {S.size - 1} exceeds cap {cap}",
+            f"loop degree {S.size - 1} exceeds cap {pg.DEGREE_CAP}",
             f"SL/GL sandwich: {pg.sl_order(d, q)} <= |Mlt| <= {pg.gl_order(d, q)}; "
             f"a BSGS at this degree would need {4 * (S.size - 1) ** 2} bytes per level "
             f"(one {S.size - 1}x{S.size - 1} int32 table of inverse coset representatives)")
@@ -133,13 +132,14 @@ def cmd_loop(args) -> int:
         S = _semifield_from_args(args)
         if args.what == "aut":
             auts = ag.solve_aut_conditions(S)
-            gid = ag.aut_group_structure(S, auts)
-            _emit(args, {
-                "hk_count": len(auts),
-                "hk_parameters": [[H.tau_exp, H.k] for H in auts],
-                "group_tag": gid.tag,
-                "group_order": str(gid.order),
-            })
+            payload = {"hk_count": len(auts),
+                       "hk_parameters": [[H.tau_exp, H.k] for H in auts]}
+            try:
+                gid = ag.aut_group_structure(S, auts)
+            except SizeCapExceeded:
+                _emit(args, payload)    # the maps are found; only their group is capped
+                raise
+            _emit(args, {**payload, "group_tag": gid.tag, "group_order": str(gid.order)})
         else:
             inners = ag.inner_automorphisms(S)
             gid = ag.inner_group_structure(S, inners)
@@ -350,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     loop_sub = p_loop.add_subparsers(dest="what", required=True)
     for what in ("mlt", "inn", "aut", "inner", "cyclic", "lagrange", "latin"):
         p = add_tower_flags(loop_sub.add_parser(what))
-        if what not in ("aut", "inner"):    # the commands that build the loop table
-            p.add_argument("--cap-degree", type=int, default=0, dest="cap_degree")
         if what == "latin":
             p.add_argument("--out", required=True, help="CSV output path")
 

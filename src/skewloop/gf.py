@@ -429,7 +429,7 @@ class TowerCtx:
         return self._sigma[i % self.n][a]
 
     def in_fixed_field(self, a: int) -> bool:
-        return self._sigma[1 % self.n][a] == a
+        return self.sigma(a) == a
 
     def fixed_field_elements(self) -> list[int]:
         return [a for a in range(self.field.order) if self.in_fixed_field(a)]

@@ -276,13 +276,12 @@ def inner_rows(L: LoopCtx, kind: str, x, y=None) -> np.ndarray:
 
 
 def _principal_orbit_size(L: LoopCtx, a: int, side: str) -> int:
-    seen = np.zeros(L.size, dtype=bool)
-    cur = a
-    count = 0
-    while not seen[cur]:
-        seen[cur] = True
-        count += 1
+    """The length of the cycle through a of R_a (side "left": x -> xa) or of
+    L_a (x -> ax): a translation is a permutation, so the walk returns to a."""
+    cur, count = L.mul(a, a), 1
+    while cur != a:
         cur = L.mul(cur, a) if side == "left" else L.mul(a, cur)
+        count += 1
     return count
 
 

@@ -426,8 +426,6 @@ class GroupId:
     tag: str
     order: int
     params: dict = field(default_factory=dict)
-    witness: tuple = ()
-    order_spectrum: Optional[dict[int, int]] = None
 
 
 def _inverse_in_table(mul: Sequence[Sequence[int]], e: int, a: int) -> int:
@@ -452,14 +450,9 @@ def identify_small_group(mul: Sequence[Sequence[int]], identity: int = 0) -> Gro
                               f"bound {IDENTIFY_LIMIT}")
     e = identity
     orders = {a: len(_cyclic_subgroup(mul, e, a)) for a in range(n)}
-    spectrum: dict[int, int] = {}
-    for o in orders.values():
-        spectrum[o] = spectrum.get(o, 0) + 1
     # cyclic
-    gen = next((a for a in range(n) if orders[a] == n), None)
-    if gen is not None:
-        return GroupId(tag="cyclic", order=n, params={"k": n}, witness=(gen,),
-                       order_spectrum=spectrum)
+    if n in orders.values():
+        return GroupId(tag="cyclic", order=n, params={"k": n})
     # dicyclic Dic_k of order 4k: <a,b | a^(2k)=1, b^2=a^k, b a b^-1 = a^-1>
     if n % 4 == 0:
         k = n // 4
@@ -477,8 +470,7 @@ def identify_small_group(mul: Sequence[Sequence[int]], identity: int = 0) -> Gro
                     continue
                 b_inv = _inverse_in_table(mul, e, b)
                 if mul[mul[b][a]][b_inv] == a_inv:
-                    return GroupId(tag="dicyclic", order=n, params={"k": k},
-                                   witness=(a, b), order_spectrum=spectrum)
+                    return GroupId(tag="dicyclic", order=n, params={"k": k})
     # Z/a x| Z/b with action x -> x^q
     for da in range(n - 1, 1, -1):
         if n % da:
@@ -515,9 +507,8 @@ def identify_small_group(mul: Sequence[Sequence[int]], identity: int = 0) -> Gro
                     yj = mul[yj][y]
                 if len(seen) == n:
                     return GroupId(tag="semidirect", order=n,
-                                   params={"a": da, "b": db, "q": qexp},
-                                   witness=(x, y), order_spectrum=spectrum)
-    return GroupId(tag="unknown", order=n, order_spectrum=spectrum)
+                                   params={"a": da, "b": db, "q": qexp})
+    return GroupId(tag="unknown", order=n)
 
 
 # ---------------------------------------------------------------------------

@@ -361,46 +361,31 @@ class TPowerReport:
 
 
 def t_power_diagnostics(S: SemifieldCtx) -> TPowerReport:
-    tower = S.tower
-    m = S.m
-    # (a) powers of t associative iff f t in Rf
-    ft = sp.skew_mul(tower, S.f, sp.t_power(1))
-    assoc = not sp.right_rem(tower, ft, S.f)
-    tm = S.encode(sp.right_rem(tower, sp.t_power(m), S.f))
-    t = S.t
+    """The powers of t in S_f, all decided by one question: is f t in Rf?
+
+    Write x.y = xy mod_r f.  Every bracketing of t^k with k <= m is
+    t^k mod_r f: below degree m nothing is reduced, and a bracketing of t^m
+    is t^i . t^(m-i) with both factors plain powers.  A bracketing of
+    t^(m+1) is t^i . t^(m+1-i): for 1 <= i < m it is t^(m+1) mod_r f (at
+    i = 1 because t f lies in Rf), but (t^m mod_r f) . t = (t^m - f) t mod_r f
+    is that minus f t mod_r f.  So the powers of t are associative, they
+    have one value each (`powers_closed`), and t^(m+1) has one value, all
+    exactly when f t lies in Rf.  Then t lies in Nuc_r = {g : f g in Rf},
+    a finite field, every bracketing of t^k is the field power, and the
+    distinct powers form the cyclic group of the multiplicative order of t.
+    """
+    assoc = not sp.right_rem(S.tower, sp.skew_mul(S.tower, S.f, sp.t_power(1)), S.f)
+    t, tm = S.t, S.encode(sp.right_rem(S.tower, sp.t_power(S.m), S.f))
     assert (S.mul(tm, t) == S.mul(t, tm)) == assoc, "ft in Rf vs t^m t = t t^m mismatch"
-    # (b) the powers of t form a multiplicative group iff every bracketing of
-    # t^k gives one value for every k (then the power set is a cyclic group)
-    vals: dict[int, set[int]] = {1: {t}}
-    powers_seen = {t}
-    group = True
-    k = 1
-    while group:
-        k += 1
-        acc = vals[k] = _bracketings(S, vals, k)
-        if len(acc) > 1:
-            group = False
-            break
-        val = next(iter(acc))
-        if val in powers_seen:
-            break
-        powers_seen.add(val)
-        if k > S.size:
-            raise AssertionError("power cycle not found")
-    # (d) all bracketings of t^(m+1) agree?
-    for k in range(len(vals) + 1, m + 2):
-        vals[k] = _bracketings(S, vals, k)
-    return TPowerReport(
-        powers_associative=assoc,
-        powers_closed=group,
-        closure_order=len(powers_seen) if group else None,
-        power_associative_m_plus_1=len(vals[m + 1]) == 1,
-    )
-
-
-def _bracketings(S: SemifieldCtx, vals: dict[int, set[int]], k: int) -> set[int]:
-    """The values of all bracketings of t^k, given those of t^1 .. t^(k-1)."""
-    return {S.mul(u, v) for i in range(1, k) for u in vals[i] for v in vals[k - i]}
+    order = None
+    if assoc:
+        x, order = t, 1
+        while x != S.one:
+            x, order = S.mul(x, t), order + 1
+            if order > S.size:
+                raise AssertionError("power cycle not found")
+    return TPowerReport(powers_associative=assoc, powers_closed=assoc,
+                        closure_order=order, power_associative_m_plus_1=assoc)
 
 
 def analysis_json(S: SemifieldCtx) -> dict:

@@ -10,6 +10,7 @@ from math import gcd
 import numpy as np
 
 from skewloop import loops as lp
+from skewloop import skewpoly as sp
 
 
 # (p, r, n, m) of a battery of towers and degrees: every admissible f of
@@ -94,3 +95,62 @@ def read_latin_csv(path):
         next(rd)  # legend
         rows = [[int(v) for v in next(rd)] for _ in range(n)]
     return lp.loop_from_table(rows)
+
+
+def in_proper_subfield(tw, a):
+    """Test oracle: a inside some F_{q^e}, e | n, e < n (the subfields of K
+    containing F), by sigma^e(a) = a."""
+    n = tw.n
+    return any(n % e == 0 and tw.sigma(a, e) == a for e in range(1, n))
+
+
+def cyclic_algebra_classes(tw):
+    """Test oracle for `census.cyclic_algebra_classes`: walk K^x, and form
+    the orbit {k sigma^i(a) : k in F^x, i < n} of each admissible a not yet
+    seen; (class count, sorted least orbit members)."""
+    K = tw.field
+    admissible = [a for a in range(1, K.order) if not in_proper_subfield(tw, a)]
+    fixed = [c for c in tw.fixed_field_elements() if c != 0]
+    seen = set()
+    reps = []
+    for a in admissible:
+        if a in seen:
+            continue
+        orbit = {K.mul(k, tw.sigma(a, i)) for k in fixed for i in range(tw.n)}
+        assert orbit <= set(admissible)
+        seen |= orbit
+        reps.append(min(orbit))
+    return len(reps), sorted(reps)
+
+
+def t_power_walk(S):
+    """Test oracle for `semifield.t_power_diagnostics`: form the values of
+    every bracketing of t^k, k = 2, 3, ..., until one t^k has two values or
+    a value repeats; then every bracketing of the remaining powers up to
+    t^(m+1).  (powers_associative, powers_closed, closure_order,
+    power_associative_m_plus_1) with the first as "f t in Rf"."""
+    tw, m, t = S.tower, S.m, S.t
+
+    def bracketings(k):
+        return {S.mul(u, v) for i in range(1, k) for u in vals[i] for v in vals[k - i]}
+
+    vals = {1: {t}}
+    powers_seen = {t}
+    closed = True
+    k = 1
+    while True:
+        k += 1
+        vals[k] = bracketings(k)
+        if len(vals[k]) > 1:
+            closed = False
+            break
+        val, = vals[k]
+        if val in powers_seen:
+            break
+        powers_seen.add(val)
+        assert k <= S.size, "power cycle not found"
+    for k in range(len(vals) + 1, m + 2):
+        vals[k] = bracketings(k)
+    ft = sp.skew_mul(tw, S.f, sp.t_power(1))
+    return (not sp.right_rem(tw, ft, S.f), closed,
+            len(powers_seen) if closed else None, len(vals[m + 1]) == 1)

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+import oracles
 from skewloop import census as cs
 from skewloop import gf
 from skewloop import skewpoly as sp
@@ -150,6 +151,28 @@ def test_cyclic_algebra_classes():
             assert sp.is_irreducible(tw, (K.neg(a), 0, 1))
 
 
+# (p, r, n): the benchmark's CYCLIC_POOL towers and F_9, then F_256/F_2 and
+# F_(2^12)/F_2
+CYCLIC_TOWERS = [(2, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (2, 1, 4), (7, 1, 2),
+                 (3, 1, 3), (2, 3, 2), (2, 1, 5), (11, 1, 2), (13, 1, 2), (3, 1, 2),
+                 (2, 1, 8), (2, 1, 12)]
+
+
+@pytest.mark.parametrize("p,r,n", CYCLIC_TOWERS)
+def test_cyclic_algebra_classes_match_walk(p, r, n):
+    tw = gf.make_tower(p, r, n)
+    assert cs.cyclic_algebra_classes(tw) == oracles.cyclic_algebra_classes(tw)
+
+
+def test_cyclic_algebra_classes_at_2_16():
+    # F_(2^16)/F_2: 2^16 - 2^8 admissible a in free sigma-orbits of 16, pinned
+    # by the sha256 of repr((count, reps)) of the walk in tests/oracles.py
+    got = cs.cyclic_algebra_classes(gf.make_tower(2, 1, 16))
+    assert got[0] == (2 ** 16 - 2 ** 8) // 16 == 4080
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == \
+        "9796cfae912ce384defe7d4a75c9bc2514e32d9bfaabf667f247c5414bdcbcc1"
+
+
 def test_classes_not_in_subfield_iff_irreducible():
     # the enumeration criterion (a outside every proper subfield) matches
     # skew irreducibility of t^m - a
@@ -157,7 +180,7 @@ def test_classes_not_in_subfield_iff_irreducible():
         tw = gf.make_tower(p, 1, 2)
         K = tw.field
         for a in range(1, K.order):
-            assert (not cs._in_proper_subfield(tw, a)) == \
+            assert (not oracles.in_proper_subfield(tw, a)) == \
                 sp.is_irreducible(tw, (K.neg(a), 0, 1))
 
 

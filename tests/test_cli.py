@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from skewloop import cli
+from skewloop import permgroup as pg
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -92,9 +93,9 @@ def test_loop_aut_and_inner_compute_only_their_family(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv,flag", [
     (("field", "info", "--field", "2^2"), "--seed"),
-    (("semifield", "analyze", "--field", "2^2", "--f", "t^2 - g^1"), "--cap-degree"),
+    (("loop", "mlt", "--field", "2^2", "--f", "t^2 - g^1"), "--cap-degree"),
     (("loop", "aut", "--field", "2^2", "--f", "t^2 - g^1"), "--seed"),
-    (("loop", "inner", "--field", "2^2", "--f", "t^2 - g^1"), "--cap-degree"),
+    (("loop", "latin", "--field", "2^2", "--f", "t^2 - g^1", "--out", "sq.csv"), "--cap-degree"),
     (("loop", "cyclic", "--field", "2^2", "--f", "t^2 - g^1"), "--seed"),
     (("loop", "mlt", "--field", "2^2", "--f", "t^2 - g^1"), "--seed"),
 ])
@@ -171,12 +172,13 @@ def test_exit_usage_on_reducible_f(capsys):
 
 
 def test_exit_cap_with_sandwich(capsys):
-    rc, _, err = run(capsys, "loop", "mlt", "--field", "2^2",
-                     "--f", "t^2 - g^1", "--cap-degree", "10")
+    # 6560 points over F_81/F_3 with m = 2, above DEGREE_CAP: the cap is
+    # checked before any table is built
+    rc, out, err = run(capsys, "loop", "mlt", "--field", "3^4", "--f", "t^2 - g^1")
     assert rc == cli.EXIT_CAP
-    assert "SL/GL sandwich" in err
-    assert "20160" in err  # both bounds collapse to |GL(4,2)|
-    assert "900 bytes per level" in err  # one 15 x 15 int32 table
+    assert out == "" and "loop degree 6560 exceeds cap 5000" in err
+    assert f"SL/GL sandwich: {pg.sl_order(8, 3)} <= |Mlt| <= {pg.gl_order(8, 3)}" in err
+    assert "172134400 bytes per level" in err  # one 6560 x 6560 int32 table
 
 
 def test_exit_cap_on_field_beyond_log_tables(capsys):
@@ -186,12 +188,24 @@ def test_exit_cap_on_field_beyond_log_tables(capsys):
 
 
 def test_exit_cap_before_identifying_513_automorphisms(capsys):
-    # 513 maps H_(tau,k) on F_(2^18) over F_(2^9): the Cayley table is refused
-    # before any product is formed
+    # 513 maps H_(tau,k) on F_(2^18) over F_(2^9): the maps are printed, and
+    # their Cayley table is refused before any product is formed
     rc, out, err = run(capsys, "loop", "aut", "--field", "2^18", "--sigma-r", "9",
-                       "--f", "t^2 - g^1")
+                       "--f", "t^2 - g^1", "--format", "json")
     assert rc == cli.EXIT_CAP
-    assert out == "" and err.startswith("cap violation:") and "513 maps" in err
+    data = json.loads(out)
+    assert sorted(data) == ["hk_count", "hk_parameters"]
+    assert data["hk_count"] == len(data["hk_parameters"]) == 513
+    assert err.startswith("cap violation:") and "513 maps" in err
+
+
+def test_exit_invariant_names_the_class_bound_instance(capsys):
+    # F_81/F_3 with m = 4: a -> -sigma^2(a) fixes the 8 elements of order 16,
+    # so by Burnside the 72 admissible a form (72 + 8)/8 = 10 classes, above
+    # numb_bound(3, 4) = 9
+    rc, out, err = run(capsys, "census", "classify", "--field", "3^4")
+    assert rc == cli.EXIT_INVARIANT
+    assert out == "" and "F_81/F_3: 10 classes exceed numb_bound(3, 4) = 9" in err
 
 
 def test_exit_usage_on_sigma_r_zero(capsys):

@@ -331,6 +331,24 @@ def test_t_power_diagnostics_central_coefficient_field():
         assert isinstance(diag.powers_closed, bool)
 
 
+def test_t_power_diagnostics_match_bracketing_walk():
+    # every admissible f of the battery: the closed form against the walk over
+    # all bracketings, and t in Nuc_r whenever f t lies in Rf
+    associative = 0
+    for p, r, n, m in oracles.BATTERY:
+        tw = gf.make_tower(p, r, n)
+        for f in sp.enumerate_admissible(tw, m):
+            S = sfd.SemifieldCtx(tower=tw, f=f)
+            d = sfd.t_power_diagnostics(S)
+            got = (d.powers_associative, d.powers_closed, d.closure_order,
+                   d.power_associative_m_plus_1)
+            assert got == oracles.t_power_walk(S), f
+            if d.powers_associative:
+                associative += 1
+                assert S.t in sfd.nuc_r_membership(S)
+    assert associative == 55
+
+
 def test_analysis_json_shape():
     S = quat2()
     data = sfd.analysis_json(S)
