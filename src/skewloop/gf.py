@@ -190,11 +190,11 @@ class FieldCtx:
     exp: list[int] = field(init=False, repr=False)
     log: list[Optional[int]] = field(init=False, repr=False)
     zech: list[Optional[int]] = field(init=False, repr=False)
-    _array_tables: Optional[tuple] = field(default=None, init=False, repr=False,
-                                           compare=False)
+    _array_tables: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.order = self.p ** self.l
+        self._array_tables = None
         self._build_log_tables()
 
     # -- construction ----------------------------------------------------

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,6 +35,13 @@ class LoopCtx:
     semifield: Optional[SemifieldCtx]
     table: np.ndarray  # table[i, j] = index of element_i * element_j
     identity = 0       # the identity's index, in every loop
+    # the division tables, filled on first use by `ldiv` and `rdiv`: declared
+    # fields, set to None at construction, as in `SemifieldCtx`
+    _ldiv: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _rdiv: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._ldiv = self._rdiv = None
 
     @property
     def size(self) -> int:
@@ -50,15 +56,19 @@ class LoopCtx:
     def right_translation(self, a: int) -> Perm:
         return self.table[:, a].astype(np.int32)
 
-    @cached_property
+    @property
     def ldiv(self) -> np.ndarray:
         """Left division: row a is L_a^-1, so ldiv[a, b] = a \\ b."""
-        return pg.inverse_many(self.table)
+        if self._ldiv is None:
+            self._ldiv = pg.inverse_many(self.table)
+        return self._ldiv
 
-    @cached_property
+    @property
     def rdiv(self) -> np.ndarray:
         """Right division: row a is R_a^-1, so rdiv[a, b] = b / a."""
-        return pg.inverse_many(self.table.T)
+        if self._rdiv is None:
+            self._rdiv = pg.inverse_many(self.table.T)
+        return self._rdiv
 
 
 def _assert_latin(table: np.ndarray) -> None:
@@ -305,13 +315,17 @@ def cyclicity(L: LoopCtx) -> tuple[bool, bool, dict]:
 # closure, subloops and Lagrange properties
 
 
-def _generate(L: LoopCtx, seed: Iterable[int], closed: Iterable[int] = ()
+def _generate(L: LoopCtx, seed: Iterable[int], closed: Iterable[int] = (),
+              stop: Optional[np.ndarray] = None
               ) -> tuple[list[int], list[tuple[int, int, int]]]:
     """The subloop generated by `closed` and `seed`, in discovery order
     (`closed`, new seed elements, then each round's new products ascending),
     and a step (c, a, b), ab = c with a, b found earlier, per product found.
     Rounds form only the products that involve the last round's elements, so
-    `closed` must be a subloop or empty; the first frontier is seed \\ closed."""
+    `closed` must be a subloop or empty; the first frontier is seed \\ closed.
+    With `stop`, a boolean mask of elements known to generate L, the search
+    returns as soon as a frontier holds one of them: the closure is then L,
+    and what is returned is a prefix of it."""
     N, flat = L.size, L.table.ravel()
     member = np.zeros(N, dtype=bool)
     elems = list(closed)
@@ -321,6 +335,8 @@ def _generate(L: LoopCtx, seed: Iterable[int], closed: Iterable[int] = ()
     elems += frontier
     steps: list[tuple[int, int, int]] = []
     while frontier and len(elems) < N:
+        if stop is not None and stop[frontier].any():
+            break
         cur, new = np.array(elems), np.array(frontier)
         old = cur[:len(cur) - len(new)]
         # offsets aN + b in the table of the products new * cur and old * new
@@ -339,20 +355,25 @@ def _generate(L: LoopCtx, seed: Iterable[int], closed: Iterable[int] = ()
     return elems, steps
 
 
-def _closure(L: LoopCtx, seed: Sequence[int]) -> frozenset:
-    return frozenset(_generate(L, seed)[0])
-
-
 def subloops(L: LoopCtx) -> list[frozenset]:
     """Full subloop collection: the closures <a>, then pairwise joins to a
-    fixpoint.  Each round joins only the pairs that involve a subloop new in
-    the previous round; every other pair was joined before.  Both parts of a
-    join are subloops, so its search starts from c2 minus c1."""
+    fixpoint.  Each a whose closure is L is marked as a generator of L, and
+    a later closure <b> stops as soon as it meets a marked element c: then
+    L = <c> <= <b>.  Each round joins only the pairs that involve a subloop
+    new in the previous round; every other pair was joined before.  Both
+    parts of a join are subloops, so its search starts from c2 minus c1."""
     N = L.size
     if N > SUBLOOP_SIZE_CAP:
         raise SizeCapExceeded(f"subloop search capped at {SUBLOOP_SIZE_CAP}")
-    done: list[frozenset] = []
-    fresh = {_closure(L, [a]) for a in range(N)}
+    generates = np.zeros(N, dtype=bool)
+    fresh = set()
+    for a in range(N):
+        elems = _generate(L, [a], stop=generates)[0]
+        if len(elems) == N or generates[elems].any():
+            generates[a] = True
+        else:
+            fresh.add(frozenset(elems))
+    done = [frozenset(range(N))]
     while fresh:
         joins = set()
         for c1 in fresh:
@@ -361,7 +382,7 @@ def subloops(L: LoopCtx) -> list[frozenset]:
                     joins.add(frozenset(_generate(L, c2, closed=c1)[0]))
             done.append(c1)
         fresh = joins.difference(done)
-    return sorted(set(done) | {frozenset(range(N))}, key=len)
+    return sorted(done, key=len)
 
 
 def subloops_and_lagrange(L: LoopCtx) -> tuple[list[int], bool, bool]:

@@ -10,10 +10,15 @@ non-member the same way.  So the order is reported only once every Schreier
 generator sifts to the identity, unless the caller supplies an upper bound
 on the group order that the chain reaches first (see `bsgs_build`).
 
-Each level of the chain stores its orbit in BFS order, a point -> row index
-and the inverse coset representatives u^-1 as rows of one degree x degree
-int32 table; Schreier generators and sifts are formed a chunk at a time by
-numpy gathers, in the order the one-at-a-time procedure would visit them.
+Each level of the chain stores its orbit in BFS order, a point -> row index,
+the inverse coset representatives u^-1 as rows of one degree x degree int32
+table, and the representatives u themselves on the tracked points P (below)
+as rows of an orbit x |P| table, both filled by the same BFS.  Schreier
+generators and sifts are formed a chunk at a time by numpy gathers, in the
+order the one-at-a-time procedure would visit them; the chunks of orbit
+points double from one, so that little is formed past an early non-member,
+and `stats["schreier_generators"]` counts the generators that procedure
+visits up to and including the first non-member.
 
 A chain may be given a frame: points that only the identity fixes
 pointwise, in a group holding everything the chain meets (for F_p-linear
@@ -93,11 +98,13 @@ def is_identity(g: Perm) -> bool:
 
 class _Level:
     """One level of the chain: the orbit of `point` in BFS order, the row of
-    each orbit point (-1 off the orbit), and u_pt^-1 in row row[pt] of
-    `uinv`, allocated once and refilled by every rebuild.  `gens` is the
-    stack of the level's generators at the last rebuild; `fresh` is cleared
-    when a new strong generator reaches the level, which makes it stale
-    (an orbit of a subgroup of the level's group) until it is rebuilt."""
+    each orbit point (-1 off the orbit), u_pt^-1 in row row[pt] of `uinv`
+    (allocated once, degree x degree, and refilled by every rebuild), and
+    u_pt on the tracked points `P` in row row[pt] of `reps` (sized by the
+    orbit).  `gens` is the stack of the level's generators at the last
+    rebuild; `fresh` is cleared when a new strong generator reaches the
+    level, which makes it stale (an orbit of a subgroup of the level's
+    group) until it is rebuilt."""
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -107,6 +114,8 @@ class _Level:
         self.uinv = np.empty((degree, degree), dtype=np.int32)
         self.uinv[0] = np.arange(degree, dtype=np.int32)
         self.gens = np.empty((0, degree), dtype=np.int32)
+        self.P = np.empty(0, dtype=np.intp)
+        self.reps = np.empty((0, 0), dtype=np.int32)
         self.fresh = False
 
 
@@ -136,48 +145,62 @@ class BSGS:
     # -- chain bookkeeping ----------------------------------------------
 
     def _recompute_transversal(self, level: int) -> None:
-        """Refill the level's orbit and inverse representatives by BFS:
-        u_{g(q)} = g u_q, so u_{g(q)}^-1 = u_q^-1[g^-1]."""
+        """Refill the level's orbit and coset representatives by BFS:
+        u_{g(q)} = g u_q, so u_{g(q)}^-1 = u_q^-1[g^-1] on all points and
+        u_{g(q)}[P] = g[u_q[P]] on the tracked points P.  A fresh level is
+        refilled too if P has grown since."""
         lv = self.levels[level]
-        if lv.fresh:
+        P = self._tracked()
+        if lv.fresh and np.array_equal(lv.P, P):
             return
-        gens = self._level_gens(level)
-        lv.gens = np.stack(gens) if gens else np.empty((0, self.degree), dtype=np.int32)
+        lv.gens = self._level_gens(level)
         k = len(lv.gens)
         lv.row.fill(-1)
         lv.row[lv.point] = 0
         orbit = [np.array([lv.point], dtype=np.int32)]
+        reps = [P[None, :].astype(np.int32)]
         size = 1
         ginv = inverse_many(lv.gens)
         frontier, front_rows = orbit[0], np.zeros(1, dtype=np.intp)
+        step = chunk_rows(self.degree)
         while True:
-            # images in visiting order: frontier point major, generator minor
+            # images in visiting order: frontier point major, generator
+            # minor; the first occurrence of each new point is kept
             images = lv.gens[:, frontier].T.ravel()
             unseen = np.flatnonzero(lv.row[images] < 0)
-            _, first = np.unique(images[unseen], return_index=True)
-            src = unseen[np.sort(first)]
+            new, order = images[unseen], np.arange(len(unseen))
+            first = np.full(self.degree, len(unseen))
+            np.minimum.at(first, new, order)
+            src = unseen[first[new] == order]
             if not src.size:
                 break
             frontier = images[src]
             rows = np.arange(size, size + frontier.size)
             lv.row[frontier] = rows
-            step = chunk_rows(self.degree)
+            rep = np.empty((frontier.size, len(P)), dtype=np.int32)
             for a in range(0, frontier.size, step):
                 b = src[a:a + step]
                 lv.uinv[size + a:size + a + b.size] = compose_rows(
                     lv.uinv, front_rows[b // k], ginv[b % k])
+                rep[a:a + b.size] = compose_rows(lv.gens, b % k, reps[-1][b // k])
             orbit.append(frontier)
+            reps.append(rep)
             size += frontier.size
             front_rows = rows
         lv.orbit = np.concatenate(orbit)
+        lv.P, lv.reps = P, np.concatenate(reps)
         lv.fresh = True
         self.stats["rebuilds"] += 1
 
-    def _level_gens(self, level: int) -> list[Perm]:
-        """Generators of the level-th stabilizer: those fixing base[:level]."""
-        prefix = np.asarray(self.base[:level], dtype=np.int64)
-        return [g for lst in self.sgs for g in lst
-                if np.array_equal(g[prefix], prefix)]
+    def _level_gens(self, level: int) -> np.ndarray:
+        """The stack of the strong generators that fix base[:level], the
+        generators of the level-th stabilizer, in `strong_generators` order."""
+        gens = self.strong_generators()
+        if not gens:
+            return np.empty((0, self.degree), dtype=np.int32)
+        G = np.stack(gens)
+        prefix = np.asarray(self.base[:level], dtype=np.intp)
+        return G[(G[:, prefix] == prefix).all(axis=1)]
 
     def _append_base_point(self, moved_by: Perm) -> None:
         moved = np.flatnonzero(moved_by != np.arange(self.degree))
@@ -257,7 +280,7 @@ class BSGS:
         if self.frame is None:
             P = np.arange(self.degree)
         else:
-            P = np.union1d(self.frame, self.base)
+            P = np.array(sorted(set(self.frame.tolist()).union(self.base)), dtype=np.intp)
         self.stats["tracked_points"] = len(P)
         return P
 
@@ -279,24 +302,31 @@ class BSGS:
         """The first Schreier generator u_{g(pt)}^-1 g u_pt of level i, with
         pt in BFS order and g in `_level_gens` order, that does not sift to
         the identity through levels i+1..: (residue, level reached).  The
-        generators are formed on the tracked points only."""
+        generators are formed on the tracked points from the level's `reps`,
+        in chunks of orbit points that double up to `chunk_rows(k |P|)`, so
+        that little is formed past an early non-member; the count of
+        Schreier generators stops at the first non-member, as in the
+        one-at-a-time procedure."""
         lv = self.levels[i]
-        k = len(lv.gens)
-        P = self._tracked()
-        per = chunk_rows(k * self.degree)
-        for s in range(0, len(lv.orbit), per):
+        k, P = len(lv.gens), lv.P
+        top = chunk_rows(k * len(P))
+        s, per = 0, 1
+        while s < len(lv.orbit):
             rows = slice(s, min(s + per, len(lv.orbit)))
-            u = inverse_many(lv.uinv[rows])
             # row pt * k + g: g u_pt, then u_{g(pt)}^-1 g u_pt, on P
             gu = lv.gens.ravel()[(np.arange(k, dtype=np.intp) * self.degree)[:, None]
-                                 + u[:, None, P]].reshape(-1, len(P))
+                                 + lv.reps[rows, None, :]].reshape(-1, len(P))
             back = lv.row[lv.gens[:, lv.orbit[rows]].T.ravel()]
             sg = compose_rows(lv.uinv, back, gu)
-            self.stats["schreier_generators"] += len(sg)
-            found = self._first_nonmember(
-                sg, P, i + 1, lambda r: lv.uinv[back[r]][lv.gens[r % k][u[r // k]]])
+            # a non-member is re-formed on all points, with u_pt the inverse
+            # of its uinv row
+            found = self._first_nonmember(sg, P, i + 1, lambda r: lv.uinv[back[r]][
+                lv.gens[r % k][inverse_many(lv.uinv[[s + r // k]])[0]]])
             if found is not None:
+                self.stats["schreier_generators"] += found[0] + 1
                 return found[1:]
+            self.stats["schreier_generators"] += len(sg)
+            s, per = rows.stop, min(2 * per, top)
         return None
 
     def _schreier_sims(self, start: int) -> None:
@@ -414,7 +444,7 @@ def stabilizer_generators(G: BSGS, point: int) -> list[Perm]:
     """Generators of Stab(point); requires the chain to start at point."""
     if not G.base or G.base[0] != point:
         raise ValueError("build the chain with base_hint=[point] first")
-    return G._level_gens(1)
+    return list(G._level_gens(1))
 
 
 # ---------------------------------------------------------------------------

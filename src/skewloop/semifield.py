@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,12 +56,22 @@ class SemifieldCtx:
     m: int = field(init=False)
     size: int = field(init=False)
     dim_prime: int = field(init=False)
+    # filled on first use by `_weights`, `tensor`, `_translations` and
+    # `_nuclei`: declared fields, set to None at construction, not
+    # cached_property, which would materialise the instance __dict__ and
+    # slow every later attribute read
+    _weight_row: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _structure_constants: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _translation_stack: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _nuclei_report: Optional[NucleiReport] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.m = sp.degree(self.f)
         K = self.tower.field
         self.size = K.order ** self.m
         self.dim_prime = K.l * self.m
+        self._weight_row = self._structure_constants = None
+        self._translation_stack = self._nuclei_report = None
 
     # -- element encoding ------------------------------------------------
 
@@ -101,11 +110,13 @@ class SemifieldCtx:
 
     # -- prime-field coordinates ----------------------------------------
 
-    @cached_property
+    @property
     def _weights(self) -> np.ndarray:
         """p^k for k < D; Python integers once a code can pass 2^63 - 1."""
-        dtype = np.int64 if self.size <= 2 ** 63 else object
-        return np.array([self.p ** k for k in range(self.dim_prime)], dtype=dtype)
+        if self._weight_row is None:
+            dtype = np.int64 if self.size <= 2 ** 63 else object
+            self._weight_row = np.array([self.p ** k for k in range(self.dim_prime)], dtype=dtype)
+        return self._weight_row
 
     def to_vector(self, codes) -> np.ndarray:
         """Base-p digits of each code: shape (..., D)."""
@@ -122,24 +133,31 @@ class SemifieldCtx:
 
     # -- structure constants ---------------------------------------------
 
-    @cached_property
+    @property
     def tensor(self) -> np.ndarray:
         """tensor[i, j] = to_vector(e_i e_j), from `mul`."""
-        basis = self.basis()
-        return self.to_vector([[self.mul(a, b) for b in basis] for a in basis])
+        if self._structure_constants is None:
+            basis = self.basis()
+            self._structure_constants = self.to_vector(
+                [[self.mul(a, b) for b in basis] for a in basis])
+        return self._structure_constants
 
-    @cached_property
+    @property
     def _translations(self) -> np.ndarray:
         """Stack whose product with to_vector(x) is (R_x, L_x), the matrices
         of y -> yx and y -> xy (column i: e_i x, resp. x e_i)."""
-        T = self.tensor
-        return np.stack([T.transpose(2, 0, 1), T.transpose(2, 1, 0)])
+        if self._translation_stack is None:
+            T = self.tensor
+            self._translation_stack = np.stack([T.transpose(2, 0, 1), T.transpose(2, 1, 0)])
+        return self._translation_stack
 
-    @cached_property
+    @property
     def _nuclei(self) -> NucleiReport:
         """Nuc_l, Nuc_m, Nuc_r as the kernels of x -> [x,e_i,e_j], [e_i,x,e_j]
         and [e_i,e_j,x] (exact by trilinearity of the associator); Nuc as the
         kernel of all three, the center as Nuc cut by x e_i = e_i x."""
+        if self._nuclei_report is not None:
+            return self._nuclei_report
         A = _associator_tensor(self)
         left, middle, right = (np.moveaxis(A, slot, -1) for slot in range(3))
         T = self.tensor
@@ -149,7 +167,8 @@ class SemifieldCtx:
             raise AssertionError("Nuc_r: associator nullspace and membership formula disagree")
         nuc = _subspace(self, left, middle, right)
         center = _subspace(self, left, middle, right, commutator)
-        return NucleiReport(nuc_l=nl, nuc_m=nm, nuc_r=nr, nuc=nuc, center=center)
+        self._nuclei_report = NucleiReport(nuc_l=nl, nuc_m=nm, nuc_r=nr, nuc=nuc, center=center)
+        return self._nuclei_report
 
     def mul_vectors(self, x, y) -> np.ndarray:
         """Products of coordinate vectors, broadcast over leading axes."""

@@ -3,7 +3,11 @@ isomorphism, Latin-square export."""
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,22 +160,32 @@ def test_subloops_and_lagrange_quat2():
     assert not weak and not strong  # 6 does not divide 15
 
 
+def closure(L, seed):
+    return frozenset(lp._generate(L, seed)[0])
+
+
 def subloops_oracle(L):
     """Test oracle: closures <a>, then all pairwise joins to a fixpoint."""
-    found = {lp._closure(L, [a]) for a in range(L.size)}
+    found = {closure(L, [a]) for a in range(L.size)}
     while True:
-        joins = {lp._closure(L, list(a | b)) for a in found for b in found}
+        joins = {closure(L, list(a | b)) for a in found for b in found}
         if joins <= found:
             return found | {frozenset(range(L.size))}
         found |= joins
 
 
-@pytest.mark.parametrize("p,r,n,m,index", [(2, 1, 2, 2, 0), (2, 1, 3, 2, 0), (3, 1, 2, 2, 3),
-                                           (2, 1, 2, 3, 0)])
-def test_subloops_match_join_fixpoint(p, r, n, m, index):
-    tw = gf.make_tower(p, r, n)
-    f = list(sp.enumerate_admissible(tw, m))[index]
-    L = lp.build_loop(sfd.build_semifield(tw, f))
+@pytest.mark.parametrize("which", ["2-1-2-2-0", "2-1-3-2-0", "3-1-2-2-3", "2-1-2-3-0",
+                                   "F16m2:255", "F25:sqrt2"])
+def test_subloops_match_join_fixpoint(which):
+    """`which` is p-r-n-m-index, the index-th admissible f of degree m over
+    make_tower(p, r, n), or a `groups` benchmark loop."""
+    if which in GROUPS_LOOPS:
+        L = groups_loop(which)
+    else:
+        p, r, n, m, index = map(int, which.split("-"))
+        tw = gf.make_tower(p, r, n)
+        f = list(sp.enumerate_admissible(tw, m))[index]
+        L = lp.build_loop(sfd.build_semifield(tw, f))
     subs = lp.subloops(L)
     assert len(subs) == len(set(subs))
     assert set(subs) == subloops_oracle(L)
@@ -245,20 +259,27 @@ def generate_oracle(L, seed, closed=()):
 
 @pytest.mark.parametrize("which", ["F16m2:255", "F25:sqrt2"])
 def test_generate_matches_unique_oracle(monkeypatch, which):
-    """Equal (elems, steps) on every call `subloops` makes: every <a>, then
-    every join."""
+    """On every call `subloops` makes (every <a>, then every join), the
+    elements and steps are a prefix of the oracle's; a call that stops early
+    at a known generator of L stops inside a closure that is all of L."""
     L = groups_loop(which)
-    generate, calls = lp._generate, []
+    generate, calls, early = lp._generate, [], []
 
-    def checked(L, seed, closed=()):
-        got = generate(L, seed, closed)
-        assert got == generate_oracle(L, seed, closed)
+    def checked(L, seed, closed=(), stop=None):
+        got = generate(L, seed, closed, stop)
+        want = generate_oracle(L, seed, closed)
+        for g, w in zip(got, want):
+            assert g == w[:len(g)]
+        if len(got[0]) < len(want[0]):
+            assert stop is not None and len(want[0]) == L.size
+            early.append(seed)
         calls.append(list(seed))
         return got
 
     monkeypatch.setattr(lp, "_generate", checked)
     lp.subloops(L)
     assert calls[:L.size] == [[a] for a in range(L.size)] and len(calls) > L.size
+    assert early
 
 
 @pytest.mark.parametrize("which", ["quat2", "A_1"])
@@ -455,6 +476,26 @@ def test_certified_mlt_frame_keeps_the_full_point_chain(monkeypatch, which):
         assert sgs_sha256(M) == SGS_SHA256[which][0]
 
 
+def test_mlt_chain_does_not_depend_on_chunk_size(monkeypatch):
+    """The 728-point Mlt built with tiny and with large numpy batches: the
+    same base, strong generators, coset tables and Schreier generator count
+    (it stops at the first non-member, wherever the chunk ends)."""
+    (p, r, n, modulus), f = FRAME_LOOPS["F9m3:728"]
+    L = lp.build_loop(sfd.build_semifield(gf.make_tower(p, r, n, modulus=modulus), f))
+    chains = []
+    for cells in (1 << 8, pg.CHUNK_CELLS, 1 << 22):
+        monkeypatch.setattr(pg, "CHUNK_CELLS", cells)
+        chains.append(lp.mlt_group(L))
+    first = chains[0]
+    assert sgs_sha256(first) == SGS_SHA256["F9m3:728"][0]
+    for M in chains[1:]:
+        assert M.base == first.base and sgs_sha256(M) == sgs_sha256(first)
+        assert M.stats["schreier_generators"] == first.stats["schreier_generators"]
+        for a, b in zip(M.levels, first.levels):
+            assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
+            assert np.array_equal(a.reps, b.reps)
+
+
 # (make_tower arguments, f) of the six `groups` benchmark loops
 GROUPS_LOOPS = {
     "F9:A_1": ((3, 1, 2, [2, 2, 1]), (6, 0, 1)),
@@ -555,10 +596,44 @@ def test_inn_group_builds_division_tables_only_at_80_points():
     M = lp.mlt_group(L)
     assert L.size == 255
     assert lp.inn_group(L, M)[0] == M.order // L.size
-    assert "ldiv" not in vars(L) and "rdiv" not in vars(L)
+    assert L._ldiv is None and L._rdiv is None
     small = quat3_loops()[0]
     lp.inn_group(small, lp.mlt_group(small))
-    assert "ldiv" in vars(small) and "rdiv" in vars(small)
+    assert small._ldiv is not None and small._rdiv is not None
+
+
+def test_caches_are_declared_fields():
+    """Filling the lazily built tables of the loop, its semifield and its
+    field adds no key to the instance __dict__ (it is not rewritten, as
+    functools.cached_property would)."""
+    tw = gf.make_tower(3, 1, 2, modulus=[2, 2, 1])
+    K = tw.field
+    S = sfd.SemifieldCtx(tw, (K.neg(K.p), 0, 1))
+    L = lp.LoopCtx(semifield=S, table=quat3_loops()[0].table)
+    caches = (K._array_tables, S._weight_row, S._structure_constants, S._translation_stack,
+              S._nuclei_report, L._ldiv, L._rdiv)
+    assert all(c is None for c in caches)
+    keys = [set(vars(obj)) for obj in (L, S, K)]
+    L.ldiv, L.rdiv, S._weights, S.tensor, S._translations, S._nuclei, K._arrays
+    assert [set(vars(obj)) for obj in (L, S, K)] == keys
+
+
+def test_groups_path_does_not_import_numpy_ma():
+    """numpy.ma is imported by the first np.union1d of a process, or the
+    first np.unique without return_index (about 7 ms); Mlt and Inn call
+    neither."""
+    code = ("import sys\n"
+            "from skewloop import gf, loops as lp, semifield as sfd\n"
+            "tw = gf.make_tower(3, 1, 2, modulus=[2, 2, 1])\n"
+            "L = lp.build_loop(sfd.build_semifield(tw, (tw.field.neg(tw.field.p), 0, 1)))\n"
+            "lp.inn_group(L, lp.mlt_group(L))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         check=True, timeout=120).stdout
+    assert out == b"False\n"
 
 
 def fq_points(L):
