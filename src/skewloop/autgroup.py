@@ -96,13 +96,12 @@ def solve_aut_conditions(S: sfd.SemifieldCtx) -> list[AutHK]:
     x = np.arange(n1, dtype=np.int64)
     residues = [(x * ((q ** S.m - q ** i) // (q - 1) % n1) % n1, K.log[c])
                 for i, c in enumerate(S.f[:S.m]) if c]
-    exp = np.array(K.exp, dtype=np.int64)
     out = []
     for tau_exp in range(K.l):
         ok = np.ones(n1, dtype=bool)
         for r, log_c in residues:
             ok &= r == (K.p ** tau_exp - 1) * log_c % n1
-        for k in np.sort(exp[ok]).tolist():
+        for k in np.sort(K.exp_array[ok]).tolist():
             H = realize_hk(S, tau_exp, k)
             assert _is_multiplicative(S, H.matrix), \
                 f"H_(tau^{tau_exp},{k}) solves the coefficient equation but is not multiplicative"

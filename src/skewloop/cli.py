@@ -29,12 +29,6 @@ EXIT_CAP = 3
 EXIT_INVARIANT = 4
 
 
-class CapViolation(Exception):
-    def __init__(self, message: str, estimate: str):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 def _tower_from_args(args) -> TowerCtx:
     p, l = parse_field_descriptor(args.field)
     r = args.sigma_r
@@ -114,8 +108,8 @@ def _loop_from_args(args) -> lp.LoopCtx:
     S = _semifield_from_args(args)
     if S.size - 1 > pg.DEGREE_CAP:
         d, q = S.tower.n * S.m, S.tower.q
-        raise CapViolation(
-            f"loop degree {S.size - 1} exceeds cap {pg.DEGREE_CAP}",
+        raise SizeCapExceeded(
+            f"loop degree {S.size - 1} exceeds cap {pg.DEGREE_CAP}\n"
             f"SL/GL sandwich: {pg.sl_order(d, q)} <= |Mlt| <= {pg.gl_order(d, q)}; "
             f"a BSGS at this degree would need {4 * (S.size - 1) ** 2} bytes per level "
             f"(one {S.size - 1}x{S.size - 1} int32 table of inverse coset representatives)")
@@ -388,10 +382,6 @@ def main(argv=None) -> int:
         else:
             handler = dispatch[args.command]
         return handler(args)
-    except CapViolation as exc:
-        print(f"cap violation: {exc}", file=sys.stderr)
-        print(exc.estimate, file=sys.stderr)
-        return EXIT_CAP
     except (SizeCapExceeded, OverflowError) as exc:
         print(f"cap violation: {exc}", file=sys.stderr)
         return EXIT_CAP

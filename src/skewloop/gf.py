@@ -5,10 +5,12 @@ Elements are encoded as integers: the element with coordinate vector
 integer sum(c_i * p**i).  Zero is 0 and the multiplicative identity is 1.
 Every field up to 2**20 elements keeps three tables of about |K| entries
 for its primitive element g: exp, log, and the Zech logarithms
-zech[j] = log(1 + g^j).  Products, quotients, sums and negatives are then
-O(1) lookups, and nothing grows with |K|^2.  The same tables, copied to
-int64 arrays on first use, give elementwise products, sums and powers of
-whole code arrays.
+zech[j] = log(1 + g^j).  Products, quotients, sums, negatives and powers
+are then O(1) lookups, and nothing grows with |K|^2.  The tables are built
+once, as int64 arrays that give elementwise products, sums and powers of
+whole code arrays, and as lists for the scalar operations.  The Frobenius
+sigma^i of a tower is the power a -> a^(q^i), so a tower keeps only its n
+exponents q^i mod (|K|-1).
 
 The module also holds the integer helpers (trial division) and the plain
 polynomial arithmetic over a field (remainder, power mod, the gcd
@@ -190,11 +192,17 @@ class FieldCtx:
     exp: list[int] = field(init=False, repr=False)
     log: list[Optional[int]] = field(init=False, repr=False)
     zech: list[Optional[int]] = field(init=False, repr=False)
-    _array_tables: Optional[tuple] = field(init=False, repr=False, compare=False)
+    # exp, log and zech as int64 arrays.  Z = 2(|K|-1) stands for log 0 and
+    # for the Zech logarithm of 1 + g^j = 0; _exp_wide runs to 2Z with
+    # _exp_wide[k] = g^k below Z and 0 from Z on, so the sum of two logs
+    # indexes it unreduced and reads 0 whenever one of them is Z
+    exp_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _exp_wide: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _zech_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.order = self.p ** self.l
-        self._array_tables = None
         self._build_log_tables()
 
     # -- construction ----------------------------------------------------
@@ -239,14 +247,19 @@ class FieldCtx:
                 "distinguished element is not primitive for this modulus")
         if codes[n1] != 1:
             raise NonPrimitiveModulusRoot("primitive element order mismatch")
-        exp = codes[:n1]
-        log = np.zeros(self.order, dtype=np.int64)
+        exp = codes[:n1].astype(np.int64)
+        log = np.full(self.order, 2 * n1, dtype=np.int64)
         log[exp] = np.arange(n1)
+        one_plus = exp - exp % p + (exp + 1) % p          # 1 changes the lowest digit
+        self._exp_wide = np.zeros(4 * n1 + 1, dtype=np.int64)
+        self._exp_wide[:2 * n1] = np.tile(exp, 2)
+        self.exp_array = self._exp_wide[:n1]
+        self._log_array, self._zech_array = log, log[one_plus]
         self.exp, self.log = exp.tolist(), log.tolist()
         self.log[0] = None
-        # adding 1 changes only the lowest base-p digit; indexing self.log
-        # shares its int objects and maps 1 + g^j = 0 to log[0] = None
-        self.zech = [self.log[c] for c in (exp - exp % p + (exp + 1) % p).tolist()]
+        # indexing self.log shares its int objects and maps 1 + g^j = 0 to
+        # log[0] = None
+        self.zech = [self.log[c] for c in one_plus.tolist()]
 
     # -- encode ----------------------------------------------------------
 
@@ -300,45 +313,26 @@ class FieldCtx:
 
     # -- elementwise arithmetic on int64 code arrays -----------------------
 
-    @property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """int64 exp, log and zech, built on first array use.  Z = 2(|K|-1)
-        stands for log 0 and for the Zech logarithm of 1 + g^j = 0; exp runs
-        to 2Z with exp[k] = g^k below Z and 0 from Z on, so the sum of two
-        logs indexes it unreduced and reads 0 whenever one of them is Z.
-        They are kept in a declared field, not by cached_property: writing
-        the instance __dict__ would materialise it, after which every
-        attribute read of the scalar ops (mul, add) is slower."""
-        if self._array_tables is None:
-            n1 = self.order - 1
-            exp = np.zeros(4 * n1 + 1, dtype=np.int64)
-            exp[:2 * n1] = np.tile(np.array(self.exp, dtype=np.int64), 2)
-            log = np.array([2 * n1] + self.log[1:], dtype=np.int64)
-            zech = np.array([2 * n1 if z is None else z for z in self.zech], dtype=np.int64)
-            self._array_tables = (exp, log, zech)
-        return self._array_tables
-
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise a * b of code arrays (numpy broadcasting)."""
-        exp, log, _ = self._arrays
-        return exp[log[a] + log[b]]
+        log = self._log_array
+        return self._exp_wide[log[a] + log[b]]
 
     def add_array(self, a, b) -> np.ndarray:
         """Elementwise a + b of code arrays, by Zech logarithms as `add`."""
-        exp, log, zech = self._arrays
+        log = self._log_array
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         la = log[a]
-        s = exp[la + zech[(log[b] - la) % (self.order - 1)]]
+        s = self._exp_wide[la + self._zech_array[(log[b] - la) % (self.order - 1)]]
         return np.where(a == 0, b, np.where(b == 0, a, s))
 
     def pow_array(self, a, e) -> np.ndarray:
         """Elementwise a ** e of a code array and integer exponents."""
-        exp, log, _ = self._arrays
         a, e = np.asarray(a, dtype=np.int64), np.asarray(e, dtype=np.int64)
         if np.any((a == 0) & (e < 0)):
             raise ZeroDivisionError("negative power of zero")
         n1 = self.order - 1
-        return np.where(a == 0, e == 0, exp[log[a] * (e % n1) % n1])
+        return np.where(a == 0, e == 0, self.exp_array[self._log_array[a] * (e % n1) % n1])
 
     def format_element(self, e: int) -> str:
         if e == 0:
@@ -404,35 +398,30 @@ def default_modulus(p: int, l: int) -> tuple[int, ...]:
 
 @dataclass
 class TowerCtx:
-    """The tower F = F_{p^r} <= K = F_{p^l} with sigma(x) = x^(p^r) of order n."""
+    """The tower F = F_{p^r} <= K = F_{p^l} with sigma(x) = x^(p^r) of order n.
+    sigma^i is the field power a -> a^(q^i); `q_powers[i]` = q^i mod (|K|-1)
+    is its exponent, for 0 <= i < n."""
 
     field: FieldCtx
     r: int
     n: int
     q: int = field(init=False)
-    _sigma: list[list[int]] = field(init=False, repr=False)
+    q_powers: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        K = self.field
-        self.q = K.p ** self.r
-        # sigma^i(a) = exp[log a * p^(ri) mod (|K|-1)], one gather per i (the
-        # product stays below |K|^2 <= 2^40); kept as lists because skew_mul
-        # and right_divmod index them one scalar at a time
-        n1 = K.order - 1
-        exp = np.array(K.exp, dtype=np.int64)
-        log = np.array(K.log[1:], dtype=np.int64)
-        self._sigma = [[0] + exp[log * pow(K.p, self.r * i, n1) % n1].tolist()
-                       for i in range(self.n)]
+        self.q = self.field.p ** self.r
+        self.q_powers = tuple(pow(self.q, i, self.field.order - 1) for i in range(self.n))
 
     def sigma(self, a: int, i: int = 1) -> int:
-        """sigma^i(a) = a^(p^(r i)); i is reduced mod n, negatives allowed."""
-        return self._sigma[i % self.n][a]
+        """sigma^i(a) = a^(q^i); i is reduced mod n, negatives allowed."""
+        return self.field.pow_int(a, self.q_powers[i % self.n])
 
     def in_fixed_field(self, a: int) -> bool:
         return self.sigma(a) == a
 
     def fixed_field_elements(self) -> list[int]:
-        return [a for a in range(self.field.order) if self.in_fixed_field(a)]
+        codes = np.arange(self.field.order)
+        return np.flatnonzero(self.field.pow_array(codes, self.q) == codes).tolist()
 
 
 def make_tower(p: int, r: int, n: int, modulus: Optional[Sequence[int]] = None) -> TowerCtx:

@@ -147,12 +147,13 @@ class BSGS:
     def _recompute_transversal(self, level: int) -> None:
         """Refill the level's orbit and coset representatives by BFS:
         u_{g(q)} = g u_q, so u_{g(q)}^-1 = u_q^-1[g^-1] on all points and
-        u_{g(q)}[P] = g[u_q[P]] on the tracked points P.  A fresh level is
-        refilled too if P has grown since."""
+        u_{g(q)}[P] = g[u_q[P]] on the tracked points P.  A fresh level
+        needs no refill: P grows only by a new base point, and adding one
+        makes every level stale."""
         lv = self.levels[level]
-        P = self._tracked()
-        if lv.fresh and np.array_equal(lv.P, P):
+        if lv.fresh:
             return
+        P = self._tracked()
         lv.gens = self._level_gens(level)
         k = len(lv.gens)
         lv.row.fill(-1)

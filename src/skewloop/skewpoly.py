@@ -53,16 +53,15 @@ def skew_mul(ctx: TowerCtx, f: SkewPoly, g: SkewPoly) -> SkewPoly:
     if not f or not g:
         return ()
     K = ctx.field
-    sig = ctx._sigma
-    n = ctx.n
+    pw, qp, n = K.pow_int, ctx.q_powers, ctx.n
     res = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a == 0:
             continue
-        si = sig[i % n]
+        e = qp[i % n]
         for j, b in enumerate(g):
             if b:
-                res[i + j] = K.add(res[i + j], K.mul(a, si[b]))
+                res[i + j] = K.add(res[i + j], K.mul(a, pw(b, e)))
     return poly(res)
 
 
@@ -78,8 +77,7 @@ def right_divmod(ctx: TowerCtx, g: SkewPoly, f: SkewPoly) -> tuple[SkewPoly, Ske
     if not f:
         raise DivisionByZeroPoly("right division by the zero polynomial")
     K = ctx.field
-    sig = ctx._sigma
-    n = ctx.n
+    pw, qp, n = K.pow_int, ctx.q_powers, ctx.n
     df = len(f) - 1
     rem = list(g)
     qcoeffs = [0] * max(len(g) - df, 0)
@@ -87,12 +85,12 @@ def right_divmod(ctx: TowerCtx, g: SkewPoly, f: SkewPoly) -> tuple[SkewPoly, Ske
     while len(rem) - 1 >= df and rem:
         d = len(rem) - 1 - df
         # leading term c t^d with (c t^d)(f_lead t^df) = c sigma^d(f_lead) t^(deg)
-        c = K.div(rem[-1], sig[d % n][f_lead])
+        e = qp[d % n]
+        c = K.div(rem[-1], pw(f_lead, e))
         qcoeffs[d] = c
-        sd = sig[d % n]
         for i, fi in enumerate(f):
             if fi:
-                rem[i + d] = K.sub(rem[i + d], K.mul(c, sd[fi]))
+                rem[i + d] = K.sub(rem[i + d], K.mul(c, pw(fi, e)))
         while rem and rem[-1] == 0:
             rem.pop()
     return poly(qcoeffs), tuple(rem)
@@ -127,21 +125,21 @@ def reduced_norm(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
     if degree(f) < 1:
         raise DegreeZero("constant polynomials are units")
     K = ctx.field
-    mul, add = K.mul, K.add
+    mul, add, pw, q = K.mul, K.add, K.pow_int, ctx.q
     m, n = degree(f), ctx.n
-    sig = ctx._sigma[1 % n]
     tail = [K.neg(c) for c in f[:-1]]                     # t^m = tail mod_r f
     rows, r = [], [1] + [0] * (m - 1)                     # r = t^k mod_r f
     for k in range(n + m - 1):
         if k >= n:
             rows.append(r)
-        top = sig[r[-1]]                                  # t r = sigma(r) shifted
-        r = [0] + [sig[a] for a in r[:-1]]
+        top = pw(r[-1], q)                                # t r = sigma(r) shifted
+        r = [0] + [pw(a, q) for a in r[:-1]]
         if top:
             r = [add(a, mul(top, b)) for a, b in zip(r, tail)]
     rows.append(r)
     chi = _charpoly(K, rows)
-    assert all(sig[c] == c for c in chi), f"reduced norm of {f} has a coefficient outside F_q"
+    assert all(ctx.in_fixed_field(c) for c in chi), \
+        f"reduced norm of {f} has a coefficient outside F_q"
     return chi
 
 
@@ -243,7 +241,7 @@ def reduced_norms(ctx: TowerCtx, F) -> np.ndarray:
         raise DegreeZero("constant polynomials are units")
     if not (F[:, m] == 1).all():
         raise NotMonic("reduced norm requires a monic polynomial")
-    sig = np.array(ctx._sigma[1 % ctx.n])
+    sig = K.pow_array(np.arange(K.order), ctx.q)          # sigma as a table
 
     def neg(a):
         return mul(K.p - 1, a)                            # -1 is the digit p - 1
@@ -313,9 +311,8 @@ def _right_invariant(ctx: TowerCtx, F: np.ndarray) -> np.ndarray:
     mul, add = K.mul_array, K.add_array
     m = F.shape[1] - 1
     low = F[:, :m]
-    sig = np.array(ctx._sigma[1 % ctx.n])
     z_ok = ((low == 0) | (np.arange(m) % ctx.n == m % ctx.n)).all(axis=1)
-    d = add(low, mul(K.p - 1, sig[low]))
+    d = add(low, mul(K.p - 1, K.pow_array(low, ctx.q)))
     shifted = np.hstack([np.zeros((len(F), 1), dtype=np.int64), d[:, :-1]])
     t_ok = (add(shifted, mul(K.p - 1, mul(d[:, -1:], low))) == 0).all(axis=1)
     return z_ok & t_ok

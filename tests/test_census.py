@@ -380,7 +380,8 @@ def test_bounds_report_assembly():
     tw = gf.make_tower(2, 1, 2)
     rep = cs.bounds_report(2, 2, 2, tower=tw)
     assert rep.n_qm == 1 and rep.m_qm == 1 and rep.observed_classes == 1
-    assert rep.violations == []
+    assert list(rep.json()) == ["q", "n", "m", "N", "M", "M_sandwich", "numb_bound",
+                                "kantor_bound", "observed_classes", "representatives"]
     rep5 = cs.bounds_report(5, 2, 2)
     assert rep5.m_qm == 3
     assert rep5.sandwich_low <= rep5.m_qm <= rep5.sandwich_high

@@ -130,12 +130,20 @@ def test_sigma_order_and_fixed_field():
 
 
 @pytest.mark.parametrize("p,r,n", [(2, 1, 2), (2, 1, 8), (2, 2, 3), (3, 1, 4), (5, 2, 2),
-                                   (7, 1, 3), (2, 3, 4)])
+                                   (7, 1, 3), (2, 3, 4), (2, 1, 16)])
 def test_sigma_tables_are_frobenius_powers(p, r, n):
+    """sigma^i, as the scalar `sigma` and as `pow_array` with the tower's
+    exponent, is a -> a^(q^i) for every a and every i < n; at F_(2^16)/F_2
+    only the array form is checked."""
     tw = gf.make_tower(p, r, n)
     K = tw.field
+    codes = np.arange(K.order)
     for i in range(n):
-        assert tw._sigma[i] == [K.pow_int(a, p ** (r * i)) for a in range(K.order)]
+        frobenius = [K.pow_int(a, p ** (r * i)) for a in range(K.order)]
+        assert K.pow_array(codes, tw.q_powers[i]).tolist() == frobenius
+        if K.order < 2 ** 16:
+            assert [tw.sigma(a, i) for a in range(K.order)] == frobenius
+            assert [tw.sigma(a, i - n) for a in range(K.order)] == frobenius
 
 
 def test_make_tower_nonprimitive_modulus():

@@ -603,18 +603,21 @@ def test_inn_group_builds_division_tables_only_at_80_points():
 
 
 def test_caches_are_declared_fields():
-    """Filling the lazily built tables of the loop, its semifield and its
-    field adds no key to the instance __dict__ (it is not rewritten, as
-    functools.cached_property would)."""
+    """Filling the lazily built tables of the loop and its semifield adds no
+    key to the instance __dict__ (it is not rewritten, as
+    functools.cached_property would); the field's array tables are set at
+    construction, and array arithmetic adds no key either."""
     tw = gf.make_tower(3, 1, 2, modulus=[2, 2, 1])
     K = tw.field
     S = sfd.SemifieldCtx(tw, (K.neg(K.p), 0, 1))
     L = lp.LoopCtx(semifield=S, table=quat3_loops()[0].table)
-    caches = (K._array_tables, S._weight_row, S._structure_constants, S._translation_stack,
+    caches = (S._weight_row, S._structure_constants, S._translation_stack,
               S._nuclei_report, L._ldiv, L._rdiv)
     assert all(c is None for c in caches)
+    assert K.exp_array.tolist() == K.exp
     keys = [set(vars(obj)) for obj in (L, S, K)]
-    L.ldiv, L.rdiv, S._weights, S.tensor, S._translations, S._nuclei, K._arrays
+    L.ldiv, L.rdiv, S._weights, S.tensor, S._translations, S._nuclei
+    K.add_array(K.mul_array(K.pow_array(np.arange(K.order), 3), 2), 1)
     assert [set(vars(obj)) for obj in (L, S, K)] == keys
 
 

@@ -252,3 +252,38 @@ def test_frame_chain_equals_full_point_chain(monkeypatch, name, p, d, mats, orde
     assert framed.stats["schreier_generators"] == full.stats["schreier_generators"]
     assert min(spans) < p ** d
     assert full.stats["tracked_points"] == len(gens[0]) > framed.stats["tracked_points"]
+
+
+@pytest.mark.parametrize("frame", [False, True])
+def test_new_base_point_makes_every_level_stale(monkeypatch, frame):
+    """A fresh level is not rebuilt (the final pass at the order bound skips
+    it), so its representatives on the tracked points P must stay valid: P
+    grows only by a new base point, and every level is stale once one is
+    added."""
+    p, d = 2, 4
+    gens = linear_group_on_vectors(p, d, [f4_matrix([[2, 0], [0, 1]]),
+                                          f4_matrix([[1, 1], [0, 1]]),
+                                          f4_matrix([[0, 1], [1, 0]])])
+    add, rebuild = pg.BSGS._add_generator, pg.BSGS._recompute_transversal
+    grown, skipped = [], []
+
+    def add_spy(self, residue, j):
+        base = len(self.base)
+        add(self, residue, j)
+        if len(self.base) > base:
+            grown.append(j)
+            assert not any(lv.fresh for lv in self.levels)
+
+    def rebuild_spy(self, level):
+        lv = self.levels[level]
+        if lv.fresh:
+            skipped.append(level)
+            assert np.array_equal(lv.P, self._tracked())
+        rebuild(self, level)
+
+    monkeypatch.setattr(pg.BSGS, "_add_generator", add_spy)
+    monkeypatch.setattr(pg.BSGS, "_recompute_transversal", rebuild_spy)
+    G = pg.bsgs_build(gens, order_bound=pg.gl_order(2, 4),
+                      frame=[p ** k - 1 for k in range(d)] if frame else None)
+    assert G.order == pg.gl_order(2, 4) and G.stats["stopped_at_bound"]
+    assert grown and len(grown) == len(G.base) - 1 and skipped
