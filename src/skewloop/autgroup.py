@@ -81,7 +81,7 @@ def _ring_scaling_ok(S: sfd.SemifieldCtx, tau_exp: int, k: int) -> bool:
     lam_m = _sigma_prefix(S, k, S.m)
     g_f = sp.poly([K.mul(_tau_apply(S, tau_exp, c), _sigma_prefix(S, k, i))
                    for i, c in enumerate(S.f)])
-    return g_f == sp.scalar_mul(S.tower, lam_m, S.f)
+    return g_f == tuple(K.mul(lam_m, c) for c in S.f)
 
 
 def solve_aut_conditions(S: sfd.SemifieldCtx) -> list[AutHK]:

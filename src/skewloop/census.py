@@ -181,9 +181,9 @@ def cyclic_algebra_classes(tower: TowerCtx) -> tuple[int, list[int]]:
 
 
 def similar(tower: TowerCtx, f: sp.SkewPoly, g: sp.SkewPoly) -> bool:
-    """g*u = 0 mod_r f for some nonzero u of degree < deg(f): the kernel of
-    the F_p-linear map u -> (g u mod_r f) is nonzero."""
-    return bool(annihilator(SemifieldCtx(tower=tower, f=f), g))
+    """Equal degrees (the K-dimensions of R/Rf and R/Rg), and g*u = 0 mod_r f
+    for some nonzero u of degree < deg(f): u -> (g u mod_r f) has a kernel."""
+    return sp.degree(f) == sp.degree(g) and bool(annihilator(SemifieldCtx(tower=tower, f=f), g))
 
 
 def similarity_classes(tower: TowerCtx, m: int,

@@ -10,7 +10,8 @@ are then O(1) lookups, and nothing grows with |K|^2.  The tables are built
 once, as int64 arrays that give elementwise products, sums and powers of
 whole code arrays, and as lists for the scalar operations.  The Frobenius
 sigma^i of a tower is the power a -> a^(q^i), so a tower keeps only its n
-exponents q^i mod (|K|-1).
+exponents q^i mod (|K|-1), and a term a sigma^i(b) of a skew product is
+one exp lookup (`FieldCtx.mul_pow`).
 
 The module also holds the integer helpers (trial division) and the plain
 polynomial arithmetic over a field (remainder, power mod, the gcd
@@ -303,6 +304,12 @@ class FieldCtx:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    def mul_pow(self, a: int, b: int, e: int) -> int:
+        """a * b^e for e >= 1 in one exp lookup, as a sigma^i(b) = a b^(q^i)."""
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[(self.log[a] + e * self.log[b]) % (self.order - 1)]
 
     def pow_int(self, a: int, e: int) -> int:
         if a == 0:

@@ -6,8 +6,9 @@ written in base p, so the base-p digits of a code are the element's
 coordinate vector over F_p in the basis e_k = p^k, k < D = l*m.
 `to_vector` and `from_vector` are this codec, on single codes or arrays.
 
-The product is the remainder of the ring product under right division by
-f (`SemifieldCtx.mul`, the one definition, kept as the test oracle).  It is
+The product g u mod_r f is sum_(i,j) g_i sigma^i(u_j) R_(i+j), since a left
+scalar commutes with the right remainder; R_k = t^k mod_r f, k < 2m, are
+built once (`t_rows`), and `SemifieldCtx.times` is the one definition.  It is
 F_p-bilinear, so it is fixed by its structure constants
 tensor[i, j] = to_vector(e_i e_j), a D x D x D array over F_p (Knuth's
 cubical array of a semifield).  All batch arithmetic -- product tables,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +57,7 @@ class SemifieldCtx:
     m: int = field(init=False)
     size: int = field(init=False)
     dim_prime: int = field(init=False)
+    t_rows: list[list[int]] = field(init=False, repr=False, compare=False)
     # filled on first use by `_weights`, `tensor`, `_translations` and
     # `_nuclei`: declared fields, set to None at construction, not
     # cached_property, which would materialise the instance __dict__ and
@@ -70,15 +72,16 @@ class SemifieldCtx:
         K = self.tower.field
         self.size = K.order ** self.m
         self.dim_prime = K.l * self.m
+        self.t_rows = sp.t_powers(self.tower, self.f, 2 * self.m)
         self._weight_row = self._structure_constants = None
         self._translation_stack = self._nuclei_report = None
 
     # -- element encoding ------------------------------------------------
 
-    def encode(self, g: sp.SkewPoly) -> int:
+    def encode(self, g: Sequence[int]) -> int:
         K = self.tower.field
         code = 0
-        for c in reversed(g + (0,) * (self.m - len(g))):
+        for c in reversed(g):
             code = code * K.order + c
         return code
 
@@ -102,11 +105,23 @@ class SemifieldCtx:
     def p(self) -> int:
         return self.tower.field.p
 
+    def times(self, g: sp.SkewPoly, u: int) -> int:
+        """Code of g u mod_r f, for g of degree <= m and the code u: the ring
+        product's terms g_i sigma^i(u_j) t^(i+j), one `mul_pow` each, with
+        t^k read as R_k from k = m on."""
+        K, qp, n, m = self.tower.field, self.tower.q_powers, self.tower.n, self.m
+        add, mul_pow, v, c = K.add, K.mul_pow, self.decode(u), [0] * (2 * m)
+        for i, a in enumerate(g):
+            if a:
+                for j, b in enumerate(v):
+                    c[i + j] = add(c[i + j], mul_pow(a, b, qp[i % n]))
+        for k in range(m, 2 * m):
+            if c[k]:
+                c[:m] = [add(a, K.mul(c[k], b)) for a, b in zip(c, self.t_rows[k])]
+        return self.encode(c[:m])
+
     def mul(self, x: int, y: int) -> int:
-        prod = sp.skew_mul(self.tower, self.decode(x), self.decode(y))
-        if sp.degree(prod) >= self.m:
-            prod = sp.right_rem(self.tower, prod, self.f)
-        return self.encode(prod)
+        return self.times(self.decode(x), y)
 
     # -- prime-field coordinates ----------------------------------------
 
@@ -336,10 +351,7 @@ def _associator_tensor(S: SemifieldCtx) -> np.ndarray:
 def annihilator(S: SemifieldCtx, g: sp.SkewPoly) -> list[list[int]]:
     """A basis (coordinate vectors) of {u in R_m : g u in Rf}, the kernel of
     the F_p-linear map u -> (g u mod_r f), built without the tensor."""
-    tower = S.tower
-    images = [S.encode(sp.right_rem(tower, sp.skew_mul(tower, g, S.decode(b)), S.f))
-              for b in S.basis()]
-    return _kernel(S.to_vector(images).T, S.p)
+    return _kernel(S.to_vector([S.times(g, b) for b in S.basis()]).T, S.p)
 
 
 def nuc_r_membership(S: SemifieldCtx) -> list[int]:
@@ -393,8 +405,8 @@ def t_power_diagnostics(S: SemifieldCtx) -> TPowerReport:
     a finite field, every bracketing of t^k is the field power, and the
     distinct powers form the cyclic group of the multiplicative order of t.
     """
-    assoc = not sp.right_rem(S.tower, sp.skew_mul(S.tower, S.f, sp.t_power(1)), S.f)
-    t, tm = S.t, S.encode(sp.right_rem(S.tower, sp.t_power(S.m), S.f))
+    t, tm = S.t, S.encode(S.t_rows[S.m])
+    assoc = not S.times(S.f, t)
     assert (S.mul(tm, t) == S.mul(t, tm)) == assoc, "ft in Rf vs t^m t = t t^m mismatch"
     order = None
     if assoc:

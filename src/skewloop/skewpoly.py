@@ -3,11 +3,14 @@
 A skew polynomial is a tuple of field-element codes, low degree first,
 with no trailing zeros; the zero polynomial is the empty tuple.  The
 degree of zero is treated as -1 in comparisons (a sentinel for -infinity).
-Multiplication twists coefficients past t: t*a = sigma(a)*t.
+Multiplication twists coefficients past t: t*a = sigma(a)*t.  Modulo a
+monic f, the rows R_k = t^k mod_r f (`t_powers`) carry the arithmetic: the
+reduced norm's matrix and the product of S_f (`semifield`) read them.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,34 +47,6 @@ def is_monic(f: SkewPoly) -> bool:
     return bool(f) and f[-1] == 1
 
 
-def t_power(i: int) -> SkewPoly:
-    return (0,) * i + (1,)
-
-
-def skew_mul(ctx: TowerCtx, f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    """(a t^i)(b t^j) = a sigma^i(b) t^(i+j)."""
-    if not f or not g:
-        return ()
-    K = ctx.field
-    pw, qp, n = K.pow_int, ctx.q_powers, ctx.n
-    res = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        e = qp[i % n]
-        for j, b in enumerate(g):
-            if b:
-                res[i + j] = K.add(res[i + j], K.mul(a, pw(b, e)))
-    return poly(res)
-
-
-def scalar_mul(ctx: TowerCtx, c: int, f: SkewPoly) -> SkewPoly:
-    K = ctx.field
-    if c == 0:
-        return ()
-    return tuple(K.mul(c, a) for a in f)
-
-
 def right_divmod(ctx: TowerCtx, g: SkewPoly, f: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     """Unique (q, r) with g = q*f + r and deg(r) < deg(f)."""
     if not f:
@@ -90,23 +65,32 @@ def right_divmod(ctx: TowerCtx, g: SkewPoly, f: SkewPoly) -> tuple[SkewPoly, Ske
         qcoeffs[d] = c
         for i, fi in enumerate(f):
             if fi:
-                rem[i + d] = K.sub(rem[i + d], K.mul(c, pw(fi, e)))
+                rem[i + d] = K.sub(rem[i + d], K.mul_pow(c, fi, e))
         while rem and rem[-1] == 0:
             rem.pop()
     return poly(qcoeffs), tuple(rem)
 
 
-def right_rem(ctx: TowerCtx, g: SkewPoly, f: SkewPoly) -> SkewPoly:
-    return right_divmod(ctx, g, f)[1]
-
-
 def make_monic(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
     """Normalize by a left unit; S_f = S_{af} so this loses nothing."""
-    if not f:
+    if not f or f[-1] == 1:
         return f
-    if f[-1] == 1:
-        return f
-    return scalar_mul(ctx, ctx.field.inv(f[-1]), f)
+    c = ctx.field.inv(f[-1])
+    return tuple(ctx.field.mul(c, a) for a in f)
+
+
+def t_powers(ctx: TowerCtx, f: SkewPoly, count: int) -> list[list[int]]:
+    """R_k = t^k mod_r f for k < count, each as its m codes (f monic of
+    degree m >= 1): R_0 = 1, and R_(k+1) = t R_k is sigma(R_k) shifted up,
+    with its top term sigma(c) t^m read as sigma(c) tail."""
+    K, q = ctx.field, ctx.q
+    add, mul_pow, pw = K.add, K.mul_pow, K.pow_int
+    tail = [K.neg(c) for c in f[:-1]]                     # t^m = tail mod_r f
+    rows = [[1] + [0] * (len(tail) - 1)]
+    while len(rows) < count:
+        top, r = rows[-1][-1], [0] + [pw(a, q) for a in rows[-1][:-1]]
+        rows.append([add(a, mul_pow(b, top, q)) for a, b in zip(r, tail)] if top else r)
+    return rows
 
 
 def reduced_norm(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
@@ -124,20 +108,7 @@ def reduced_norm(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
         raise NotMonic("reduced norm requires a monic polynomial")
     if degree(f) < 1:
         raise DegreeZero("constant polynomials are units")
-    K = ctx.field
-    mul, add, pw, q = K.mul, K.add, K.pow_int, ctx.q
-    m, n = degree(f), ctx.n
-    tail = [K.neg(c) for c in f[:-1]]                     # t^m = tail mod_r f
-    rows, r = [], [1] + [0] * (m - 1)                     # r = t^k mod_r f
-    for k in range(n + m - 1):
-        if k >= n:
-            rows.append(r)
-        top = pw(r[-1], q)                                # t r = sigma(r) shifted
-        r = [0] + [pw(a, q) for a in r[:-1]]
-        if top:
-            r = [add(a, mul(top, b)) for a, b in zip(r, tail)]
-    rows.append(r)
-    chi = _charpoly(K, rows)
+    chi = _charpoly(ctx.field, t_powers(ctx, f, ctx.n + degree(f))[ctx.n:])
     assert all(ctx.in_fixed_field(c) for c in chi), \
         f"reduced norm of {f} has a coefficient outside F_q"
     return chi
@@ -205,18 +176,19 @@ def is_irreducible(ctx: TowerCtx, f: SkewPoly) -> bool:
 
 def is_right_invariant(ctx: TowerCtx, f: SkewPoly) -> bool:
     """Rf is two-sided iff it is closed under right multiplication by the
-    ring generators t and a generator z of K, i.e. f*t and f*z lie in Rf."""
+    ring generators t and a primitive z of K, i.e. f t and f z lie in Rf.
+    In closed form (f of degree m): iff f_i = 0 wherever i != m mod n and
+    every f_i lies in F_q.  f z - sigma^m(z) f = sum_(i<m) f_i (sigma^i(z) -
+    sigma^m(z)) t^i is its own remainder, zero iff f_i = 0 wherever
+    i != m mod n (z is primitive, so sigma^i(z) = sigma^m(z) iff n | i - m).
+    Then f_(m-1) = 0 or n = 1, so f t - t f = sum_(i<m-1) (f_i - sigma(f_i))
+    t^(i+1) has degree < m: it is its own remainder, zero iff every f_i is
+    fixed by sigma."""
     if not is_monic(f):
         raise NotMonic("right-invariance test requires a monic polynomial")
-    K = ctx.field
-    ft = skew_mul(ctx, f, t_power(1))
-    if right_rem(ctx, ft, f):
-        return False
-    z = K.primitive
-    fz = skew_mul(ctx, f, (z,))
-    if right_rem(ctx, fz, f):
-        return False
-    return True
+    start, off = degree(f) % ctx.n, list(f)
+    del off[start::ctx.n]                                 # the f_i, i != m mod n
+    return not any(off) and all(map(ctx.in_fixed_field, f[start::ctx.n]))
 
 
 def is_admissible(ctx: TowerCtx, f: SkewPoly) -> bool:
@@ -300,24 +272,6 @@ def irreducible_norms(ctx: TowerCtx, chi: np.ndarray) -> np.ndarray:
     return np.array(verdict, dtype=bool)[key]
 
 
-def _right_invariant(ctx: TowerCtx, F: np.ndarray) -> np.ndarray:
-    """`is_right_invariant` on the rows of F (monic, degree m), in closed
-    form.  f z - sigma^m(z) f = sum_(i<m) f_i (sigma^i(z) - sigma^m(z)) t^i
-    is its own remainder, zero iff f_i = 0 wherever i != m mod n (z is
-    primitive, so sigma^i(z) = sigma^m(z) iff n | i - m).  f t - t f =
-    sum_(i<m) d_i t^(i+1) with d_i = f_i - sigma(f_i) has the remainder
-    sum_(1<=j<m) (d_(j-1) - d_(m-1) f_j) t^j - d_(m-1) f_0."""
-    K = ctx.field
-    mul, add = K.mul_array, K.add_array
-    m = F.shape[1] - 1
-    low = F[:, :m]
-    z_ok = ((low == 0) | (np.arange(m) % ctx.n == m % ctx.n)).all(axis=1)
-    d = add(low, mul(K.p - 1, K.pow_array(low, ctx.q)))
-    shifted = np.hstack([np.zeros((len(F), 1), dtype=np.int64), d[:, :-1]])
-    t_ok = (add(shifted, mul(K.p - 1, mul(d[:, -1:], low))) == 0).all(axis=1)
-    return z_ok & t_ok
-
-
 _ENUMERATE_CHUNK = 2 ** 14
 
 
@@ -332,7 +286,7 @@ def enumerate_admissible(ctx: TowerCtx, m: int) -> Iterator[SkewPoly]:
         F = monic_rows(ctx.field.order, m,
                        np.arange(start, min(start + _ENUMERATE_CHUNK, total)))
         F = F[irreducible_norms(ctx, reduced_norms(ctx, F))]
-        yield from map(tuple, F[~_right_invariant(ctx, F)].tolist())
+        yield from (f for f in map(tuple, F.tolist()) if not is_right_invariant(ctx, f))
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +297,18 @@ def parse_poly(ctx: TowerCtx, text: str) -> SkewPoly:
     from .gf import parse_element
 
     K = ctx.field
-    text = text.replace("-", "+-").replace(" ", "")
-    terms = [s for s in text.split("+") if s]
+    # a sign starts a term unless it follows "^" (g^-1) or sits in a list
+    terms = re.split(r"(?<![\^\[,])(?=[+-])", text.replace(" ", ""))
     coeffs: dict[int, int] = {}
-    for term in terms:
+    for term in filter(None, terms):
         negate = term.startswith("-")
-        if negate:
-            term = term[1:]
+        term = term.lstrip("+-")
         if "t" in term:
             coeff_s, _, pow_s = term.partition("t")
             coeff_s = coeff_s.rstrip("*")
             exp = int(pow_s[1:]) if pow_s.startswith("^") else 1
+            if exp < 0:
+                raise ValueError(f"negative power of t in {text!r}")
             c = parse_element(K, coeff_s) if coeff_s else 1
         else:
             exp = 0

@@ -27,6 +27,22 @@ def inverse(g):
     return inv
 
 
+def skew_mul(tw, f, g):
+    """Test oracle: the product in K[t;sigma], term by term:
+    (a t^i)(b t^j) = a sigma^i(b) t^(i+j)."""
+    K = tw.field
+    res = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            res[i + j] = K.add(res[i + j], K.mul(a, tw.sigma(b, i)))
+    return sp.poly(res)
+
+
+def right_rem(tw, g, f):
+    """Test oracle: g mod_r f, from `skewpoly.right_divmod`."""
+    return sp.right_divmod(tw, g, f)[1]
+
+
 def skew_add(tw, f, g):
     """Test oracle: the sum of two skew polynomials, coefficientwise."""
     K = tw.field
@@ -151,6 +167,6 @@ def t_power_walk(S):
         assert k <= S.size, "power cycle not found"
     for k in range(len(vals) + 1, m + 2):
         vals[k] = bracketings(k)
-    ft = sp.skew_mul(tw, S.f, sp.t_power(1))
-    return (not sp.right_rem(tw, ft, S.f), closed,
+    ft = skew_mul(tw, S.f, (0, 1))
+    return (not right_rem(tw, ft, S.f), closed,
             len(powers_seen) if closed else None, len(vals[m + 1]) == 1)

@@ -207,7 +207,7 @@ def _similar_scan(tw, f, g):
     Q, m = tw.field.order, sp.degree(f)
     for code in range(1, Q ** m):
         u = sp.poly([code // Q ** i % Q for i in range(m)])
-        if all(c == 0 for c in sp.right_rem(tw, sp.skew_mul(tw, g, u), f)):
+        if all(c == 0 for c in oracles.right_rem(tw, oracles.skew_mul(tw, g, u), f)):
             return True
     return False
 
@@ -219,6 +219,10 @@ def test_similar_matches_exhaustive_scan(p, modulus, m):
     for f in fs:
         for g in fs:
             assert cs.similar(tw, f, g) == _similar_scan(tw, f, g)
+        # f t has a nonzero u with (f t) u in Rf (the scan finds one), but
+        # R/R(f t) is one K-dimension larger than R/Rf
+        assert _similar_scan(tw, f, (0,) + f)
+        assert not cs.similar(tw, f, (0,) + f) and not cs.similar(tw, (0,) + f, f)
 
 
 def _oracle_similarity_classes(tw, fs):

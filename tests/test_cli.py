@@ -39,6 +39,13 @@ def test_skew_irreducible_json(capsys):
     assert data["reduced_norm"] == "y^2 + y + g^0"
 
 
+def test_skew_irreducible_negative_exponent(capsys):
+    # g^-1 = g^7 in F_9: the "-" after "^" is no term sign
+    outs = [run(capsys, "skew", "irreducible", "--field", "3^2", "--f", f, "--format", "json")
+            for f in ("t^2 - g^-1", "t^2 - g^7")]
+    assert outs[0][0] == cli.EXIT_OK and outs[0] == outs[1]
+
+
 def test_skew_divmod_reconstructs(capsys):
     rc, out, _ = run(capsys, "skew", "divmod", "--field", "2^2",
                      "--f", "t^2 - g^1", "--g", "t^3 + t + 1", "--format", "json")

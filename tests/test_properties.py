@@ -87,7 +87,7 @@ def test_skew_divmod_reconstructs(i, rng):
     deg_g = rng.randrange(len(f) - 1, len(f) + 3)
     g = tuple(rng.randrange(K.order) for _ in range(deg_g)) + (1,)
     q_, r_ = sp.right_divmod(tw, g, f)
-    back = oracles.skew_add(tw, sp.skew_mul(tw, q_, f), r_)
+    back = oracles.skew_add(tw, oracles.skew_mul(tw, q_, f), r_)
     assert sp.poly(list(back)) == sp.poly(list(g))
     assert sp.degree(r_) < sp.degree(f)
 

@@ -70,6 +70,36 @@ BATTERY_TOWERS = [((2, 1, 2), 2), ((2, 1, 2), 3), ((2, 1, 3), 2), ((3, 1, 2), 2)
                   ((3, 1, 2), 3), ((2, 2, 2), 2), ((5, 1, 2), 2)]
 
 
+def _ring_product(S, g, u):
+    """Test oracle: the code of g u mod_r f, by the ring product and right
+    division."""
+    return S.encode(oracles.right_rem(S.tower, oracles.skew_mul(S.tower, g, S.decode(u)), S.f))
+
+
+@pytest.mark.parametrize("p,r,n,m", oracles.BATTERY,
+                         ids=[f"F{p ** (r * n)}/F{p ** r}-m{m}" for p, r, n, m in oracles.BATTERY])
+def test_products_match_ring_oracle(p, r, n, m):
+    # S.mul, the tensor, annihilator and t_power_diagnostics all read the
+    # rows R_k = t^k mod_r f, k < 2m; here each is checked against the ring
+    # product and right division, on three seeded admissible f per tower
+    tw = gf.make_tower(p, r, n)
+    fs = list(sp.enumerate_admissible(tw, m))
+    rng = random.Random(tw.field.order * 10 + m)
+    for f in rng.sample(fs, 3):
+        S = sfd.SemifieldCtx(tower=tw, f=f)
+        basis = S.basis()
+        want = [[_ring_product(S, S.decode(a), b) for b in basis] for a in basis]
+        assert np.array_equal(S.tensor, S.to_vector(want))
+        pairs = [(rng.randrange(S.size), rng.randrange(S.size)) for _ in range(200)]
+        assert [S.mul(x, y) for x, y in pairs] == [_ring_product(S, S.decode(x), y)
+                                                   for x, y in pairs]
+        for g in (f, rng.choice(fs)):
+            kernel = [u for u in range(S.size) if _ring_product(S, g, u) == 0]
+            assert sfd._span_elements(S, sfd.annihilator(S, g)) == kernel
+        ft = oracles.right_rem(tw, oracles.skew_mul(tw, f, (0, 1)), f)
+        assert sfd.t_power_diagnostics(S).powers_associative == (ft == ())
+
+
 def test_codec_is_base_p_digits():
     S = quat3()
     p, D = S.p, S.dim_prime
@@ -79,7 +109,7 @@ def test_codec_is_base_p_digits():
     assert np.array_equal(S.from_vector(S.to_vector(codes)), codes)
     # a code past 2^63: F_4 with m = 32, |S_f| = 2^64 (the codec needs no valid f)
     tw = gf.make_tower(2, 1, 2)
-    big = sfd.SemifieldCtx(tower=tw, f=sp.t_power(32))
+    big = sfd.SemifieldCtx(tower=tw, f=(0,) * 32 + (1,))
     for c in (2 ** 63, 2 ** 64 - 1, 3 * 2 ** 40 + 5):
         assert big.to_vector(c).tolist() == [c >> k & 1 for k in range(64)]
         assert big.from_vector(big.to_vector(c)) == c
@@ -88,7 +118,7 @@ def test_codec_is_base_p_digits():
 def prime_space(p, D):
     """The codec of F_p^D alone: f = t^D over K = F_p (no valid f needed)."""
     K = gf.FieldCtx.create(p, 1)
-    return sfd.SemifieldCtx(tower=gf.TowerCtx(field=K, r=1, n=1), f=sp.t_power(D))
+    return sfd.SemifieldCtx(tower=gf.TowerCtx(field=K, r=1, n=1), f=(0,) * D + (1,))
 
 
 # (p, D): int32 reduction up to (4093, 1), int64 at (65521, 2)
@@ -272,7 +302,7 @@ def test_rref_and_kernel_match_oracle():
 def test_subspace_dedups_codes_past_2_63():
     # condition rows are deduplicated by code, a Python int once |S_f| > 2^63
     tw = gf.make_tower(2, 1, 2)
-    big = sfd.SemifieldCtx(tower=tw, f=sp.t_power(32))   # D = 64, |S_f| = 2^64
+    big = sfd.SemifieldCtx(tower=tw, f=(0,) * 32 + (1,))   # D = 64, |S_f| = 2^64
     rows = np.random.default_rng(0).integers(0, 2, size=(62, 64))
     cond = np.concatenate([rows, rows[::-1], np.zeros((3, 64), dtype=np.int64)])
     info = sfd._subspace(big, cond)

@@ -23,7 +23,7 @@ def test_twist_commutation_rule():
     tw = tower_f4()
     # t*a = sigma(a)*t for every a
     for a in range(4):
-        left = sp.skew_mul(tw, (0, 1), (a,))
+        left = oracles.skew_mul(tw, (0, 1), (a,))
         assert left == sp.poly([0, tw.sigma(a, 1)])
 
 
@@ -35,7 +35,7 @@ def test_right_divmod_identity():
     for g in polys[:200]:
         q, r = sp.right_divmod(tw, g, f)
         assert sp.degree(r) < 2 or r == ()
-        assert oracles.skew_add(tw, sp.skew_mul(tw, q, f), r) == g
+        assert oracles.skew_add(tw, oracles.skew_mul(tw, q, f), r) == g
 
 
 def test_division_by_zero_poly():
@@ -58,7 +58,7 @@ def _oracle_quadratic_irreducible(tw, f):
 
 def _oracle_full_scan_irreducible(tw, f):
     """No monic right divisor of any degree 1 <= d < deg(f)."""
-    return all(sp.right_rem(tw, f, tail + (1,))
+    return all(oracles.right_rem(tw, f, tail + (1,))
                for d in range(1, sp.degree(f))
                for tail in itertools.product(range(tw.field.order), repeat=d))
 
@@ -83,9 +83,16 @@ def _oracle_divisor_scan_irreducible(tw, f):
     divisor h of degree d, so testing remainder zero against the q^(n d)
     monic candidates of each degree d <= m/2 decides irreducibility.
     """
-    return all(sp.right_rem(tw, f, tail + (1,))
+    return all(oracles.right_rem(tw, f, tail + (1,))
                for d in range(1, sp.degree(f) // 2 + 1)
                for tail in itertools.product(range(tw.field.order), repeat=d))
+
+
+def _oracle_right_invariant(tw, f):
+    """f t and f z in Rf, z the primitive element: two right remainders of
+    ring products."""
+    return not any(oracles.right_rem(tw, oracles.skew_mul(tw, f, g), f)
+                   for g in ((0, 1), (tw.field.primitive,)))
 
 
 def _central_as_skew(tw, h):
@@ -153,20 +160,25 @@ def test_irreducible_matches_divisor_scan(tower, m):
 @pytest.mark.parametrize("tower,m", NORM_CASES, ids=_case_ids(NORM_CASES))
 def test_reduced_norm_is_monic_central_multiple(tower, m):
     # chi_f is monic of degree m in F_q[y], and chi_f(t^n) lies in Rf
-    # (Cayley-Hamilton: chi_f(y) kills R/Rf), for every monic f
+    # (Cayley-Hamilton: chi_f(y) kills R/Rf), for every monic f; the rows
+    # R_k = t^k mod_r f behind C_f and the S_f product, k < n + 2m, are the
+    # right remainders
     tw = gf.make_tower(*tower)
     for tail in itertools.product(range(tw.field.order), repeat=m):
         f = tail + (1,)
+        assert [sp.poly(r) for r in sp.t_powers(tw, f, tw.n + 2 * m)] == [
+            oracles.right_rem(tw, (0,) * k + (1,), f) for k in range(tw.n + 2 * m)], f
         chi = sp.reduced_norm(tw, f)
         assert sp.degree(chi) == m and sp.is_monic(chi)
         assert all(tw.in_fixed_field(c) for c in chi)
-        assert sp.right_rem(tw, _central_as_skew(tw, chi), f) == ()
+        assert oracles.right_rem(tw, _central_as_skew(tw, chi), f) == ()
 
 
 @pytest.mark.parametrize("tower,m", EXHAUSTIVE_CASES, ids=_case_ids(EXHAUSTIVE_CASES))
 def test_reduced_norms_match_scalar_path(tower, m):
-    # the batch, row for row, against reduced_norm (a Hessenberg form) and
-    # is_right_invariant (two right remainders) on every monic f
+    # the batch, row for row, against reduced_norm (a Hessenberg form), and
+    # the closed-form is_right_invariant against two right remainders of
+    # ring products, on every monic f
     tw = gf.make_tower(*tower)
     Q = tw.field.order
     F = gf.monic_rows(Q, m, np.arange(Q ** m))
@@ -177,7 +189,8 @@ def test_reduced_norms_match_scalar_path(tower, m):
     for h in map(tuple, chi.tolist()):
         verdicts.setdefault(h, gf.poly_is_irreducible(tw.field, h, tw.q))
     assert sp.irreducible_norms(tw, chi).tolist() == [verdicts[tuple(h)] for h in chi.tolist()]
-    assert sp._right_invariant(tw, F).tolist() == [sp.is_right_invariant(tw, f) for f in fs]
+    assert [sp.is_right_invariant(tw, f) for f in fs] == [_oracle_right_invariant(tw, f)
+                                                          for f in fs]
 
 
 @pytest.mark.parametrize("p,r,n,m", oracles.BATTERY,
@@ -269,7 +282,7 @@ def test_make_monic():
     f = (1, 2, K.p)
     g = sp.make_monic(tw, f)
     assert sp.is_monic(g)
-    assert g == sp.scalar_mul(tw, K.inv(K.p), f)
+    assert g == tuple(K.mul(K.inv(K.p), c) for c in f)
 
 
 def test_parse_format_roundtrip():
@@ -277,3 +290,16 @@ def test_parse_format_roundtrip():
     for text in ("t^2 - g^5*t - [1,0]", "t^3 - g^1", "t^2 - g^0"):
         f = sp.parse_poly(tw, text)
         assert sp.parse_poly(tw, sp.format_poly(tw, f)) == f
+
+
+def test_parse_negative_exponents():
+    # a sign after "^" or inside a coordinate list does not start a term
+    tw = gf.make_tower(3, 1, 2)
+    K = tw.field
+    assert sp.parse_poly(tw, "t^2 - g^-1") == sp.parse_poly(tw, "t^2 - g^7") \
+        == (K.neg(K.exp[7]), 0, 1)
+    assert sp.parse_poly(tw, "g^-3*t^2+g^-1*t-[1,-1]") \
+        == sp.parse_poly(tw, "g^5*t^2 + g^7*t - [1,2]")
+    assert sp.parse_poly(tw, "-t + 1") == (1, tw.field.neg(1))
+    with pytest.raises(ValueError):
+        sp.parse_poly(tw, "t^-1")
