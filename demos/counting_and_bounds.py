@@ -31,14 +31,15 @@ def main():
         print(f"  (p,r,l,m)=({p},{r},{l},{m}): exists={exists}, "
               f"admissible u = {show}")
 
-    # similarity: gu = 0 mod_r f for some unit u forces isotopic quotients
+    # similarity: f and g fall in one class of census.similarity_classes
+    # (equal reduced norms), so R/Rf and R/Rg are isomorphic R-modules
     tower = gf.make_tower(2, 1, 2)
     K = tower.field
     f = (K.neg(K.p), 0, 1)            # t^2 - x
     g = (K.neg(K.add(K.p, 1)), 0, 1)  # t^2 - (x+1)
     print(f"\nsimilar({skewpoly.format_poly(tower, f)}, "
           f"{skewpoly.format_poly(tower, g)}) = "
-          f"{census.similar(tower, f, g)}  (M(2,2) = 1: a single class)")
+          f"{len(census.similarity_classes(tower, 2, [f, g])) == 1}  (M(2,2) = 1: a single class)")
 
     rep = census.bounds_report(5, 2, 2, tower=gf.make_tower(5, 1, 2))
     print("\nbounds report at (q,n,m) = (5,2,2):")

@@ -3,7 +3,9 @@ counts of nonassociative cyclic algebras, similarity partitions, Sandler
 existence, and assembled bound reports.
 
 Counts live over the center F_q[y] = F_q[t^n; sigma], so most arithmetic here
-is plain (untwisted) polynomial arithmetic over F_q with q = p^r.
+is plain (untwisted) polynomial arithmetic over F_q with q = p^r.  Similarity
+is read from the reduced norm, so the module builds no semifield and imports
+only `gf` and `skewpoly`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from . import skewpoly as sp
 from .gf import (FieldCtx, SizeCapExceeded, TowerCtx, factorint, isprime, mobius,
                  monic_rows, primefactors)
-from .semifield import SemifieldCtx, annihilator
 
 CLASSIFY_LIMIT = 2 ** 16
 
@@ -178,12 +179,6 @@ def cyclic_algebra_classes(tower: TowerCtx) -> tuple[int, list[int]]:
         assert len(reps) <= bound, (
             f"F_{K.order}/F_{q}: {len(reps)} classes exceed numb_bound({q}, {m}) = {bound}")
     return len(reps), reps
-
-
-def similar(tower: TowerCtx, f: sp.SkewPoly, g: sp.SkewPoly) -> bool:
-    """Equal degrees (the K-dimensions of R/Rf and R/Rg), and g*u = 0 mod_r f
-    for some nonzero u of degree < deg(f): u -> (g u mod_r f) has a kernel."""
-    return sp.degree(f) == sp.degree(g) and bool(annihilator(SemifieldCtx(tower=tower, f=f), g))
 
 
 def similarity_classes(tower: TowerCtx, m: int,

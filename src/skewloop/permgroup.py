@@ -31,6 +31,10 @@ that does not sift to the identity is re-formed on all points and sifted
 in full, which gives the residue and level of the all-points run (Seress,
 Permutation Group Algorithms, 2003, sections 4-5).  Without a frame, P is
 every point.
+
+`identify_small_group` names a group given by its Cayley table (cyclic,
+dicyclic or a semidirect product of two cyclic groups) from one list per
+element, powers[a] = [a, a^2, ..., e].
 """
 
 from __future__ import annotations
@@ -459,86 +463,57 @@ class GroupId:
     params: dict = field(default_factory=dict)
 
 
-def _inverse_in_table(mul: Sequence[Sequence[int]], e: int, a: int) -> int:
-    return next(b for b in range(len(mul)) if mul[a][b] == e)
-
-
-def _cyclic_subgroup(mul, e, a) -> set[int]:
-    out = {e}
-    x = a
-    while x != e:
-        out.add(x)
-        x = mul[x][a]
-    return out
-
-
 def identify_small_group(mul: Sequence[Sequence[int]], identity: int = 0) -> GroupId:
     """Identify a group given by its multiplication table (order at most
-    IDENTIFY_LIMIT)."""
+    IDENTIFY_LIMIT): cyclic, dicyclic, a semidirect product Z/a x| Z/b, or
+    unknown.
+
+    Everything is read from powers[a] = [a, a^2, ..., e], one list per element:
+    the order of a is its length, a^-1 its second-to-last entry, a^k its
+    entry k - 1 and <a> its set."""
     n = len(mul)
     if n > IDENTIFY_LIMIT:
         raise SizeCapExceeded(f"group of order {n} exceeds the identification "
                               f"bound {IDENTIFY_LIMIT}")
     e = identity
-    orders = {a: len(_cyclic_subgroup(mul, e, a)) for a in range(n)}
-    # cyclic
-    if n in orders.values():
+    powers = []
+    for a in range(n):
+        row = [a]
+        while row[-1] != e:
+            row.append(mul[row[-1]][a])
+        powers.append(row)
+
+    def conjugate(y, x):    # y x y^-1, y != e
+        return mul[mul[y][x]][powers[y][-2]]
+
+    if any(len(row) == n for row in powers):
         return GroupId(tag="cyclic", order=n, params={"k": n})
     # dicyclic Dic_k of order 4k: <a,b | a^(2k)=1, b^2=a^k, b a b^-1 = a^-1>
     if n % 4 == 0:
         k = n // 4
-        cands_a = [a for a in range(n) if orders[a] == 2 * k]
-        for a in cands_a:
-            cyc = _cyclic_subgroup(mul, e, a)
-            a_inv = _inverse_in_table(mul, e, a)
-            a_k = a
-            for _ in range(k - 1):
-                a_k = mul[a_k][a]
-            for b in range(n):
-                if b in cyc:
-                    continue
-                if mul[b][b] != a_k:
-                    continue
-                b_inv = _inverse_in_table(mul, e, b)
-                if mul[mul[b][a]][b_inv] == a_inv:
-                    return GroupId(tag="dicyclic", order=n, params={"k": k})
-    # Z/a x| Z/b with action x -> x^q
+        for a in range(n):
+            pa = powers[a]
+            if len(pa) != 2 * k:
+                continue
+            cyc = set(pa)
+            if any(mul[b][b] == pa[k - 1] and b not in cyc and conjugate(b, a) == pa[-2]
+                   for b in range(n)):
+                return GroupId(tag="dicyclic", order=n, params={"k": k})
+    # Z/a x| Z/b with y x y^-1 = x^q; <x> and <y> meet only in e, which makes
+    # the da * db = n products x^i y^j distinct
     for da in range(n - 1, 1, -1):
         if n % da:
             continue
         db = n // da
-        if db == 1:
-            continue
-        xs = [x for x in range(n) if orders[x] == da]
-        ys = [y for y in range(n) if orders[y] == db]
-        for x in xs:
-            cyc = _cyclic_subgroup(mul, e, x)
-            x_powers = {e: 0}
-            z, i = x, 1
-            while z != e:
-                x_powers[z] = i
-                z = mul[z][x]
-                i += 1
+        ys = [y for y in range(n) if len(powers[y]) == db]
+        for x in (x for x in range(n) if len(powers[x]) == da):
+            px = powers[x]
+            cyc = set(px)
             for y in ys:
-                if y in cyc:
-                    continue
-                y_inv = _inverse_in_table(mul, e, y)
-                conj = mul[mul[y][x]][y_inv]
-                qexp = x_powers.get(conj)
-                if qexp is None:
-                    continue
-                # all x^i y^j must be distinct
-                seen = set()
-                yj = e
-                for _ in range(db):
-                    xi = e
-                    for _ in range(da):
-                        seen.add(mul[xi][yj])
-                        xi = mul[xi][x]
-                    yj = mul[yj][y]
-                if len(seen) == n:
+                c = conjugate(y, x)
+                if c in cyc and cyc.isdisjoint(powers[y][:-1]):
                     return GroupId(tag="semidirect", order=n,
-                                   params={"a": da, "b": db, "q": qexp})
+                                   params={"a": da, "b": db, "q": px.index(c) + 1})
     return GroupId(tag="unknown", order=n)
 
 

@@ -8,7 +8,8 @@ coordinate vector over F_p in the basis e_k = p^k, k < D = l*m.
 
 The product g u mod_r f is sum_(i,j) g_i sigma^i(u_j) R_(i+j), since a left
 scalar commutes with the right remainder; R_k = t^k mod_r f, k < 2m, are
-built once (`t_rows`), and `SemifieldCtx.times` is the one definition.  It is
+built once (`t_rows`), and `SemifieldCtx.times` is the one definition
+(`nuc_r_membership` and `t_power_diagnostics` call it directly).  It is
 F_p-bilinear, so it is fixed by its structure constants
 tensor[i, j] = to_vector(e_i e_j), a D x D x D array over F_p (Knuth's
 cubical array of a semifield).  All batch arithmetic -- product tables,
@@ -348,15 +349,10 @@ def _associator_tensor(S: SemifieldCtx) -> np.ndarray:
     return (np.einsum("abl,lck->abck", T, T) - np.einsum("bcl,alk->abck", T, T)) % S.p
 
 
-def annihilator(S: SemifieldCtx, g: sp.SkewPoly) -> list[list[int]]:
-    """A basis (coordinate vectors) of {u in R_m : g u in Rf}, the kernel of
-    the F_p-linear map u -> (g u mod_r f), built without the tensor."""
-    return _kernel(S.to_vector([S.times(g, b) for b in S.basis()]).T, S.p)
-
-
 def nuc_r_membership(S: SemifieldCtx) -> list[int]:
-    """Nuc_r via the membership formula {g in R_m : f g in Rf}."""
-    return _span_elements(S, annihilator(S, S.f))
+    """Nuc_r via the membership formula {g in R_m : f g in Rf}: the kernel of
+    the F_p-linear map g -> (f g mod_r f), built without the tensor."""
+    return _span_elements(S, _kernel(S.to_vector([S.times(S.f, b) for b in S.basis()]).T, S.p))
 
 
 def nuclei(S: SemifieldCtx) -> NucleiReport:
@@ -385,10 +381,8 @@ def nuclei_bruteforce(S: SemifieldCtx) -> tuple[list[int], list[int], list[int]]
 
 @dataclass
 class TPowerReport:
-    powers_associative: bool
-    powers_closed: bool
+    associative: bool
     closure_order: Optional[int]
-    power_associative_m_plus_1: bool
 
 
 def t_power_diagnostics(S: SemifieldCtx) -> TPowerReport:
@@ -400,9 +394,9 @@ def t_power_diagnostics(S: SemifieldCtx) -> TPowerReport:
     t^(m+1) is t^i . t^(m+1-i): for 1 <= i < m it is t^(m+1) mod_r f (at
     i = 1 because t f lies in Rf), but (t^m mod_r f) . t = (t^m - f) t mod_r f
     is that minus f t mod_r f.  So the powers of t are associative, they
-    have one value each (`powers_closed`), and t^(m+1) has one value, all
-    exactly when f t lies in Rf.  Then t lies in Nuc_r = {g : f g in Rf},
-    a finite field, every bracketing of t^k is the field power, and the
+    have one value each, and t^(m+1) has one value, all exactly when f t
+    lies in Rf (`associative`).  Then t lies in Nuc_r = {g : f g in Rf}, a
+    finite field, every bracketing of t^k is the field power, and the
     distinct powers form the cyclic group of the multiplicative order of t.
     """
     t, tm = S.t, S.encode(S.t_rows[S.m])
@@ -415,8 +409,7 @@ def t_power_diagnostics(S: SemifieldCtx) -> TPowerReport:
             x, order = S.mul(x, t), order + 1
             if order > S.size:
                 raise AssertionError("power cycle not found")
-    return TPowerReport(powers_associative=assoc, powers_closed=assoc,
-                        closure_order=order, power_associative_m_plus_1=assoc)
+    return TPowerReport(associative=assoc, closure_order=order)
 
 
 def analysis_json(S: SemifieldCtx) -> dict:
@@ -433,9 +426,9 @@ def analysis_json(S: SemifieldCtx) -> dict:
             "center": {"cardinality": rep.center.cardinality, "tag": rep.center.field_tag},
         },
         "t_powers": {
-            "associative": diag.powers_associative,
-            "closed": diag.powers_closed,
+            "associative": diag.associative,
+            "closed": diag.associative,
             "closure_order": diag.closure_order,
-            "power_associative_m_plus_1": diag.power_associative_m_plus_1,
+            "power_associative_m_plus_1": diag.associative,
         },
     }

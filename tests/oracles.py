@@ -10,6 +10,7 @@ from math import gcd
 import numpy as np
 
 from skewloop import loops as lp
+from skewloop import semifield as sfd
 from skewloop import skewpoly as sp
 
 
@@ -170,3 +171,16 @@ def t_power_walk(S):
     ft = skew_mul(tw, S.f, (0, 1))
     return (not right_rem(tw, ft, S.f), closed,
             len(powers_seen) if closed else None, len(vals[m + 1]) == 1)
+
+
+def annihilator(S, g):
+    """Test oracle: a basis (coordinate vectors) of {u in R_m : g u in Rf},
+    the kernel of the F_p-linear map u -> (g u mod_r f)."""
+    return sfd._kernel(S.to_vector([S.times(g, b) for b in S.basis()]).T, S.p)
+
+
+def similar(tw, f, g):
+    """Test oracle for `census.similarity_classes`: equal degrees (the
+    K-dimensions of R/Rf and R/Rg), and g u = 0 mod_r f for some nonzero u
+    of degree < deg(f): u -> (g u mod_r f) has a kernel."""
+    return sp.degree(f) == sp.degree(g) and bool(annihilator(sfd.SemifieldCtx(tower=tw, f=f), g))

@@ -136,6 +136,27 @@ def test_quat3_aut_groups():
     assert (len(auts2), gid2.tag, gid2.order) == (8, "dicyclic", 8)
 
 
+# (p, r, n, f, maps, tag, params) with the default moduli: the semidirect
+# and dicyclic branches of the group identification on real semifields
+AUT_GROUPS = [
+    (3, 2, 2, "t^2 - g^5", 40, "semidirect", {"a": 5, "b": 8, "q": 3}),
+    (2, 3, 2, "t^2 - g^3", 27, "semidirect", {"a": 9, "b": 3, "q": 4}),
+    (3, 1, 4, "t^2 - g^2", 16, "semidirect", {"a": 8, "b": 2, "q": 5}),
+    (7, 1, 2, "t^2 - g^4", 16, "dicyclic", {"k": 4}),
+    (5, 1, 2, "t^2 - g^3", 12, "dicyclic", {"k": 3}),
+]
+
+
+@pytest.mark.parametrize("p,r,n,f,maps,tag,params", AUT_GROUPS,
+                         ids=[f"F{p ** (r * n)}/F{p ** r}-{f}" for p, r, n, f, *_ in AUT_GROUPS])
+def test_aut_group_identification(p, r, n, f, maps, tag, params):
+    tw = gf.make_tower(p, r, n)
+    S = sfd.build_semifield(tw, sp.parse_poly(tw, f))
+    auts = ag.solve_aut_conditions(S)
+    gid = ag.aut_group_structure(S, auts)
+    assert (len(auts), gid.tag, gid.order, gid.params) == (maps, tag, maps, params)
+
+
 def test_hk_action_on_t_powers():
     S = make_quat(3, [2, 2, 1], [1, 1])
     K = S.tower.field

@@ -1,5 +1,8 @@
 """BSGS machinery and small-group identification against known groups."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,67 @@ def test_identify_quaternion_units():
     table = [[idx[mul(u, v)] for v in elems] for u in elems]
     gid = pg.identify_small_group(table, identity=0)
     assert gid.tag == "dicyclic" and gid.order == 8 and gid.params.get("k") == 2
+
+
+def table_of(elems, op):
+    """Cayley table of the elements under op, elems[0] the identity."""
+    index = {x: i for i, x in enumerate(elems)}
+    return [[index[op(x, y)] for y in elems] for x in elems]
+
+
+def abelian(*ns):
+    return table_of(list(itertools.product(*map(range, ns))),
+                    lambda x, y: tuple((a + b) % n for a, b, n in zip(x, y, ns)))
+
+
+def dihedral(n):
+    # r^i s^j with s r s^-1 = r^-1
+    return table_of([(i, j) for j in (0, 1) for i in range(n)],
+                    lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % n, (x[1] + y[1]) % 2))
+
+
+def permutations(d, even):
+    elems = [g for g in itertools.permutations(range(d))
+             if not even or sum(g[i] > g[j] for i in range(d) for j in range(i + 1, d)) % 2 == 0]
+    return table_of(elems, lambda g, h: tuple(g[i] for i in h))
+
+
+# (name, table, tag, params): every result here is the same for any labelling
+# except q, which depends on which y the search meets first
+SMALL_GROUPS = [
+    ("Z2xZ2", abelian(2, 2), "semidirect", {"a": 2, "b": 2, "q": 1}),
+    ("Z2xZ4", abelian(2, 4), "semidirect", {"a": 4, "b": 2, "q": 1}),
+    ("Z3xZ3", abelian(3, 3), "semidirect", {"a": 3, "b": 3, "q": 1}),
+    ("S3", dihedral(3), "semidirect", {"a": 3, "b": 2, "q": 2}),
+    ("D4", dihedral(4), "semidirect", {"a": 4, "b": 2, "q": 3}),
+    ("D5", dihedral(5), "semidirect", {"a": 5, "b": 2, "q": 4}),
+    ("Z2^3", abelian(2, 2, 2), "unknown", {}),
+    ("A4", permutations(4, even=True), "unknown", {}),
+    ("S4", permutations(4, even=False), "unknown", {}),
+]
+
+
+@pytest.mark.parametrize("name,table,tag,params", SMALL_GROUPS,
+                         ids=[g[0] for g in SMALL_GROUPS])
+def test_identify_semidirect_and_unknown(name, table, tag, params):
+    gid = pg.identify_small_group(table)
+    assert (gid.tag, gid.order, gid.params) == (tag, len(table), params)
+    # relabel with the identity moved off 0: q may change, nothing else
+    n = len(table)
+    rng = random.Random(n)
+    relabel = list(range(n))
+    while relabel[0] == 0:
+        rng.shuffle(relabel)
+    moved = [[0] * n for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, k in enumerate(row):
+            moved[relabel[i]][relabel[j]] = relabel[k]
+    got = pg.identify_small_group(moved, identity=relabel[0])
+    assert (got.tag, got.order, got.params.keys()) == (tag, n, params.keys())
+    if tag == "semidirect":
+        a, b, q = (got.params[k] for k in "abq")
+        # y^b = e, so x = y^b x y^-b = x^(q^b)
+        assert (a, b) == (params["a"], params["b"]) and pow(q, b, a) == 1
 
 
 def test_caps_raise_the_one_cap_exception():

@@ -79,9 +79,10 @@ def _ring_product(S, g, u):
 @pytest.mark.parametrize("p,r,n,m", oracles.BATTERY,
                          ids=[f"F{p ** (r * n)}/F{p ** r}-m{m}" for p, r, n, m in oracles.BATTERY])
 def test_products_match_ring_oracle(p, r, n, m):
-    # S.mul, the tensor, annihilator and t_power_diagnostics all read the
-    # rows R_k = t^k mod_r f, k < 2m; here each is checked against the ring
-    # product and right division, on three seeded admissible f per tower
+    # S.mul, the tensor, nuc_r_membership, the annihilator oracle and
+    # t_power_diagnostics all read the rows R_k = t^k mod_r f, k < 2m; here
+    # each is checked against the ring product and right division, on three
+    # seeded admissible f per tower
     tw = gf.make_tower(p, r, n)
     fs = list(sp.enumerate_admissible(tw, m))
     rng = random.Random(tw.field.order * 10 + m)
@@ -93,11 +94,13 @@ def test_products_match_ring_oracle(p, r, n, m):
         pairs = [(rng.randrange(S.size), rng.randrange(S.size)) for _ in range(200)]
         assert [S.mul(x, y) for x, y in pairs] == [_ring_product(S, S.decode(x), y)
                                                    for x, y in pairs]
-        for g in (f, rng.choice(fs)):
-            kernel = [u for u in range(S.size) if _ring_product(S, g, u) == 0]
-            assert sfd._span_elements(S, sfd.annihilator(S, g)) == kernel
+        assert sfd.nuc_r_membership(S) == [u for u in range(S.size)
+                                           if _ring_product(S, f, u) == 0]
+        g = rng.choice(fs)
+        kernel = [u for u in range(S.size) if _ring_product(S, g, u) == 0]
+        assert sfd._span_elements(S, oracles.annihilator(S, g)) == kernel
         ft = oracles.right_rem(tw, oracles.skew_mul(tw, f, (0, 1)), f)
-        assert sfd.t_power_diagnostics(S).powers_associative == (ft == ())
+        assert sfd.t_power_diagnostics(S).associative == (ft == ())
 
 
 def test_codec_is_base_p_digits():
@@ -344,8 +347,7 @@ def test_t_power_diagnostics_quat2():
     diag = sfd.t_power_diagnostics(S)
     # f has a coefficient outside F: powers of t are not a group and S_f is
     # not (m+1)-th power-associative
-    assert not diag.powers_closed
-    assert not diag.power_associative_m_plus_1
+    assert not diag.associative and diag.closure_order is None
 
 
 def test_t_power_diagnostics_central_coefficient_field():
@@ -358,7 +360,7 @@ def test_t_power_diagnostics_central_coefficient_field():
     if sp.is_admissible(tw, f):
         S = sfd.build_semifield(tw, f)
         diag = sfd.t_power_diagnostics(S)
-        assert isinstance(diag.powers_closed, bool)
+        assert isinstance(diag.associative, bool)
 
 
 def test_t_power_diagnostics_match_bracketing_walk():
@@ -370,10 +372,9 @@ def test_t_power_diagnostics_match_bracketing_walk():
         for f in sp.enumerate_admissible(tw, m):
             S = sfd.SemifieldCtx(tower=tw, f=f)
             d = sfd.t_power_diagnostics(S)
-            got = (d.powers_associative, d.powers_closed, d.closure_order,
-                   d.power_associative_m_plus_1)
-            assert got == oracles.t_power_walk(S), f
-            if d.powers_associative:
+            v = d.associative
+            assert (v, v, d.closure_order, v) == oracles.t_power_walk(S), f
+            if v:
                 associative += 1
                 assert S.t in sfd.nuc_r_membership(S)
     assert associative == 55

@@ -1,8 +1,12 @@
 """The library's public surface: every public name has a caller outside the
-tests, and the package re-exports nothing."""
+tests, the package re-exports nothing, and the counting layer does not load
+the semifield layer."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "skewloop").glob("*.py"))
@@ -58,3 +62,14 @@ def test_package_reexports_nothing():
     tree = ast.parse((ROOT / "src" / "skewloop" / "__init__.py").read_text())
     assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(tree))
     assert not [n for n in public_definitions(ROOT / "src" / "skewloop" / "__init__.py")]
+
+
+def test_census_does_not_load_semifield():
+    # census counts over gf and skewpoly alone; similarity is by reduced norm
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, skewloop.census; print(sorted(m for m in sys.modules if 'skewloop' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert ast.literal_eval(out) == ["skewloop", "skewloop.census", "skewloop.gf",
+                                     "skewloop.skewpoly"]
