@@ -154,22 +154,26 @@ def aut_group_structure(S: sfd.SemifieldCtx, auts: list[AutHK]) -> pg.GroupId:
 
 
 def inner_automorphisms(S: sfd.SemifieldCtx) -> list[InnerAut]:
-    """Distinct G_c(x) = (c_l x)c over invertible nucleus elements c; c and
-    lambda*c (lambda central) induce the same map, hence the dedup."""
+    """G_c(x) = (c_l x)c, one per coset c Z^x of the centre's units in Nuc^x,
+    c its least code, in increasing c: G_c G_d = G_(dc) and G_c = id iff c
+    is central, so G_c = G_d iff c/d is central.  A coset is the centre's
+    vectors times R_c, the matrix of y -> yc; each gives a new map (asserted)."""
     report = sfd.nuclei(S)
     basis = np.eye(S.dim_prime, dtype=np.int64)
-    seen: dict[bytes, InnerAut] = {}
-    for c in report.nuc.elements:
-        if c == 0:
+    central = S.to_vector(report.center.elements[1:])    # elements[0] = 0
+    covered, maps = set(), {}
+    for c in report.nuc.elements[1:]:
+        if c in covered:
             continue
+        R_c = S._translations[0] @ S.to_vector(c)
+        covered.update(S.from_vector(central @ R_c.T % S.p).tolist())
         c_left, _ = sfd.inverses(S, c)
         M = S.mul_vectors(S.mul_vectors(S.to_vector(c_left), basis), S.to_vector(c))
-        seen.setdefault(M.tobytes(), InnerAut(c=c, matrix=M))
-    for ia in seen.values():
-        assert np.array_equal(ia.matrix[0], basis[0]), f"G_c for c={ia.c} moves 1"
-        assert _is_multiplicative(S, ia.matrix), \
-            f"G_c for c={ia.c} is not multiplicative"
-    return list(seen.values())
+        assert M.tobytes() not in maps, f"G_c for c={c} repeats an earlier coset's map"
+        assert np.array_equal(M[0], basis[0]), f"G_c for c={c} moves 1"
+        assert _is_multiplicative(S, M), f"G_c for c={c} is not multiplicative"
+        maps[M.tobytes()] = InnerAut(c=c, matrix=M)
+    return list(maps.values())
 
 
 def inner_group_structure(S: sfd.SemifieldCtx, inners: list[InnerAut]) -> pg.GroupId:

@@ -6,11 +6,13 @@ degree of zero is treated as -1 in comparisons (a sentinel for -infinity).
 Multiplication twists coefficients past t: t*a = sigma(a)*t.  Modulo a
 monic f, the rows R_k = t^k mod_r f (`t_powers`) carry the arithmetic: the
 reduced norm's matrix and the product of S_f (`semifield`) read them.
+Their recurrence and chi's (`_berkowitz`) run on codes or on code arrays.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,8 +22,8 @@ from .gf import TowerCtx, monic_rows, poly_is_irreducible
 SkewPoly = tuple  # tuple of K element codes, low degree first, trimmed
 
 
-class DivisionByZeroPoly(ZeroDivisionError):
-    pass
+class DivisionByZeroPoly(ZeroDivisionError, ValueError):
+    """Also a ValueError, so the CLI reports it as a usage error."""
 
 
 class NotMonic(ValueError):
@@ -79,26 +81,70 @@ def make_monic(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
     return tuple(ctx.field.mul(c, a) for a in f)
 
 
-def t_powers(ctx: TowerCtx, f: SkewPoly, count: int) -> list[list[int]]:
-    """R_k = t^k mod_r f for k < count, each as its m codes (f monic of
-    degree m >= 1): R_0 = 1, and R_(k+1) = t R_k is sigma(R_k) shifted up,
-    with its top term sigma(c) t^m read as sigma(c) tail."""
-    K, q = ctx.field, ctx.q
-    add, mul_pow, pw = K.add, K.mul_pow, K.pow_int
-    tail = [K.neg(c) for c in f[:-1]]                     # t^m = tail mod_r f
-    rows = [[1] + [0] * (len(tail) - 1)]
+def _t_rows(f, count: int, add, neg, mul_pow, pw, q: int) -> list:
+    """R_k = t^k mod_r f, k < count, as m coefficients each (f monic, degree
+    m >= 1): R_0 = 1, and R_(k+1) = t R_k is sigma(R_k) shifted up, its top
+    term sigma(c) t^m read as sigma(c) (t^m mod_r f).  sigma(a) = pw(a, q),
+    b sigma(c) = mul_pow(b, c, q); a coefficient is a code or a code array."""
+    t0, *tail = [neg(c) for c in f[:-1]]                  # t^m mod_r f
+    rows = [[1] + [0] * len(tail)]
     while len(rows) < count:
-        top, r = rows[-1][-1], [0] + [pw(a, q) for a in rows[-1][:-1]]
-        rows.append([add(a, mul_pow(b, top, q)) for a, b in zip(r, tail)] if top else r)
+        r, top = rows[-1], rows[-1][-1]
+        row = [mul_pow(t0, top, q)]
+        for a, b in zip(r, tail):
+            row.append(add(pw(a, q), mul_pow(b, top, q)))
+        rows.append(row)
     return rows
+
+
+def t_powers(ctx: TowerCtx, f: SkewPoly, count: int) -> list[list[int]]:
+    """R_k = t^k mod_r f for k < count, each as its m codes (`_t_rows`)."""
+    K = ctx.field
+    return _t_rows(f, count, K.add, K.neg, K.mul_pow, K.pow_int, ctx.q)
+
+
+def _berkowitz(C, add, mul, neg) -> list:
+    """det(y - C) for an m x m matrix C, highest degree first, by
+    Berkowitz's division-free recurrence (S. J. Berkowitz, Inf. Process.
+    Lett. 18, 1984).  With C_i the trailing block from (i, i) on, a its
+    corner, R and c the rest of its first row and column and A = C_(i+1),
+    chi(C_i) = T chi(A) for the Toeplitz T of first column
+    (1, -a, -R c, -R A c, ..., -R A^(m-i-2) c).  It picks no pivots, so an
+    entry may be a code or an array of codes, one per matrix."""
+    def dot(u, v):
+        pairs = zip(u, v)
+        a, b = next(pairs)
+        acc = mul(a, b)
+        for a, b in pairs:
+            acc = add(acc, mul(a, b))
+        return acc
+
+    m = len(C)
+    cols = list(zip(*C))
+    chi = [1]
+    for i in range(m - 1, -1, -1):
+        R, c = C[i][i + 1:], cols[i][i + 1:]
+        col = [1, neg(C[i][i])]
+        for j in range(m - 1 - i):
+            if j:
+                c = [dot(row[i + 1:], c) for row in C[i + 1:]]
+            col.append(neg(dot(R, c)))
+        new = [1]
+        for k in range(1, len(chi) + 1):                  # col[0] = chi[0] = 1
+            acc = add(col[k], chi[k]) if k < len(chi) else col[k]
+            for j in range(1, min(k, len(chi))):
+                acc = add(acc, mul(col[k - j], chi[j]))
+            new.append(acc)
+        chi = new
+    return chi
 
 
 def reduced_norm(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
     """chi_f, the characteristic polynomial of y = t^n acting on R/Rf.
 
     y is central, so left multiplication by y is K-linear on M = R/Rf; its
-    matrix C_f in the basis 1, t, ..., t^(m-1) has row i = t^(i+n) mod_r f.
-    chi_f is read off a Hessenberg form of C_f.  It lies in F_q[y]: on a
+    matrix C_f in the basis 1, t, ..., t^(m-1) has row i = t^(i+n) mod_r f,
+    and chi_f = det(y - C_f) (`_berkowitz`).  It lies in F_q[y]: on a
     simple factor of M where t acts invertibly, t is a sigma-semilinear
     bijection commuting with y, so chi = sigma(chi); where t does not, it acts
     as 0 (ker t is a submodule, as tR = Rt), so chi = y^d.  The result is a
@@ -108,54 +154,12 @@ def reduced_norm(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:
         raise NotMonic("reduced norm requires a monic polynomial")
     if degree(f) < 1:
         raise DegreeZero("constant polynomials are units")
-    chi = _charpoly(ctx.field, t_powers(ctx, f, ctx.n + degree(f))[ctx.n:])
+    K = ctx.field
+    chi = tuple(_berkowitz(t_powers(ctx, f, ctx.n + degree(f))[ctx.n:],
+                           K.add, K.mul, K.neg)[::-1])
     assert all(ctx.in_fixed_field(c) for c in chi), \
         f"reduced norm of {f} has a coefficient outside F_q"
     return chi
-
-
-def _charpoly(K, H: list[list[int]]) -> SkewPoly:
-    """det(y - H) over K.  H (overwritten) is brought to upper Hessenberg
-    form by elementary similarities; then the characteristic polynomials of
-    its leading blocks satisfy p_(k+1) = (y - H_kk) p_k
-    - sum_(i<k) H_ik (H_(i+1,i) ... H_(k,k-1)) p_i."""
-    mul, add, neg = K.mul, K.add, K.neg
-    m = len(H)
-    for k in range(m - 2):
-        piv = next((i for i in range(k + 1, m) if H[i][k]), None)
-        if piv is None:
-            continue
-        if piv != k + 1:                                  # swap rows and columns
-            H[piv], H[k + 1] = H[k + 1], H[piv]
-            for row in H:
-                row[piv], row[k + 1] = row[k + 1], row[piv]
-        minus_inv = neg(K.inv(H[k + 1][k]))
-        for i in range(k + 2, m):
-            u = mul(H[i][k], minus_inv)
-            if u:                                         # row i += u row k+1
-                Hi, Hk = H[i], H[k + 1]                   # (both 0 left of k)
-                for j in range(k, m):
-                    if Hk[j]:
-                        Hi[j] = add(Hi[j], mul(u, Hk[j]))
-                u = neg(u)
-                for row in H:                             # column k+1 -= u column i
-                    if row[i]:
-                        row[k + 1] = add(row[k + 1], mul(u, row[i]))
-    ps = [[1]]
-    for k in range(m):
-        c = neg(H[k][k])                                  # (y - H_kk) p_k
-        nxt = [add(a, mul(c, b)) for a, b in zip([0] + ps[k], ps[k] + [0])]
-        prod = 1
-        for i in range(k - 1, -1, -1):
-            prod = mul(prod, H[i + 1][i])
-            if not prod:
-                break
-            c = neg(mul(H[i][k], prod))
-            if c:
-                for j, b in enumerate(ps[i]):
-                    nxt[j] = add(nxt[j], mul(c, b))
-        ps.append(nxt)
-    return tuple(ps[m])
 
 
 def is_irreducible(ctx: TowerCtx, f: SkewPoly) -> bool:
@@ -200,62 +204,23 @@ def is_admissible(ctx: TowerCtx, f: SkewPoly) -> bool:
 
 def reduced_norms(ctx: TowerCtx, F) -> np.ndarray:
     """chi_f for every row f of F, an (#f, m+1) array of monic codes (low
-    degree first): `reduced_norm` on code arrays, the chi rows in the same
-    order.  Every C_f is built at once, one sigma gather per step, and its
-    characteristic polynomial is taken by Berkowitz's division-free
-    recurrence (S. J. Berkowitz, Inf. Process. Lett. 18, 1984), which picks
-    no pivots, so one array program serves every row."""
+    degree first): `reduced_norm` run once on code arrays, a coefficient
+    being the column of its codes over all f."""
     K = ctx.field
-    mul, add = K.mul_array, K.add_array
     F = np.asarray(F, dtype=np.int64)
-    count, m = len(F), F.shape[1] - 1
+    m = F.shape[1] - 1
     if m < 1:
         raise DegreeZero("constant polynomials are units")
     if not (F[:, m] == 1).all():
         raise NotMonic("reduced norm requires a monic polynomial")
-    sig = K.pow_array(np.arange(K.order), ctx.q)          # sigma as a table
-
-    def neg(a):
-        return mul(K.p - 1, a)                            # -1 is the digit p - 1
-
-    def dot(a, b):                                        # sum over the last axis
-        out = mul(a[..., 0], b[..., 0])
-        for j in range(1, a.shape[-1]):
-            out = add(out, mul(a[..., j], b[..., j]))
-        return out
-
-    tail = neg(F[:, :m])                                  # t^m = tail mod_r f
-    C = np.empty((count, m, m), dtype=np.int64)           # row i: t^(i+n) mod_r f
-    r = np.zeros((count, m), dtype=np.int64)
-    r[:, 0] = 1
-    for k in range(ctx.n + m - 1):
-        if k >= ctx.n:
-            C[:, k - ctx.n] = r
-        top = sig[r[:, -1:]]                              # t r = sigma(r) shifted
-        r = add(np.hstack([np.zeros((count, 1), dtype=np.int64), sig[r[:, :-1]]]),
-                mul(top, tail))
-    C[:, m - 1] = r
-    # Berkowitz: with C_i the trailing block from (i, i) on, a its corner,
-    # R and c the rest of its first row and column and A = C_(i+1),
-    # chi(C_i) = T chi(A) for the Toeplitz T of first column
-    # (1, -a, -R c, -R A c, ..., -R A^(m-i-2) c); coefficients highest first
-    chi = [np.ones(count, dtype=np.int64)]
-    for i in range(m - 1, -1, -1):
-        R, c, A = C[:, i, i + 1:], C[:, i + 1:, i], C[:, i + 1:, i + 1:]
-        col = [chi[0], neg(C[:, i, i])]
-        for j in range(m - 1 - i):
-            if j:
-                c = dot(A, c[:, None, :])
-            col.append(neg(dot(R, c)))
-        new = [col[0]]
-        for k in range(1, len(chi) + 1):
-            acc = col[k]                                  # chi[0] = 1
-            for j in range(1, min(k, len(chi) - 1) + 1):
-                acc = add(acc, mul(col[k - j], chi[j]))
-            new.append(acc)
-        chi = new
-    chi = np.stack(chi[::-1], axis=1)
-    assert (sig[chi] == chi).all(), "a reduced norm has a coefficient outside F_q"
+    neg = partial(K.mul_array, K.p - 1)                   # -1 is the digit p - 1
+    sig = K.pow_array(np.arange(K.order), ctx.q)          # x -> x^q as a table
+    rows = _t_rows(F.T, ctx.n + m, K.add_array, neg,
+                   lambda b, c, _: K.mul_array(b, sig[c]), lambda a, _: sig[a], ctx.q)
+    chi = _berkowitz(rows[ctx.n:], K.add_array, K.mul_array, neg)[::-1]
+    chi = np.stack([np.broadcast_to(c, len(F)) for c in chi], axis=1)
+    assert (sig[chi] == chi).all(), \
+        "a reduced norm has a coefficient outside F_q"
     return chi
 
 

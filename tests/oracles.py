@@ -184,3 +184,68 @@ def similar(tw, f, g):
     K-dimensions of R/Rf and R/Rg), and g u = 0 mod_r f for some nonzero u
     of degree < deg(f): u -> (g u mod_r f) has a kernel."""
     return sp.degree(f) == sp.degree(g) and bool(annihilator(sfd.SemifieldCtx(tower=tw, f=f), g))
+
+
+def charpoly(K, H):
+    """Test oracle: det(y - H) over K, low degree first.  H (overwritten) is
+    brought to upper Hessenberg form by elementary similarities; then the
+    characteristic polynomials of its leading blocks satisfy
+    p_(k+1) = (y - H_kk) p_k - sum_(i<k) H_ik (H_(i+1,i) ... H_(k,k-1)) p_i."""
+    mul, add, neg = K.mul, K.add, K.neg
+    m = len(H)
+    for k in range(m - 2):
+        piv = next((i for i in range(k + 1, m) if H[i][k]), None)
+        if piv is None:
+            continue
+        if piv != k + 1:                                  # swap rows and columns
+            H[piv], H[k + 1] = H[k + 1], H[piv]
+            for row in H:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+        minus_inv = neg(K.inv(H[k + 1][k]))
+        for i in range(k + 2, m):
+            u = mul(H[i][k], minus_inv)
+            if u:                                         # row i += u row k+1
+                Hi, Hk = H[i], H[k + 1]                   # (both 0 left of k)
+                for j in range(k, m):
+                    if Hk[j]:
+                        Hi[j] = add(Hi[j], mul(u, Hk[j]))
+                u = neg(u)
+                for row in H:                             # column k+1 -= u column i
+                    if row[i]:
+                        row[k + 1] = add(row[k + 1], mul(u, row[i]))
+    ps = [[1]]
+    for k in range(m):
+        c = neg(H[k][k])                                  # (y - H_kk) p_k
+        nxt = [add(a, mul(c, b)) for a, b in zip([0] + ps[k], ps[k] + [0])]
+        prod = 1
+        for i in range(k - 1, -1, -1):
+            prod = mul(prod, H[i + 1][i])
+            if not prod:
+                break
+            c = neg(mul(H[i][k], prod))
+            if c:
+                for j, b in enumerate(ps[i]):
+                    nxt[j] = add(nxt[j], mul(c, b))
+        ps.append(nxt)
+    return tuple(ps[m])
+
+
+def reduced_norm(tw, f):
+    """Test oracle for `skewpoly.reduced_norm`: `charpoly` of C_f, whose
+    row i is t^(n+i) mod_r f from right division."""
+    m = sp.degree(f)
+    rows = [right_rem(tw, (0,) * (tw.n + i) + (1,), f) for i in range(m)]
+    return charpoly(tw.field, [list(r) + [0] * (m - len(r)) for r in rows])
+
+
+def inner_automorphisms(S):
+    """Test oracle for `autgroup.inner_automorphisms`: G_c for every nonzero
+    c in Nuc, one (c, matrix) per distinct matrix, the least c first seen."""
+    basis = np.eye(S.dim_prime, dtype=np.int64)
+    seen = {}
+    for c in sfd.nuclei(S).nuc.elements:
+        if c:
+            c_left, _ = sfd.inverses(S, c)
+            M = S.mul_vectors(S.mul_vectors(S.to_vector(c_left), basis), S.to_vector(c))
+            seen.setdefault(M.tobytes(), (c, M))
+    return list(seen.values())

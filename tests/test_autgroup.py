@@ -249,6 +249,20 @@ def test_inner_count_equals_s_when_nuc_is_K():
             assert gid.tag == "cyclic" and gid.order == s
 
 
+@pytest.mark.parametrize("p,r,n,f,maps", [(2, 1, 2, "t^2 - g^1", 3), (3, 2, 2, "t^2 - g^5", 10),
+                                          (2, 3, 2, "t^2 - g^3", 9), (2, 6, 2, "t^2 - g^1", 65)],
+                         ids=["quat2", "F81/F9", "F64/F8", "F4096/F64"])
+def test_inner_automorphisms_match_all_c_oracle(p, r, n, f, maps):
+    # one G_c per coset of the centre's units against G_c for every c
+    tw = gf.make_tower(p, r, n)
+    S = sfd.build_semifield(tw, sp.parse_poly(tw, f))
+    want = oracles.inner_automorphisms(S)
+    got = ag.inner_automorphisms(S)
+    assert [ia.c for ia in got] == [c for c, _ in want]
+    assert all(np.array_equal(ia.matrix, M) for ia, (_, M) in zip(got, want))
+    assert len(got) == maps
+
+
 def test_g_c_trivial_for_central_c():
     S = make_quat(3, [2, 2, 1], [0, 1])
     # c in F^x gives the identity map; the dedup keeps one trivial entry

@@ -215,6 +215,12 @@ def test_exit_invariant_names_the_class_bound_instance(capsys):
     assert out == "" and "F_81/F_3: 10 classes exceed numb_bound(3, 4) = 9" in err
 
 
+def test_exit_usage_on_division_by_zero_poly(capsys):
+    rc, out, err = run(capsys, "skew", "divmod", "--field", "2^2", "--f", "0", "--g", "t")
+    assert rc == cli.EXIT_USAGE
+    assert out == "" and err == "usage error: right division by the zero polynomial\n"
+
+
 def test_exit_usage_on_sigma_r_zero(capsys):
     rc, out, err = run(capsys, "field", "info", "--field", "2^2", "--sigma-r", "0")
     assert rc == cli.EXIT_USAGE

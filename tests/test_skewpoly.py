@@ -176,15 +176,18 @@ def test_reduced_norm_is_monic_central_multiple(tower, m):
 
 @pytest.mark.parametrize("tower,m", EXHAUSTIVE_CASES, ids=_case_ids(EXHAUSTIVE_CASES))
 def test_reduced_norms_match_scalar_path(tower, m):
-    # the batch, row for row, against reduced_norm (a Hessenberg form), and
-    # the closed-form is_right_invariant against two right remainders of
-    # ring products, on every monic f
+    # the scalar and the batch reduced norm, row for row, against a
+    # Hessenberg form of C_f from right remainders, and the closed-form
+    # is_right_invariant against two right remainders of ring products, on
+    # every monic f
     tw = gf.make_tower(*tower)
     Q = tw.field.order
     F = gf.monic_rows(Q, m, np.arange(Q ** m))
     fs = list(map(tuple, F.tolist()))
     chi = sp.reduced_norms(tw, F)
-    assert chi.tolist() == [list(sp.reduced_norm(tw, f)) for f in fs]
+    want = [oracles.reduced_norm(tw, f) for f in fs]
+    assert [sp.reduced_norm(tw, f) for f in fs] == want
+    assert chi.tolist() == [list(h) for h in want]
     verdicts = {}
     for h in map(tuple, chi.tolist()):
         verdicts.setdefault(h, gf.poly_is_irreducible(tw.field, h, tw.q))
@@ -200,6 +203,21 @@ def test_enumerate_admissible_matches_scalar_filter(p, r, n, m):
     want = [tail + (1,) for tail in itertools.product(range(tw.field.order), repeat=m)
             if sp.is_admissible(tw, tail + (1,))]
     assert list(sp.enumerate_admissible(tw, m)) == want
+
+
+@pytest.mark.parametrize("tower,m", [((2, 1, 2), 6), ((2, 1, 2), 7), ((2, 1, 2), 8),
+                                     ((2, 2, 2), 4)],
+                         ids=["F4/F2-m6", "F4/F2-m7", "F4/F2-m8", "F16/F4-m4"])
+def test_reduced_norms_match_oracle_seeded(tower, m):
+    # seeded monic f where the t^k and Berkowitz recurrences run longest
+    tw = gf.make_tower(*tower)
+    Q = tw.field.order
+    rng = random.Random(23)
+    fs = [tuple(rng.randrange(Q) for _ in range(m)) + (1,) for _ in range(60)]
+    want = [oracles.reduced_norm(tw, f) for f in fs]
+    assert [sp.reduced_norm(tw, f) for f in fs] == want
+    assert sp.reduced_norms(tw, np.array(fs)).tolist() == [list(h) for h in want]
+    assert len(set(want)) > 10
 
 
 def test_reduced_norms_of_no_rows_and_bad_rows():
