@@ -288,9 +288,10 @@ def inner_rows(L: LoopCtx, kind: str, x, y=None) -> np.ndarray:
 def _principal_orbit_size(L: LoopCtx, a: int, side: str) -> int:
     """The length of the cycle through a of R_a (side "left": x -> xa) or of
     L_a (x -> ax): a translation is a permutation, so the walk returns to a."""
-    cur, count = L.mul(a, a), 1
+    at = L.table.item
+    cur, count = at(a, a), 1
     while cur != a:
-        cur = L.mul(cur, a) if side == "left" else L.mul(a, cur)
+        cur = at(cur, a) if side == "left" else at(a, cur)
         count += 1
     return count
 
@@ -342,7 +343,7 @@ def _generate(L: LoopCtx, seed: Iterable[int], closed: Iterable[int] = (),
         # offsets aN + b in the table of the products new * cur and old * new
         ab = np.concatenate([(new * N)[:, None] + cur, (old * N)[:, None] + new], axis=None)
         c = flat[ab]
-        fresh = np.flatnonzero(~member[c])
+        fresh = np.flatnonzero(~member.take(c))
         # each new product once, ascending, with the first offset giving it
         first = np.full(N, len(fresh))
         np.minimum.at(first, c[fresh], np.arange(len(fresh)))

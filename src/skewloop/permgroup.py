@@ -1,14 +1,16 @@
 """Permutation groups: Schreier-Sims stabilizer chains with exact orders.
 
-Permutations are numpy int arrays of images; (g*h)(x) = g(h(x)) is the
-fancy-indexing g[h].  The chain is built by the iterative deterministic
-Schreier-Sims loop (Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 2005, section 4.4): it walks down the levels, and the first Schreier
-generator whose residue is not the identity becomes a strong generator at
-the level j it reached, where the walk resumes; `extend_many` adds a
-non-member the same way.  So the order is reported only once every Schreier
-generator sifts to the identity, unless the caller supplies an upper bound
-on the group order that the chain reaches first (see `bsgs_build`).
+Permutations are numpy int arrays of images; (g*h)(x) = g(h(x)) is
+g.take(h): numpy's g[h] first converts an int32 index array h to intp,
+which `take` does not, so a sift step at 728 points takes half the time.
+The chain is built by the iterative deterministic Schreier-Sims loop (Holt,
+Eick and O'Brien, Handbook of Computational Group Theory, 2005, section
+4.4): it walks down the levels, and the first Schreier generator whose
+residue is not the identity becomes a strong generator at the level j it
+reached, where the walk resumes; `extend_many` adds a non-member the same
+way.  So the order is reported only once every Schreier generator sifts to
+the identity, unless the caller supplies an upper bound on the group order
+that the chain reaches first (see `bsgs_build`).
 
 Each level of the chain stores its orbit in BFS order, a point -> row index,
 the inverse coset representatives u^-1 as rows of one degree x degree int32
@@ -132,6 +134,7 @@ class BSGS:
             raise SizeCapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
         self.degree = degree
         self.order_bound = order_bound
+        self._identity = identity_perm(degree)     # every member's residue
         self.frame = None if frame is None else np.asarray(frame, dtype=np.intp)
         self.base: list[int] = []
         # sgs[j]: strong generators that fix base[:j] and move base[j]
@@ -172,11 +175,11 @@ class BSGS:
             # images in visiting order: frontier point major, generator
             # minor; the first occurrence of each new point is kept
             images = lv.gens[:, frontier].T.ravel()
-            unseen = np.flatnonzero(lv.row[images] < 0)
+            unseen = np.flatnonzero(lv.row.take(images) < 0)
             new, order = images[unseen], np.arange(len(unseen))
             first = np.full(self.degree, len(unseen))
             np.minimum.at(first, new, order)
-            src = unseen[first[new] == order]
+            src = unseen[first.take(new) == order]
             if not src.size:
                 break
             frontier = images[src]
@@ -208,7 +211,7 @@ class BSGS:
         return G[(G[:, prefix] == prefix).all(axis=1)]
 
     def _append_base_point(self, moved_by: Perm) -> None:
-        moved = np.flatnonzero(moved_by != np.arange(self.degree))
+        moved = np.flatnonzero(moved_by != self._identity)
         if not moved.size:
             raise AssertionError("identity passed as a new strong generator")
         self._add_level(int(moved[0]))
@@ -236,10 +239,10 @@ class BSGS:
         h = g
         for l in range(start_level, len(self.base)):
             lv = self.levels[l]
-            r = lv.row[h[lv.point]]
+            r = lv.row.item(h[lv.point])
             if r < 0:
                 return h, l
-            h = lv.uinv[r][h]
+            h = lv.uinv[r].take(h)
         return h, len(self.base)
 
     def sift_many(self, H: np.ndarray, start_level: int = 0,
@@ -254,7 +257,7 @@ class BSGS:
         for l in range(start_level, len(self.base)):
             lv = self.levels[l]
             col = lv.point if points is None else np.searchsorted(points, lv.point)
-            r = lv.row[H[:, col]]
+            r = lv.row.take(H[:, col])
             out = r < 0
             if out.any():
                 residues[active[out]] = H[out]
@@ -268,14 +271,14 @@ class BSGS:
         if len(g) != self.degree:
             raise DegreeMismatch("degree mismatch")
         residue, _ = self.sift(g)
-        return is_identity(residue)
+        return bool((residue == self._identity).all())
 
     def contains_many(self, H: np.ndarray) -> np.ndarray:
         """Row-wise `contains` of a stack of permutations."""
         if H.shape[1] != self.degree:
             raise DegreeMismatch("degree mismatch")
         residues, _ = self.sift_many(H)
-        return (residues == np.arange(self.degree)).all(axis=1)
+        return (residues == self._identity).all(axis=1)
 
     # -- deterministic Schreier-Sims -------------------------------------
 
@@ -321,7 +324,7 @@ class BSGS:
             # row pt * k + g: g u_pt, then u_{g(pt)}^-1 g u_pt, on P
             gu = lv.gens.ravel()[(np.arange(k, dtype=np.intp) * self.degree)[:, None]
                                  + lv.reps[rows, None, :]].reshape(-1, len(P))
-            back = lv.row[lv.gens[:, lv.orbit[rows]].T.ravel()]
+            back = lv.row.take(lv.gens[:, lv.orbit[rows]].T.ravel())
             sg = compose_rows(lv.uinv, back, gu)
             # a non-member is re-formed on all points, with u_pt the inverse
             # of its uinv row

@@ -28,6 +28,19 @@ def inverse(g):
     return inv
 
 
+def sift(G, g):
+    """Test oracle for `BSGS.sift` on Python lists: (residue, level reached).
+    The row of h(base point) is its index in the level's orbit list."""
+    h = [int(x) for x in g]
+    for level, lv in enumerate(G.levels):
+        orbit = lv.orbit.tolist()
+        if h[lv.point] not in orbit:
+            return h, level
+        u_inv = lv.uinv[orbit.index(h[lv.point])].tolist()
+        h = [u_inv[x] for x in h]
+    return h, len(G.levels)
+
+
 def skew_mul(tw, f, g):
     """Test oracle: the product in K[t;sigma], term by term:
     (a t^i)(b t^j) = a sigma^i(b) t^(i+j)."""
@@ -240,12 +253,13 @@ def reduced_norm(tw, f):
 
 def inner_automorphisms(S):
     """Test oracle for `autgroup.inner_automorphisms`: G_c for every nonzero
-    c in Nuc, one (c, matrix) per distinct matrix, the least c first seen."""
-    basis = np.eye(S.dim_prime, dtype=np.int64)
+    c in Nuc, one (c, matrix) per distinct matrix, the least c first seen.
+    Row i of the matrix is G_c(e_i) = (c_l e_i) c, the column i of R_c L_(c_l)."""
+    R, L = S._translations
     seen = {}
     for c in sfd.nuclei(S).nuc.elements:
         if c:
             c_left, _ = sfd.inverses(S, c)
-            M = S.mul_vectors(S.mul_vectors(S.to_vector(c_left), basis), S.to_vector(c))
+            M = (R @ S.to_vector(c) @ (L @ S.to_vector(c_left))).T % S.p
             seen.setdefault(M.tobytes(), (c, M))
     return list(seen.values())

@@ -533,6 +533,58 @@ def test_gl_bound_matches_all_translations_oracle(which):
     assert lp.gl_bound(L) == gl_bound_oracle(L) == pg.gl_order(S.tower.n * S.m, S.tower.q)
 
 
+@pytest.mark.parametrize("which", ["F9:A_1", "F9m3:728"])
+def test_sift_and_membership_match_list_oracle(which):
+    """`sift` (residue and level), `contains` and `contains_many` on the Mlt
+    chain against `oracles.sift`: every translation, every translation with
+    the images of 1 and 2 swapped (a linear map composed with a transposition
+    of two vectors, so not in Mlt), and 200 seeded random permutations, each
+    given as int32, int64 and a Python list."""
+    L = groups_loop(which)
+    M, N = lp.mlt_group(L), L.size
+    translations = np.concatenate([L.table, L.table.T])
+    swapped = translations.copy()
+    swapped[:, [1, 2]] = swapped[:, [2, 1]]
+    rng = np.random.default_rng(0)
+    H = np.concatenate([translations, swapped, [rng.permutation(N) for _ in range(200)]])
+    rows = H.tolist()
+    expected = [oracles.sift(M, g) for g in rows]
+    members = [residue == rows[0] for residue, _ in expected]    # rows[0] = L_1 = id
+    assert members == [True] * (2 * N) + [False] * (2 * N + 200)
+    for stack in (H.astype(np.int32), H.astype(np.int64)):
+        residues, levels = M.sift_many(stack)
+        assert list(zip(residues.tolist(), levels.tolist())) == expected
+        assert M.contains_many(stack).tolist() == members
+    for form in (H.astype(np.int32), H.astype(np.int64), rows):
+        for g, want, member in zip(form, expected, members):
+            residue, level = M.sift(g)
+            assert (np.asarray(residue).tolist(), level) == want
+            assert M.contains(g) is member
+
+
+@pytest.mark.parametrize("which", ["F9:A_1", "F16m2:255"])
+def test_principal_orbits_match_power_walk(which):
+    """The principal-power cycle of every a under x -> xa ("left") and
+    x -> ax ("right"), and the cyclicity witnesses, against a walk on the
+    table as nested lists; on the 255-point loop the two sides differ for
+    191 elements."""
+    L = groups_loop(which)
+    T = L.table.tolist()
+    sizes = {"left": [], "right": []}
+    for a in range(L.size):
+        for side in sizes:
+            x, k = a, 0
+            while True:
+                x, k = (T[x][a] if side == "left" else T[a][x]), k + 1
+                if x == a:
+                    break
+            sizes[side].append(k)
+            assert lp._principal_orbit_size(L, a, side) == k
+    left, right, witnesses = lp.cyclicity(L)
+    assert witnesses == {side: s.index(L.size) for side, s in sizes.items()}
+    assert left and right
+
+
 @pytest.mark.parametrize("i,j", [(1, 4), (2, 3), (4, 5)])
 def test_gl_bound_on_coordinate_swaps(i, j):
     """Relabel the F_16/F_4 loop by phi, the swap of the F_2-coordinates i

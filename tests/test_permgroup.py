@@ -44,6 +44,19 @@ def test_membership():
     assert not G.contains(cycle(n, 0, 1))
 
 
+@pytest.mark.parametrize("form", [lambda g: g.astype(np.int64), list], ids=["int64", "list"])
+def test_membership_in_a_chain_without_base(form):
+    """The chain of the trivial group has no base, so the residue of g is g
+    itself; membership compares it with the identity for any integer input."""
+    n = 6
+    G = pg.bsgs_build([form(pg.identity_perm(n))])
+    assert G.base == [] and G.order == 1
+    e, t = form(pg.identity_perm(n)), form(cycle(n, 1, 2))
+    assert G.sift(t) == (t, 0)
+    assert G.contains(e) and not G.contains(t)
+    assert G.contains_many(np.array([e, t], dtype=np.int64)).tolist() == [True, False]
+
+
 def test_stabilizer_order_and_generators():
     n = 8
     gens = [cycle(n, 0, 1), np.array(list(range(1, n)) + [0], dtype=np.int32)]
