@@ -47,9 +47,6 @@ class LoopCtx:
     def size(self) -> int:
         return self.table.shape[0]
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
-
     def left_translation(self, a: int) -> Perm:
         return self.table[a, :].astype(np.int32)
 

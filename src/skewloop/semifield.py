@@ -13,8 +13,9 @@ built once (`t_rows`), and `SemifieldCtx.times` is the one definition
 F_p-bilinear, so it is fixed by its structure constants
 tensor[i, j] = to_vector(e_i e_j), a D x D x D array over F_p (Knuth's
 cubical array of a semifield).  All batch arithmetic -- product tables,
-associators, the nuclei equations, translation matrices and inverses -- is
-a contraction with that tensor mod p.
+associators, the nuclei equations and translation matrices -- is a
+contraction with that tensor mod p.  Inverses form no tensor: each is a
+few skew-polynomial divisions (`inverses`).
 
 `SemifieldCtx.images` is the one kernel that applies a stack of D x D
 matrices over F_p to coordinate vectors (product table rows, the
@@ -59,11 +60,12 @@ class SemifieldCtx:
     size: int = field(init=False)
     dim_prime: int = field(init=False)
     t_rows: list[list[int]] = field(init=False, repr=False, compare=False)
-    # filled on first use by `_weights`, `tensor`, `_translations` and
-    # `_nuclei`: declared fields, set to None at construction, not
+    # filled on first use by `_weights`, `_bound`, `tensor`, `_translations`
+    # and `_nuclei`: declared fields, set to None at construction, not
     # cached_property, which would materialise the instance __dict__ and
     # slow every later attribute read
     _weight_row: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _bound_poly: Optional[sp.SkewPoly] = field(init=False, repr=False, compare=False)
     _structure_constants: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     _translation_stack: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     _nuclei_report: Optional[NucleiReport] = field(init=False, repr=False, compare=False)
@@ -74,7 +76,7 @@ class SemifieldCtx:
         self.size = K.order ** self.m
         self.dim_prime = K.l * self.m
         self.t_rows = sp.t_powers(self.tower, self.f, 2 * self.m)
-        self._weight_row = self._structure_constants = None
+        self._weight_row = self._bound_poly = self._structure_constants = None
         self._translation_stack = self._nuclei_report = None
 
     # -- element encoding ------------------------------------------------
@@ -108,18 +110,14 @@ class SemifieldCtx:
 
     def times(self, g: sp.SkewPoly, u: int) -> int:
         """Code of g u mod_r f, for g of degree <= m and the code u: the ring
-        product's terms g_i sigma^i(u_j) t^(i+j), one `mul_pow` each, with
-        t^k read as R_k from k = m on."""
-        K, qp, n, m = self.tower.field, self.tower.q_powers, self.tower.n, self.m
-        add, mul_pow, v, c = K.add, K.mul_pow, self.decode(u), [0] * (2 * m)
-        for i, a in enumerate(g):
-            if a:
-                for j, b in enumerate(v):
-                    c[i + j] = add(c[i + j], mul_pow(a, b, qp[i % n]))
-        for k in range(m, 2 * m):
+        product `skewpoly.mul`, its t^k read as R_k from k = m on."""
+        K, m = self.tower.field, self.m
+        c = sp.mul(self.tower, g, self.decode(u))
+        low = list(c[:m]) + [0] * (m - len(c))
+        for k in range(m, len(c)):
             if c[k]:
-                c[:m] = [add(a, K.mul(c[k], b)) for a, b in zip(c, self.t_rows[k])]
-        return self.encode(c[:m])
+                low = [K.add(a, K.mul(c[k], b)) for a, b in zip(low, self.t_rows[k])]
+        return self.encode(low)
 
     def mul(self, x: int, y: int) -> int:
         return self.times(self.decode(x), y)
@@ -146,6 +144,18 @@ class SemifieldCtx:
     def basis(self) -> list[int]:
         """Prime-field basis e_k = p^k: x^j t^i is e_(i l + j)."""
         return [self.p ** k for k in range(self.dim_prime)]
+
+    @property
+    def _bound(self) -> sp.SkewPoly:
+        """c = chi_f(t^n), with chi_f = `skewpoly.reduced_norm(f)`: central,
+        and in Rf, since chi_f(y) annihilates R/Rf (Cayley-Hamilton); for
+        irreducible f, Rc is the largest two-sided ideal in Rf (the bound)."""
+        if self._bound_poly is None:
+            n = self.tower.n
+            c = [0] * (n * self.m + 1)
+            c[::n] = sp.reduced_norm(self.tower, self.f)
+            self._bound_poly = tuple(c)
+        return self._bound_poly
 
     # -- structure constants ---------------------------------------------
 
@@ -276,19 +286,26 @@ def _kernel(rows: np.ndarray, p: int) -> list[list[int]]:
 
 
 def inverses(S: SemifieldCtx, x: int) -> tuple[int, int]:
-    """(left inverse, right inverse) of x: the solutions of y*x = 1 and
-    x*y = 1, from the reduced forms of [R_x | e_0] and [L_x | e_0]."""
+    """(left inverse, right inverse) of x: the y of degree < m with y*x = 1
+    and x*y = 1, by `skewpoly.left_inverse_mod` in R = K[t;sigma].
+
+    Left: u x = 1 mod Rf with deg u < m is y*x = 1, read off at once.
+    Right: with c = chi_f(t^n) (`SemifieldCtx._bound`), take u x = 1 mod Rc.
+    Rc is two-sided (c is central), so A = R/Rc is a finite associative
+    ring, in which u x = 1 forces x u = 1: r -> x r is injective (x r = 0
+    gives r = u x r = 0), hence onto, x w = 1, and u = u x w = w.  As Rc lies
+    in Rf, x u = 1 mod Rf, and so x (u mod_r f) = x u - (x q) f = 1 mod Rf.
+    Such a u exists whenever S_f is a division algebra: chi_f is irreducible,
+    so A = M_n(F_q[y]/chi_f) is simple, R/Rf is a simple A-module, hence
+    faithful, and x acts on it injectively, so x is a unit of A.  If x is a
+    zero divisor (f reducible) one of the two cofactor searches meets a
+    common right factor and raises AssertionError."""
     if x == 0:
         raise ZeroElement("zero has no inverse")
-    D = S.dim_prime
-    system = np.zeros((2, D, D + 1), dtype=np.int64)
-    system[:, :, :D] = S._translations @ S.to_vector(x) % S.p
-    system[:, 0, D] = 1                                  # e_0 = to_vector(1)
-    for M in system:
-        pivots = _rref(M, S.p)
-        assert pivots == list(range(D)), "division algebra: R_x, L_x invertible"
-    left, right = S.from_vector(system[:, :, D]).tolist()
-    return left, right
+    tw, v = S.tower, S.decode(x)
+    left = sp.left_inverse_mod(tw, v, S.f)
+    right = sp.right_divmod(tw, sp.left_inverse_mod(tw, v, S._bound), S.f)[1]
+    return S.encode(left), S.encode(right)
 
 
 @dataclass

@@ -3,16 +3,19 @@
 A skew polynomial is a tuple of field-element codes, low degree first,
 with no trailing zeros; the zero polynomial is the empty tuple.  The
 degree of zero is treated as -1 in comparisons (a sentinel for -infinity).
-Multiplication twists coefficients past t: t*a = sigma(a)*t.  Modulo a
-monic f, the rows R_k = t^k mod_r f (`t_powers`) carry the arithmetic: the
-reduced norm's matrix and the product of S_f (`semifield`) read them.
-Their recurrence and chi's (`_berkowitz`) run on codes or on code arrays.
+Multiplication twists coefficients past t: t*a = sigma(a)*t (`mul`);
+`left_inverse_mod` is the extended right Euclidean algorithm, from which
+`semifield.inverses` takes both inverses in S_f.  Modulo a monic f, the
+rows R_k = t^k mod_r f (`t_powers`) carry the arithmetic: the reduced
+norm's matrix and the product of S_f (`semifield`) read them.  Their
+recurrence and chi's (`_berkowitz`) run on codes or on code arrays.
 """
 
 from __future__ import annotations
 
 import re
 from functools import partial
+from itertools import zip_longest
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -49,6 +52,20 @@ def is_monic(f: SkewPoly) -> bool:
     return bool(f) and f[-1] == 1
 
 
+def mul(ctx: TowerCtx, a: SkewPoly, b: SkewPoly) -> SkewPoly:
+    """The product a b in R: sum a_i sigma^i(b_j) t^(i+j), one `mul_pow`
+    per term."""
+    K, qp, n = ctx.field, ctx.q_powers, ctx.n
+    add, mul_pow = K.add, K.mul_pow
+    c = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            e = qp[i % n]
+            for j, bj in enumerate(b):
+                c[i + j] = add(c[i + j], mul_pow(ai, bj, e))
+    return poly(c)
+
+
 def right_divmod(ctx: TowerCtx, g: SkewPoly, f: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     """Unique (q, r) with g = q*f + r and deg(r) < deg(f)."""
     if not f:
@@ -71,6 +88,27 @@ def right_divmod(ctx: TowerCtx, g: SkewPoly, f: SkewPoly) -> tuple[SkewPoly, Ske
         while rem and rem[-1] == 0:
             rem.pop()
     return poly(qcoeffs), tuple(rem)
+
+
+def left_inverse_mod(ctx: TowerCtx, x: SkewPoly, g: SkewPoly) -> SkewPoly:
+    """u with u x = 1 mod Rg, for deg x < deg g, by the extended right
+    Euclidean algorithm (O. Ore, Ann. of Math. 34, 1933).  The remainders
+    r_0 = g, r_1 = x, r_(i+1) = r_(i-1) - q_i r_i keep r_i = s_i x mod Rg
+    with s_0 = 0, s_1 = 1 and s_(i+1) = s_(i-1) - q_i s_i, as
+    q_i (s_i x) = (q_i s_i) x; so only the left cofactors s_i are tracked,
+    and deg s_i = deg g - deg r_(i-1) < deg g.  The last nonzero r_i is
+    gcrd(x, g); AssertionError unless it is a constant c, and then
+    u = c^-1 s_i, the one solution of degree < deg g."""
+    K = ctx.field
+    r0, r1, s0, s1 = g, x, (), (1,)
+    while len(r1) > 1:
+        q, r = right_divmod(ctx, r0, r1)
+        qs = mul(ctx, q, s1)
+        s = poly([K.sub(a, b) for a, b in zip_longest(s0, qs, fillvalue=0)])
+        r0, r1, s0, s1 = r1, r, s1, s
+    assert r1, f"x and g share the right factor {r0}: x is no unit mod Rg"
+    c = K.inv(r1[0])
+    return tuple(K.mul(c, a) for a in s1)
 
 
 def make_monic(ctx: TowerCtx, f: SkewPoly) -> SkewPoly:

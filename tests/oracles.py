@@ -251,6 +251,20 @@ def reduced_norm(tw, f):
     return charpoly(tw.field, [list(r) + [0] * (m - len(r)) for r in rows])
 
 
+def inverses(S, x):
+    """Test oracle for `semifield.inverses`: the solutions of y*x = 1 and
+    x*y = 1 over F_p, from the reduced forms of [R_x | e_0] and [L_x | e_0];
+    AssertionError where R_x or L_x is singular."""
+    D = S.dim_prime
+    system = np.zeros((2, D, D + 1), dtype=np.int64)
+    system[:, :, :D] = S._translations @ S.to_vector(x) % S.p
+    system[:, 0, D] = 1                                  # e_0 = to_vector(1)
+    for M in system:
+        assert sfd._rref(M, S.p) == list(range(D)), "R_x or L_x is singular"
+    left, right = S.from_vector(system[:, :, D]).tolist()
+    return left, right
+
+
 def inner_automorphisms(S):
     """Test oracle for `autgroup.inner_automorphisms`: G_c for every nonzero
     c in Nuc, one (c, matrix) per distinct matrix, the least c first seen.

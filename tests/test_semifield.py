@@ -333,6 +333,62 @@ def test_inverses_two_sided():
         sfd.inverses(S, 0)
 
 
+SMALL_BATTERY = [c for c in oracles.BATTERY if (c[0] ** (c[1] * c[2])) ** c[3] <= 729]
+
+
+@pytest.mark.parametrize("p,r,n,m", SMALL_BATTERY,
+                         ids=[f"F{p ** (r * n)}/F{p ** r}-m{m}" for p, r, n, m in SMALL_BATTERY])
+def test_inverses_match_row_reduction_oracle(p, r, n, m):
+    # every nonzero x of two seeded admissible f per tower; the skew
+    # Euclidean inverses form no structure-constant tensor
+    tw = gf.make_tower(p, r, n)
+    fs = list(sp.enumerate_admissible(tw, m))
+    for f in random.Random(tw.field.order * 10 + m).sample(fs, 2):
+        S = sfd.SemifieldCtx(tower=tw, f=f)
+        got = [sfd.inverses(S, x) for x in range(1, S.size)]
+        assert S._structure_constants is None
+        assert got == [oracles.inverses(S, x) for x in range(1, S.size)]
+
+
+# (p, r, n), m: D = 24 over F_16, n = 12, m = 8, and D = 32 over F_256
+LARGE_TOWERS = [((2, 4, 2), 3), ((2, 1, 12), 2), ((2, 1, 2), 8), ((2, 8, 2), 2)]
+
+
+@pytest.mark.parametrize("tower,m", LARGE_TOWERS,
+                         ids=[f"F{p ** (r * n)}/F{p ** r}-m{m}" for (p, r, n), m in LARGE_TOWERS])
+def test_inverses_match_oracle_on_large_towers(tower, m):
+    tw = gf.make_tower(*tower)
+    rng = random.Random(tw.field.order * 10 + m)
+    f = ()
+    while not sp.is_admissible(tw, f):
+        f = tuple(rng.randrange(tw.field.order) for _ in range(m)) + (1,)
+    S = sfd.SemifieldCtx(tower=tw, f=f)
+    xs = [rng.randrange(1, S.size) for _ in range(50)]
+    got = [sfd.inverses(S, x) for x in xs]
+    assert S._structure_constants is None
+    assert got == [oracles.inverses(S, x) for x in xs]
+
+
+def test_inverses_of_zero_divisors_raise():
+    # f = t^2 + t = (t + 1) t is reducible, so S_f (built directly, past
+    # build_semifield's guard) has zero divisors; inverses raises on each x
+    # with R_x or L_x singular and never returns a wrong pair, and some x
+    # have R_x invertible but L_x singular, where only the search modulo
+    # chi_f(t^n) can raise
+    S = sfd.SemifieldCtx(tower=gf.make_tower(2, 1, 2), f=(0, 1, 1))
+    kinds = set()
+    for x in range(1, S.size):
+        v = S.to_vector(x)
+        full = tuple(len(sfd._rref(M @ v % S.p, S.p)) == S.dim_prime for M in S._translations)
+        kinds.add(full)
+        if all(full):
+            assert sfd.inverses(S, x) == oracles.inverses(S, x)
+        else:
+            with pytest.raises(AssertionError):
+                sfd.inverses(S, x)
+    assert kinds == {(True, True), (False, False), (True, False)}
+
+
 def test_associator_vanishes_on_nucleus():
     S = quat2()
     rep = sfd.nuclei(S)

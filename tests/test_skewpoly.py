@@ -38,6 +38,50 @@ def test_right_divmod_identity():
         assert oracles.skew_add(tw, oracles.skew_mul(tw, q, f), r) == g
 
 
+def test_mul_matches_term_oracle():
+    tw = tower_f9()
+    rng = random.Random(3)
+    for _ in range(300):
+        a, b = ([rng.randrange(9) for _ in range(rng.randrange(6))] for _ in range(2))
+        assert sp.mul(tw, sp.poly(a), sp.poly(b)) == oracles.skew_mul(tw, sp.poly(a), sp.poly(b))
+
+
+def test_left_inverse_mod_matches_exhaustive_search():
+    # over F_4: every monic g of degree 2 and seeded ones of degree 3, every
+    # nonzero x of lower degree; u x = 1 mod Rg has at most one solution of
+    # degree < deg g, and left_inverse_mod returns it or raises when none
+    tw = tower_f4()
+    rng = random.Random(4)
+    gs = [tail + (1,) for tail in itertools.product(range(4), repeat=2)]
+    gs += [tuple(rng.randrange(4) for _ in range(3)) + (1,) for _ in range(12)]
+    outcomes = set()
+    for g in gs:
+        us = [sp.poly(c) for c in itertools.product(range(4), repeat=sp.degree(g))]
+        for x in us[1:]:
+            want = [u for u in us if oracles.right_rem(tw, oracles.skew_mul(tw, u, x), g) == (1,)]
+            assert len(want) <= 1
+            if want:
+                assert sp.left_inverse_mod(tw, x, g) == want[0]
+            else:
+                with pytest.raises(AssertionError):
+                    sp.left_inverse_mod(tw, x, g)
+            outcomes.add(bool(want))
+    assert outcomes == {True, False}
+
+
+def test_left_inverse_mod_rejects_a_common_right_factor():
+    # g = (t + 1) h and x = (t^0 g^3) h share the right factor h = t + g^1
+    tw = tower_f9()
+    K = tw.field
+    h = (K.primitive, 1)
+    g = oracles.skew_mul(tw, (1, 1), h)
+    x = oracles.skew_mul(tw, (K.exp[3],), h)
+    with pytest.raises(AssertionError, match="share the right factor"):
+        sp.left_inverse_mod(tw, x, g)
+    with pytest.raises(AssertionError):
+        sp.left_inverse_mod(tw, (), g)
+
+
 def test_division_by_zero_poly():
     tw = tower_f4()
     with pytest.raises(sp.DivisionByZeroPoly):
