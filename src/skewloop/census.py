@@ -2,6 +2,13 @@
 counts of nonassociative cyclic algebras, similarity partitions, Sandler
 existence, and assembled bound reports.
 
+M(q,m) and the class count of t^m - a are orbit counts of one group family
+on the elements of degree m in F_(q^m), each a Burnside sum of gcds
+(`orbit_count`) with no size cap.  The class count is also read from the
+field's log tables up to 2^16 and asserted equal.  The enumeration of
+GammaL(1,q)-orbits that M(q,m) came from is now a test oracle; the sieve of
+the irreducibles stays as the enumeration of N(q,m) up to 2^16.
+
 Counts live over the center F_q[y] = F_q[t^n; sigma], so most arithmetic here
 is plain (untwisted) polynomial arithmetic over F_q with q = p^r.  Similarity
 is read from the reduced norm, so the module builds no semifield and imports
@@ -22,6 +29,7 @@ from .gf import (FieldCtx, SizeCapExceeded, TowerCtx, factorint, isprime, mobius
                  monic_rows, primefactors)
 
 CLASSIFY_LIMIT = 2 ** 16
+_SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
 class FormulaMismatch(AssertionError):
@@ -40,22 +48,24 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, r
 
 
+def _subfields(m: int) -> list[tuple[int, int]]:
+    """(mu(d), m/d) for the squarefree d | m, d = 1 first: by
+    inclusion-exclusion over the maximal subfields F_(q^(m/l)), l | m prime,
+    a count over F_(q^m) less its proper subfields is the sum of mu(d) times
+    the count over F_(q^(m/d))."""
+    out = [(1, m)]
+    for ell in primefactors(m):
+        out += [(-mu, e // ell) for mu, e in out]
+    return out
+
+
 def theta(q: int, m: int) -> int:
     """Elements of F_{q^m} lying in a proper subfield, by inclusion-exclusion
     over the maximal subfields F_{q^{m/l}} for primes l | m."""
     _prime_power(q)
     if m < 2:
         raise PreconditionViolated("m >= 2 required")
-    primes = primefactors(m)
-    total = 0
-    for mask in range(1, 1 << len(primes)):
-        prod = 1
-        for i, ell in enumerate(primes):
-            if mask >> i & 1:
-                prod *= ell
-        sign = -1 if bin(mask).count("1") % 2 == 0 else 1
-        total += sign * q ** (m // prod)
-    return total
+    return -sum(mu * q ** e for mu, e in _subfields(m)[1:])
 
 
 def count_central_irreducible(q: int, m: int) -> int:
@@ -108,35 +118,52 @@ def count_irreducible_enum(q: int, m: int) -> int:
     return len(enumerate_irreducible(K, m))
 
 
+def orbit_count(q: int, m: int, step: int) -> int:
+    """Orbits of G_step = {x -> lambda x^(p^i) : lambda in F_q^x, step | i < rm}
+    (q = p^r, step | rm) on X_m, the elements of F_(q^m) of degree m over F_q.
+    Step 1 gives M(q,m): a monic irreducible h of degree m is a Frob_q-orbit
+    of roots in X_m, and h -> lambda^-m h^rho(lambda y) sends a root alpha to
+    rho(alpha)/lambda.  Step r gives the classes a ~ k sigma^i(a) of
+    `cyclic_algebra_classes`, as sigma = Frob_q.
+
+    By Burnside's lemma (W. Burnside, Theory of Groups of Finite Order, 1897)
+    the orbits are the mean count of fixed points over the (q-1) rm/step
+    maps.  X_m is F_(q^m)^x less the subgroups F_(q^(m/l))^x, l | m prime,
+    so a count over X_m is the sum over squarefree d | m of mu(d) times the
+    count over F_(q^e)^x, e = m/d (`_subfields`).  Take logarithms y = h^Y,
+    Y mod q^e - 1, for a generator h of F_(q^e)^x, put t = (q^e - 1)/(q - 1)
+    and lambda = h^(j t), j mod q - 1: then lambda y^(p^i) = y iff
+    (p^i - 1) Y = -j t (mod q^e - 1).  Summed over lambda, each Y with
+    (p^i - 1) Y = 0 (mod t) meets exactly one j, since q^e - 1 = t (q - 1),
+    and no other Y meets any; that condition reads Y mod t alone, so
+    (q - 1) gcd(p^i - 1, t) values of Y qualify (gcd(0, t) = t at i = 0).
+    The factor q - 1 cancels against |F_q^x|:
+
+        orbits = step/(rm) sum_(step | i < rm) sum_d mu(d) gcd(p^i - 1, t_(m/d)),
+
+    rm 2^omega(m)/step gcds.  Asserted: the sum is a multiple of rm/step, and
+    the sandwich |X_m|/(m r (q-1)) <= orbits <= |X_m|/m (an orbit has at most
+    |G_1| members and holds whole Frob_q-orbits, each of m members)."""
+    p, r = _prime_power(q)
+    if r * m % step:
+        raise PreconditionViolated(f"step {step} does not divide rm = {r * m}")
+    maps = r * m // step
+    admissible = q ** m - theta(q, m)
+    total = sum(mu * gcd(p ** i - 1, (q ** e - 1) // (q - 1))
+                for i in range(0, r * m, step) for mu, e in _subfields(m))
+    assert total % maps == 0, (
+        f"Burnside sum {total} at (q, m, step) = ({q}, {m}, {step}) is no multiple of {maps}")
+    orbits = total // maps
+    assert admissible <= orbits * m * r * (q - 1) and orbits * m <= admissible, (
+        f"{orbits} orbits at (q, m, step) = ({q}, {m}, {step}) violate the sandwich bounds")
+    return orbits
+
+
 def gammaL_orbit_count(q: int, m: int) -> int:
     """M(q,m): orbits of GammaL(1,q) = {(lambda, rho)} acting on the central
-    irreducibles by f^{(lambda,rho)}(y) = lambda^{-m} f^rho(lambda y).
-
-    The maps form a group, so the orbit of f is its image set: each map is
-    applied to every irreducible at once, and an orbit is counted at its
-    member of least index."""
-    if q ** m > CLASSIFY_LIMIT:
-        raise SizeCapExceeded(f"q^m = {q**m} exceeds {CLASSIFY_LIMIT}")
-    p, r = _prime_power(q)
-    K = FieldCtx.create(p, r)
-    polys = enumerate_irreducible(K, m)
-    weights = q ** np.arange(m - 1, -1, -1)
-    index = np.full(q ** m, -1, dtype=np.int64)
-    index[polys[:, :m] @ weights] = np.arange(len(polys))
-    least = np.arange(len(polys))
-    for lam in range(1, q):
-        # coefficient of y^i picks up lambda^{i-m}; rho is a Frobenius power
-        scale = K.pow_array(lam, np.arange(m + 1) - m)
-        for rho in range(r):
-            images = K.mul_array(K.pow_array(polys, p ** rho), scale)
-            j = index[images[:, :m] @ weights]
-            assert (j >= 0).all(), "GammaL image of an irreducible is not irreducible"
-            np.minimum(least, j, out=least)
-    orbits = int(np.count_nonzero(least == np.arange(len(polys))))
-    lo = (q ** m - theta(q, m)) / (m * r * (q - 1))
-    hi = (q ** m - theta(q, m)) // m
-    assert lo <= orbits <= hi, "GammaL orbit count violates the sandwich bounds"
-    return orbits
+    irreducibles by f^{(lambda,rho)}(y) = lambda^{-m} f^rho(lambda y); the
+    step-1 `orbit_count`."""
+    return orbit_count(q, m, 1)
 
 
 def numb_bound(q: int, m: int) -> Optional[int]:
@@ -174,11 +201,40 @@ def cyclic_algebra_classes(tower: TowerCtx) -> tuple[int, list[int]]:
     orbits = np.array([pow(q, i, s) for i in range(m)])[:, None] * x[admissible] % s
     assert admissible[orbits].all(), "sigma moves an admissible a into a subfield"
     reps = sorted(set(coset_min[orbits].min(axis=0).tolist()))
+    burnside = orbit_count(q, m, tower.r)
+    assert len(reps) == burnside, (
+        f"F_{K.order}/F_{q}: {len(reps)} classes, but the Burnside count is {burnside}")
     bound = numb_bound(q, m)
     if bound is not None:
         assert len(reps) <= bound, (
-            f"F_{K.order}/F_{q}: {len(reps)} classes exceed numb_bound({q}, {m}) = {bound}")
+            f"F_{K.order}/F_{q}: {len(reps)} classes exceed numb_bound({q}, {m}) = {bound}; "
+            + _burnside_text(K, q, m))
     return len(reps), reps
+
+
+def _burnside_text(K: FieldCtx, q: int, m: int) -> str:
+    """The Burnside sum of the class count over F_q < K, m = [K:F_q], naming
+    each map a -> lambda sigma^k(a) but the identity that fixes admissible a,
+    with its count.  For lambda = g^(j s), as in `orbit_count`, the fixed a
+    in F_(q^e)^x solve (q^k - 1) Y = -j t (mod q^e - 1): q^gcd(k, e) - 1 =
+    gcd(q^k - 1, q^e - 1) solutions when that gcd divides j t, none
+    otherwise.  A map with k = 0 and lambda != 1 fixes nothing, so every map
+    named has k >= 1."""
+    s, group = (K.order - 1) // (q - 1), (q - 1) * m
+    counts, maps = [], []
+    for j in range(q - 1):
+        for k in range(m):
+            fixed = sum(mu * (q ** gcd(k, e) - 1) for mu, e in _subfields(m)
+                        if j * (q ** e - 1) // (q - 1) % (q ** gcd(k, e) - 1) == 0)
+            if fixed and (j or k):
+                lam = K.exp[j * s]
+                coef = "" if j == 0 else "−" if lam == K.neg(1) else f"{K.format_element(lam)}·"
+                power = str(k).translate(_SUPERSCRIPT) if k > 1 else ""
+                maps.append(f"x ↦ {coef}σ{power}(x) fixes {fixed} admissible a")
+            if fixed:
+                counts.append(fixed)
+    return (f"{', '.join(maps)}: ({' + '.join(map(str, counts))})/{group} "
+            f"= {sum(counts) // group}")
 
 
 def similarity_classes(tower: TowerCtx, m: int,
@@ -281,8 +337,7 @@ def bounds_report(q: int, n: int, m: int,
                        numb=numb_bound(q, m) if n == m else None,
                        kantor=kantor_bound(q, n, m))
     rep.n_qm = count_central_irreducible(q, m)
-    if q ** m <= CLASSIFY_LIMIT:
-        rep.m_qm = gammaL_orbit_count(q, m)
+    rep.m_qm = gammaL_orbit_count(q, m)
     if tower is not None and n == m and tower.n == m:
         rep.observed_classes, rep.representatives = cyclic_algebra_classes(tower)
     return rep

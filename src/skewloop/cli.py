@@ -178,8 +178,7 @@ def cmd_census(args) -> int:
             "q": args.q, "m": args.m,
             "theta": cs.theta(args.q, args.m),
             "N": cs.count_central_irreducible(args.q, args.m),
-            "M": cs.gammaL_orbit_count(args.q, args.m)
-            if args.q ** args.m <= cs.CLASSIFY_LIMIT else None,
+            "M": cs.gammaL_orbit_count(args.q, args.m),
         })
     elif args.what == "classify":
         tower = _tower_from_args(args)

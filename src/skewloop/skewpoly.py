@@ -82,9 +82,10 @@ def right_divmod(ctx: TowerCtx, g: SkewPoly, f: SkewPoly) -> tuple[SkewPoly, Ske
         e = qp[d % n]
         c = K.div(rem[-1], pw(f_lead, e))
         qcoeffs[d] = c
+        minus_c = K.neg(c)
         for i, fi in enumerate(f):
             if fi:
-                rem[i + d] = K.sub(rem[i + d], K.mul_pow(c, fi, e))
+                rem[i + d] = K.add(rem[i + d], K.mul_pow(minus_c, fi, e))
         while rem and rem[-1] == 0:
             rem.pop()
     return poly(qcoeffs), tuple(rem)
@@ -103,8 +104,8 @@ def left_inverse_mod(ctx: TowerCtx, x: SkewPoly, g: SkewPoly) -> SkewPoly:
     r0, r1, s0, s1 = g, x, (), (1,)
     while len(r1) > 1:
         q, r = right_divmod(ctx, r0, r1)
-        qs = mul(ctx, q, s1)
-        s = poly([K.sub(a, b) for a, b in zip_longest(s0, qs, fillvalue=0)])
+        minus_qs = mul(ctx, tuple(K.neg(c) for c in q), s1)
+        s = poly([K.add(a, b) for a, b in zip_longest(s0, minus_qs, fillvalue=0)])
         r0, r1, s0, s1 = r1, r, s1, s
     assert r1, f"x and g share the right factor {r0}: x is no unit mod Rg"
     c = K.inv(r1[0])

@@ -9,9 +9,11 @@ from math import gcd
 
 import numpy as np
 
+from skewloop import census as cs
 from skewloop import loops as lp
 from skewloop import semifield as sfd
 from skewloop import skewpoly as sp
+from skewloop.gf import FieldCtx, SizeCapExceeded
 
 
 # (p, r, n, m) of a battery of towers and degrees: every admissible f of
@@ -151,6 +153,39 @@ def cyclic_algebra_classes(tw):
         seen |= orbit
         reps.append(min(orbit))
     return len(reps), sorted(reps)
+
+
+def gammaL_orbit_count(q, m):
+    """Test oracle for `census.gammaL_orbit_count`, the enumeration it ran
+    before the Burnside sum.  M(q,m): orbits of GammaL(1,q) = {(lambda, rho)}
+    acting on the central irreducibles by f^{(lambda,rho)}(y) =
+    lambda^{-m} f^rho(lambda y).
+
+    The maps form a group, so the orbit of f is its image set: each map is
+    applied to every irreducible at once, and an orbit is counted at its
+    member of least index."""
+    if q ** m > cs.CLASSIFY_LIMIT:
+        raise SizeCapExceeded(f"q^m = {q**m} exceeds {cs.CLASSIFY_LIMIT}")
+    p, r = cs._prime_power(q)
+    K = FieldCtx.create(p, r)
+    polys = cs.enumerate_irreducible(K, m)
+    weights = q ** np.arange(m - 1, -1, -1)
+    index = np.full(q ** m, -1, dtype=np.int64)
+    index[polys[:, :m] @ weights] = np.arange(len(polys))
+    least = np.arange(len(polys))
+    for lam in range(1, q):
+        # coefficient of y^i picks up lambda^{i-m}; rho is a Frobenius power
+        scale = K.pow_array(lam, np.arange(m + 1) - m)
+        for rho in range(r):
+            images = K.mul_array(K.pow_array(polys, p ** rho), scale)
+            j = index[images[:, :m] @ weights]
+            assert (j >= 0).all(), "GammaL image of an irreducible is not irreducible"
+            np.minimum(least, j, out=least)
+    orbits = int(np.count_nonzero(least == np.arange(len(polys))))
+    lo = (q ** m - cs.theta(q, m)) / (m * r * (q - 1))
+    hi = (q ** m - cs.theta(q, m)) // m
+    assert lo <= orbits <= hi, "GammaL orbit count violates the sandwich bounds"
+    return orbits
 
 
 def t_power_walk(S):

@@ -127,15 +127,56 @@ def test_gammaL_orbit_counts_small_q():
 
 
 def test_gammaL_trivial_action_q2():
-    for m in (2, 3, 4, 5, 6):
+    # F_2^x is trivial and r = 1: the orbits are the irreducibles themselves
+    for m in range(2, 65):
         assert cs.gammaL_orbit_count(2, m) == cs.count_central_irreducible(2, m)
 
 
 def test_gammaL_coprime_case():
-    # q = p with gcd(p-1, m) = 1: M = N/(p-1)
-    for p, m in [(3, 3), (5, 3), (2, 5), (3, 5)]:
-        if p ** m <= cs.CLASSIFY_LIMIT:
-            assert cs.gammaL_orbit_count(p, m) == cs.count_central_irreducible(p, m) // (p - 1)
+    # q = p with gcd(p-1, m) = 1: M = N/(p-1); all but the first four above 2^16
+    for p, m in [(3, 3), (5, 3), (2, 5), (3, 5), (3, 11), (3, 31), (5, 7), (5, 27), (7, 5),
+                 (7, 25), (11, 7), (13, 5), (13, 29)]:
+        assert cs.gammaL_orbit_count(p, m) == cs.count_central_irreducible(p, m) // (p - 1)
+
+
+def test_gammaL_sandwich_at_2_64():
+    # every F_q < F_(2^64) with m = [F_(2^64):F_q] >= 2
+    for r in (1, 2, 4, 8, 16, 32):
+        q, m = 2 ** r, 64 // r
+        admissible = q ** m - cs.theta(q, m)
+        orbits = cs.gammaL_orbit_count(q, m)
+        assert admissible <= orbits * m * r * (q - 1) and orbits * m <= admissible
+
+
+# every (q, m) with q a power of 2, 3, 5, 7, 11 or 13, m >= 2 and q^m <= 2^16
+BURNSIDE_CASES = [(q, m) for q in sorted(b ** k for b in (2, 3, 5, 7, 11, 13)
+                                         for k in range(1, 16) if b ** k <= 2 ** 8)
+                  for m in range(2, 17) if q ** m <= 2 ** 16]
+# the four towers with n = m whose class count is above numb_bound
+ABOVE_NUMB_BOUND = {(3, 4): 10, (3, 8): 410, (7, 4): 100, (11, 4): 366}
+
+
+def test_burnside_cases_are_the_72_towers():
+    assert len(BURNSIDE_CASES) == 72
+    assert all((q, m) in BURNSIDE_CASES and cs.numb_bound(q, m) < count
+               for (q, m), count in ABOVE_NUMB_BOUND.items())
+
+
+@pytest.mark.parametrize("q,m", BURNSIDE_CASES)
+def test_gammaL_orbit_count_matches_enumeration(q, m):
+    assert cs.gammaL_orbit_count(q, m) == oracles.gammaL_orbit_count(q, m)
+
+
+@pytest.mark.parametrize("q,m", BURNSIDE_CASES)
+def test_class_count_matches_walk(q, m):
+    # G_r acts on F_(q^m)/F_q as a ~ k sigma^i(a); the Burnside text of the
+    # numb_bound failure sums the fixed points map by map to the same count
+    p, r = cs._prime_power(q)
+    tw = gf.make_tower(p, r, m)
+    count = cs.orbit_count(q, m, r)
+    assert count == oracles.cyclic_algebra_classes(tw)[0] == \
+        ABOVE_NUMB_BOUND.get((q, m), count)
+    assert cs._burnside_text(tw.field, q, m).endswith(f" = {count}")
 
 
 def test_cyclic_algebra_classes():
@@ -394,4 +435,4 @@ def test_bounds_report_assembly():
 
 def test_too_large_guard():
     with pytest.raises(gf.SizeCapExceeded):
-        cs.gammaL_orbit_count(16, 5)
+        cs.count_irreducible_enum(16, 5)

@@ -146,6 +146,11 @@ def test_census_count_and_bounds(capsys):
     assert rc == cli.EXIT_OK
     data = json.loads(out)
     assert data["N"] == 3 and data["M"] == 2
+    # above the enumeration's 2^16: M by the Burnside sum, here M(2,64) = N(2,64)
+    rc, out, _ = run(capsys, "census", "count", "--q", "2", "--m", "64", "--format", "json")
+    assert rc == cli.EXIT_OK
+    data = json.loads(out)
+    assert data["N"] == data["M"] == 288230376084602880
     rc, out, _ = run(capsys, "census", "bounds", "--q", "5", "--n", "2",
                      "--m", "2", "--format", "json")
     assert rc == cli.EXIT_OK
@@ -209,10 +214,12 @@ def test_exit_cap_before_identifying_513_automorphisms(capsys):
 def test_exit_invariant_names_the_class_bound_instance(capsys):
     # F_81/F_3 with m = 4: a -> -sigma^2(a) fixes the 8 elements of order 16,
     # so by Burnside the 72 admissible a form (72 + 8)/8 = 10 classes, above
-    # numb_bound(3, 4) = 9
+    # numb_bound(3, 4) = 9; the message names that map and the sum
     rc, out, err = run(capsys, "census", "classify", "--field", "3^4")
     assert rc == cli.EXIT_INVARIANT
-    assert out == "" and "F_81/F_3: 10 classes exceed numb_bound(3, 4) = 9" in err
+    assert out == "" and err == (
+        "internal invariant failure: F_81/F_3: 10 classes exceed numb_bound(3, 4) = 9; "
+        "x ↦ −σ²(x) fixes 8 admissible a: (72 + 8)/8 = 10\n")
 
 
 def test_exit_usage_on_division_by_zero_poly(capsys):
