@@ -12,7 +12,10 @@ the irreducibles stays as the enumeration of N(q,m) up to 2^16.
 Counts live over the center F_q[y] = F_q[t^n; sigma], so most arithmetic here
 is plain (untwisted) polynomial arithmetic over F_q with q = p^r.  Similarity
 is read from the reduced norm, so the module builds no semifield and imports
-only `gf` and `skewpoly`.
+only `gf` and `skewpoly`.  A tower keeps one irreducibility verdict per
+reduced norm, so a scan over many f runs one Rabin test per distinct chi_f,
+and the searches for a field's modulus and primitive element are cached in
+`gf`, so every tower over one F_(p^l) shares them.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ def enumerate_irreducible(K: FieldCtx, m: int) -> np.ndarray:
     degree m and the degrees up to m/2 its factors can have are sieved, and
     the coefficient arithmetic goes through q x q addition and
     multiplication tables, flattened so that a x b is entry a q + b (the
-    callers' CLASSIFY_LIMIT keeps q <= 256).  Rows of codes, low degree
-    first, in itertools.product order."""
+    callers' CLASSIFY_LIMIT keeps q <= 256), gathered with `take`.  A
+    product's index is its coefficients read by Horner steps.  Rows of
+    codes, low degree first, in itertools.product order."""
     q = K.order
     codes = np.arange(q)
     add = K.add_array(codes[:, None], codes).ravel().astype(np.int32)
@@ -95,7 +99,6 @@ def enumerate_irreducible(K: FieldCtx, m: int) -> np.ndarray:
     irr_by_deg: dict[int, np.ndarray] = {}
     for d in [*range(1, m // 2 + 1), m]:
         composite = np.zeros(q ** d, dtype=bool)
-        weights = q ** np.arange(d - 1, -1, -1)
         for e in range(1, d // 2 + 1):
             g = q * irr_by_deg[e][:, None, :, None].astype(np.int32)
             h = monic_rows(q, d - e, np.arange(q ** (d - e))).astype(np.int32)
@@ -103,8 +106,11 @@ def enumerate_irreducible(K: FieldCtx, m: int) -> np.ndarray:
             prod[:, :, e:] = h                  # g is monic: start from y^e h
             for i in range(e):
                 window = prod[:, :, i:i + d - e + 1]
-                window[:] = add[q * window + mul[g[:, :, i] + h]]
-            composite[prod[:, :, :d] @ weights] = True
+                window[:] = add.take(q * window + mul.take(g[:, :, i] + h))
+            key = prod[:, :, 0]                 # c0 is the most significant digit
+            for i in range(1, d):
+                key = key * q + prod[:, :, i]
+            composite[key] = True
         irr_by_deg[d] = monic_rows(q, d, np.flatnonzero(~composite))
     return irr_by_deg[m]
 

@@ -16,7 +16,10 @@ one exp lookup (`FieldCtx.mul_pow`).
 The module also holds the integer helpers (trial division) and the plain
 polynomial arithmetic over a field (remainder, power mod, the gcd
 irreducibility test) that the modulus search runs over Z/pZ and skewpoly
-runs over K.
+runs over K.  The searches for the default modulus and the primitive
+element are pure and cached, so each (p, l) is searched once per process;
+no field table is cached.  A tower keeps one irreducibility verdict per
+reduced norm chi that skewpoly has tested on it.
 """
 
 from __future__ import annotations
@@ -349,9 +352,11 @@ class FieldCtx:
         return f"g^{self.log[e]}"
 
 
-def primitive_element(p: int, l: int, modulus: Sequence[int]) -> int:
+@cache
+def primitive_element(p: int, l: int, modulus: tuple[int, ...]) -> int:
     """Smallest-code primitive element of Z/pZ[x]/(modulus); for l > 1 it
-    prefers x itself."""
+    prefers x itself.  Cached, as `default_modulus`: the result is one int
+    per (p, l, modulus), and the search runs once per process."""
     if l == 1:
         return next(g for g in range(1, p) if _is_primitive_root(g, p))
     n1 = p ** l - 1
@@ -374,9 +379,11 @@ def _is_primitive_root(g: int, p: int) -> bool:
     return all(pow(g, n1 // ell, p) != 1 for ell in primefactors(n1))
 
 
+@cache
 def default_modulus(p: int, l: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible degree-l polynomial over
-    Z/pZ whose root is primitive (coefficients compared low-degree-first)."""
+    Z/pZ whose root is primitive (coefficients compared low-degree-first).
+    Cached: every tower over F_(p^l) starts from the same search."""
     import itertools
 
     if l == 1:
@@ -414,6 +421,10 @@ class TowerCtx:
     n: int
     q: int = field(init=False)
     q_powers: tuple[int, ...] = field(init=False, repr=False)
+    # chi -> "chi is irreducible over F_q", for the reduced norms chi (monic
+    # code tuples) met so far: skewpoly runs one Rabin test per (tower, chi)
+    _irreducible: dict[tuple[int, ...], bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.q = self.field.p ** self.r

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import skewpoly as sp
-from .gf import TowerCtx
+from .gf import LOG_TABLE_LIMIT, SizeCapExceeded, TowerCtx
 from .permgroup import chunk_rows
 
 
@@ -326,7 +326,13 @@ class NucleiReport:
 
 
 def _span_elements(S: SemifieldCtx, basis_vecs: list[list[int]]) -> list[int]:
+    """The codes of the F_p-span of the basis, sorted; SizeCapExceeded, before
+    anything is allocated, when it has more than LOG_TABLE_LIMIT elements."""
     r = len(basis_vecs)
+    if S.p ** r > LOG_TABLE_LIMIT:
+        raise SizeCapExceeded(
+            f"a nucleus of order {S.p}^{r} = {S.p ** r} exceeds {LOG_TABLE_LIMIT} elements: "
+            f"listing it needs {S.p ** r * r * 8} bytes for its int64 coefficients alone")
     coeffs = np.array(list(itertools.product(range(S.p), repeat=r)),
                       dtype=np.int64).reshape(S.p ** r, r)
     B = np.array(basis_vecs, dtype=np.int64).reshape(r, S.dim_prime)

@@ -8,7 +8,9 @@ Multiplication twists coefficients past t: t*a = sigma(a)*t (`mul`);
 `semifield.inverses` takes both inverses in S_f.  Modulo a monic f, the
 rows R_k = t^k mod_r f (`t_powers`) carry the arithmetic: the reduced
 norm's matrix and the product of S_f (`semifield`) read them.  Their
-recurrence and chi's (`_berkowitz`) run on codes or on code arrays.
+recurrence and chi's (`_berkowitz`) run on codes or on code arrays.  f is
+irreducible iff chi_f is; a tower keeps one verdict per chi, so the scalar
+and the batched tests run one Rabin test per (tower, chi) between them.
 """
 
 from __future__ import annotations
@@ -214,7 +216,16 @@ def is_irreducible(ctx: TowerCtx, f: SkewPoly) -> bool:
     divides a power of h, so chi_S = h.  Hence chi_f has as many irreducible
     factors as M has composition factors, and it is irreducible iff f is.
     """
-    return poly_is_irreducible(ctx.field, reduced_norm(ctx, f), ctx.q)
+    return _norm_is_irreducible(ctx, reduced_norm(ctx, f))
+
+
+def _norm_is_irreducible(ctx: TowerCtx, chi: tuple) -> bool:
+    """chi (a reduced norm, monic code tuple) is irreducible over F_q: one
+    `poly_is_irreducible` per (tower, chi), the verdict kept on the tower."""
+    verdict = ctx._irreducible.get(chi)
+    if verdict is None:
+        verdict = ctx._irreducible[chi] = poly_is_irreducible(ctx.field, chi, ctx.q)
+    return verdict
 
 
 def is_right_invariant(ctx: TowerCtx, f: SkewPoly) -> bool:
@@ -265,14 +276,15 @@ def reduced_norms(ctx: TowerCtx, F) -> np.ndarray:
 
 def irreducible_norms(ctx: TowerCtx, chi: np.ndarray) -> np.ndarray:
     """Which rows of a chi array (from `reduced_norms`) are irreducible over
-    F_q: one `poly_is_irreducible` per distinct row, of which there are at
-    most q^m however many rows there are.  Rows are ranked one column at a
-    time, so no key exceeds #rows * |K|."""
+    F_q: one verdict per distinct row, of which there are at most q^m
+    however many rows there are, and one `poly_is_irreducible` per chi the
+    tower has not met before (`_norm_is_irreducible`).  Rows are ranked one
+    column at a time, so no key exceeds #rows * |K|."""
     key = np.zeros(len(chi), dtype=np.int64)
     for col in chi.T[:-1]:                                # the last is 1
         _, first, key = np.unique(key * ctx.field.order + col,
                                   return_index=True, return_inverse=True)
-    verdict = [poly_is_irreducible(ctx.field, h, ctx.q) for h in chi[first].tolist()]
+    verdict = [_norm_is_irreducible(ctx, tuple(h)) for h in chi[first].tolist()]
     return np.array(verdict, dtype=bool)[key]
 
 
@@ -282,7 +294,8 @@ _ENUMERATE_CHUNK = 2 ** 14
 def enumerate_admissible(ctx: TowerCtx, m: int) -> Iterator[SkewPoly]:
     """All monic degree-m admissible f, in lexicographic coefficient order.
     The |K|^m candidates go through `reduced_norms` a chunk at a time, and
-    only the irreducible ones through the right-invariance test."""
+    only the irreducible ones through the right-invariance test; a chi met
+    in an earlier chunk is not tested again."""
     if m < 2:
         raise ValueError("admissible polynomials have degree at least 2")
     total = ctx.field.order ** m

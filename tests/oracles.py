@@ -130,28 +130,36 @@ def read_latin_csv(path):
 
 
 def in_proper_subfield(tw, a):
-    """Test oracle: a inside some F_{q^e}, e | n, e < n (the subfields of K
-    containing F), by sigma^e(a) = a."""
-    n = tw.n
-    return any(n % e == 0 and tw.sigma(a, e) == a for e in range(1, n))
+    """Test oracle: which codes of the array a lie inside some F_{q^e},
+    e | n, e < n (the subfields of K containing F), by sigma^e(a) = a; one
+    `pow_array` per proper divisor e."""
+    K, n = tw.field, tw.n
+    a = np.asarray(a, dtype=np.int64)
+    inside = np.zeros(a.shape, dtype=bool)
+    for e in range(1, n):
+        if n % e == 0:
+            inside |= K.pow_array(a, tw.q_powers[e]) == a
+    return inside
 
 
 def cyclic_algebra_classes(tw):
     """Test oracle for `census.cyclic_algebra_classes`: walk K^x, and form
     the orbit {k sigma^i(a) : k in F^x, i < n} of each admissible a not yet
-    seen; (class count, sorted least orbit members)."""
+    seen, as the products of the array of k and the array of sigma^i(a);
+    (class count, sorted least orbit members)."""
     K = tw.field
-    admissible = [a for a in range(1, K.order) if not in_proper_subfield(tw, a)]
-    fixed = [c for c in tw.fixed_field_elements() if c != 0]
-    seen = set()
+    inside = in_proper_subfield(tw, np.arange(K.order))   # 0 is inside F
+    fixed = np.array([c for c in tw.fixed_field_elements() if c != 0])
+    exponents = np.array(tw.q_powers)
+    seen = np.zeros(K.order, dtype=bool)
     reps = []
-    for a in admissible:
-        if a in seen:
+    for a in np.flatnonzero(~inside).tolist():
+        if seen[a]:
             continue
-        orbit = {K.mul(k, tw.sigma(a, i)) for k in fixed for i in range(tw.n)}
-        assert orbit <= set(admissible)
-        seen |= orbit
-        reps.append(min(orbit))
+        orbit = K.mul_array(fixed[:, None], K.pow_array(a, exponents)).ravel()
+        assert not inside[orbit].any()
+        seen[orbit] = True
+        reps.append(int(orbit.min()))
     return len(reps), sorted(reps)
 
 

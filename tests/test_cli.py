@@ -199,6 +199,16 @@ def test_exit_cap_on_field_beyond_log_tables(capsys):
     assert out == "" and err.startswith("cap violation:")
 
 
+def test_exit_cap_on_nucleus_beyond_log_tables(capsys):
+    # |S| = 2^48 over F_(2^16)/F_(2^8) with m = 3: Nuc_r has 2^24 elements,
+    # refused before they are listed
+    rc, out, err = run(capsys, "semifield", "analyze", "--field", "2^16", "--sigma-r", "8",
+                       "--f", "t^3 + g^1")
+    assert rc == cli.EXIT_CAP
+    assert out == "" and err.startswith("cap violation: a nucleus of order 2^24 = 16777216")
+    assert "3221225472 bytes" in err                     # 2^24 x 24 int64
+
+
 def test_exit_cap_before_identifying_513_automorphisms(capsys):
     # 513 maps H_(tau,k) on F_(2^18) over F_(2^9): the maps are printed, and
     # their Cayley table is refused before any product is formed

@@ -345,3 +345,16 @@ def test_default_fields_pinned():
             rows.append((p, l, modulus, gf.primitive_element(p, l, modulus)))
             l += 1
     assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()) == DEFAULT_FIELDS
+
+
+def test_cached_field_searches_match_uncached():
+    # default_modulus and primitive_element are cached; the cache returns
+    # what the searches return, for every p^l <= 2^12
+    for p in filter(gf.isprime, range(2 ** 12 + 1)):
+        l = 1
+        while p ** l <= 2 ** 12:
+            modulus = gf.default_modulus(p, l)
+            assert modulus == gf.default_modulus.__wrapped__(p, l)
+            assert gf.primitive_element(p, l, modulus) == \
+                gf.primitive_element.__wrapped__(p, l, modulus)
+            l += 1

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,6 +102,21 @@ def test_products_match_ring_oracle(p, r, n, m):
         assert sfd._span_elements(S, oracles.annihilator(S, g)) == kernel
         ft = oracles.right_rem(tw, oracles.skew_mul(tw, f, (0, 1)), f)
         assert sfd.t_power_diagnostics(S).associative == (ft == ())
+
+
+def test_span_elements_cap_allocates_nothing():
+    # 21 basis vectors over F_2 span 2^21 > LOG_TABLE_LIMIT elements: the
+    # cap is checked before the coefficient list is formed
+    S = quat2()
+    basis = [[0] * S.dim_prime] * 21
+    tracemalloc.start()
+    try:
+        with pytest.raises(gf.SizeCapExceeded, match=r"2\^21 = 2097152 .* 352321536 bytes"):
+            sfd._span_elements(S, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16, peak
 
 
 def test_codec_is_base_p_digits():

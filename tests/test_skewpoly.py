@@ -1,5 +1,6 @@
 """Twisted polynomial arithmetic: division, irreducibility, invariance."""
 
+import hashlib
 import itertools
 import random
 
@@ -262,6 +263,46 @@ def test_reduced_norms_match_oracle_seeded(tower, m):
     assert [sp.reduced_norm(tw, f) for f in fs] == want
     assert sp.reduced_norms(tw, np.array(fs)).tolist() == [list(h) for h in want]
     assert len(set(want)) > 10
+
+
+def test_one_rabin_test_per_reduced_norm(monkeypatch):
+    # the 255 binomials t^2 - a over F_256/F_16 have 135 distinct chi: the
+    # tower runs one poly_is_irreducible per chi, scalar and batched alike,
+    # and every verdict equals the one a fresh tower gives
+    tw = gf.make_tower(2, 4, 2)
+    K = tw.field
+    fs = [(K.neg(a), 0, 1) for a in range(1, K.order)]
+    fresh = [sp.is_irreducible(gf.make_tower(2, 4, 2), f) for f in fs]
+    calls = []
+
+    def counting(F, h, q):
+        calls.append(tuple(h))
+        return gf.poly_is_irreducible(F, h, q)
+
+    monkeypatch.setattr(sp, "poly_is_irreducible", counting)
+    assert [sp.is_irreducible(tw, f) for f in fs] == fresh
+    assert len(calls) == len(set(calls)) == len({sp.reduced_norm(tw, f) for f in fs}) == 135
+    assert sp.irreducible_norms(tw, sp.reduced_norms(tw, np.array(fs))).tolist() == fresh
+    assert len(calls) == 135 and any(fresh) and not all(fresh)
+
+
+def test_enumerate_admissible_tests_each_norm_once(monkeypatch):
+    # F_4/F_2 with m = 8: 4^8 candidates in four chunks meet all 2^8 monic
+    # chi of degree 8 over F_2, each tested once; the output is pinned by
+    # the sha256 of its repr
+    calls = []
+
+    def counting(F, h, q):
+        calls.append(tuple(h))
+        return gf.poly_is_irreducible(F, h, q)
+
+    monkeypatch.setattr(sp, "poly_is_irreducible", counting)
+    tw = tower_f4()
+    assert 4 ** 8 == 4 * sp._ENUMERATE_CHUNK
+    fs = list(sp.enumerate_admissible(tw, 8))
+    assert len(calls) == len(set(calls)) == 2 ** 8
+    assert len(fs) == 7710 and hashlib.sha256(repr(fs).encode()).hexdigest() == \
+        "1dac220e094a0b03de1fadabe97ae596debee2aed47197dfca80f4b0290ba10a"
 
 
 def test_reduced_norms_of_no_rows_and_bad_rows():
