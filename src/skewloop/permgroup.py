@@ -15,7 +15,13 @@ that the chain reaches first (see `bsgs_build`).
 Each level of the chain stores its orbit in BFS order, a point -> row index,
 the inverse coset representatives u^-1 as rows of one degree x degree int32
 table, and the representatives u themselves on the tracked points P (below)
-as rows of an orbit x |P| table, both filled by the same BFS.  Schreier
+as rows of an orbit x |P| table, both filled by the same BFS.  When a new
+strong generator reaches a level, the BFS goes on from the orbit the level
+has, so each u^-1 row is composed once, when its point joins the orbit:
+Schreier's lemma holds for any transversal with u_point = 1 (Holt, Eick and
+O'Brien, section 4.1), and each strong generator is inverted once, when it
+is added.  When a new base point enlarges P, the rows of u on P are filled
+again along the Schreier tree the BFS recorded.  Schreier
 generators and sifts are formed a chunk at a time by numpy gathers, in the
 order the one-at-a-time procedure would visit them; the chunks of orbit
 points double from one, so that little is formed past an early non-member,
@@ -105,12 +111,15 @@ def is_identity(g: Perm) -> bool:
 class _Level:
     """One level of the chain: the orbit of `point` in BFS order, the row of
     each orbit point (-1 off the orbit), u_pt^-1 in row row[pt] of `uinv`
-    (allocated once, degree x degree, and refilled by every rebuild), and
-    u_pt on the tracked points `P` in row row[pt] of `reps` (sized by the
-    orbit).  `gens` is the stack of the level's generators at the last
-    rebuild; `fresh` is cleared when a new strong generator reaches the
+    (allocated once, degree x degree) and u_pt on the tracked points `P` in
+    row row[pt] of `reps` (sized by the orbit).  The rows form a Schreier
+    tree, u_pt = g u_q with q in row parent[row[pt]] and g the strong
+    generator numbered edge[row[pt]]; `layers` holds the first row of each
+    BFS layer after the first, whose parents all lie in earlier layers.
+    `ids` numbers the level's generators at the last extension and `gens`
+    stacks them; `fresh` is cleared when a new strong generator reaches the
     level, which makes it stale (an orbit of a subgroup of the level's
-    group) until it is rebuilt."""
+    group) until it is extended."""
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -119,9 +128,13 @@ class _Level:
         self.row[point] = 0
         self.uinv = np.empty((degree, degree), dtype=np.int32)
         self.uinv[0] = np.arange(degree, dtype=np.int32)
+        self.parent = np.zeros(1, dtype=np.intp)
+        self.edge = np.zeros(1, dtype=np.intp)
+        self.layers: list[int] = []
+        self.ids = np.empty(0, dtype=np.intp)
         self.gens = np.empty((0, degree), dtype=np.int32)
         self.P = np.empty(0, dtype=np.intp)
-        self.reps = np.empty((0, 0), dtype=np.int32)
+        self.reps = np.empty((1, 0), dtype=np.int32)
         self.fresh = False
 
 
@@ -137,78 +150,101 @@ class BSGS:
         self._identity = identity_perm(degree)     # every member's residue
         self.frame = None if frame is None else np.asarray(frame, dtype=np.intp)
         self.base: list[int] = []
-        # sgs[j]: strong generators that fix base[:j] and move base[j]
-        # (the seed generators all sit in sgs[0])
-        self.sgs: list[list[Perm]] = []
+        # the strong generators, numbered in the order they were added, with
+        # their inverses; the one numbered i fixes base[:j] and moves base[j]
+        # for j = _level_of[i] (the seed generators all have j = 0)
+        self._gens = np.empty((0, degree), dtype=np.int32)
+        self._ginv = np.empty((0, degree), dtype=np.int32)
+        self._level_of: list[int] = []
         self.levels: list[_Level] = []
         # counters: Schreier generators formed, residues added as strong
-        # generators, transversal rebuilds, permutations sifted, whether the
-        # construction stopped at order_bound, and the number of points whose
-        # images the last Schreier round tracked (see `_tracked`)
-        self.stats = {"schreier_generators": 0, "residues": 0, "rebuilds": 0,
-                      "sifts": 0, "stopped_at_bound": False,
+        # generators, transversal extensions, degree-wide u^-1 rows composed
+        # by them, permutations sifted, whether the construction stopped at
+        # order_bound, and the number of points whose images the last
+        # Schreier round tracked (see `_tracked`)
+        self.stats = {"schreier_generators": 0, "residues": 0, "extensions": 0,
+                      "coset_rows": 0, "sifts": 0, "stopped_at_bound": False,
                       "tracked_points": degree if frame is None else len(self.frame)}
 
     # -- chain bookkeeping ----------------------------------------------
 
     def _recompute_transversal(self, level: int) -> None:
-        """Refill the level's orbit and coset representatives by BFS:
-        u_{g(q)} = g u_q, so u_{g(q)}^-1 = u_q^-1[g^-1] on all points and
-        u_{g(q)}[P] = g[u_q[P]] on the tracked points P.  A fresh level
-        needs no refill: P grows only by a new base point, and adding one
-        makes every level stale."""
+        """Extend the level's orbit and coset representatives to the group
+        of its current generators.  The orbit is closed under the generators
+        of the last extension, so the BFS starts from the whole orbit with
+        the generators added since, then goes on from each new layer with
+        all of them: u_{g(q)} = g u_q, so u_{g(q)}^-1 = u_q^-1[g^-1] on all
+        points and u_{g(q)}[P] = g[u_q[P]] on the tracked points P.  Rows
+        already filled are kept, so every u^-1 row is composed once; when P
+        has gained a base point, `reps` is filled again on the new P along
+        the Schreier tree.  Schreier's lemma holds for any transversal with
+        u_point = 1, which this one is.  A fresh level needs nothing: P
+        grows only by a new base point, and adding one makes every level
+        stale."""
         lv = self.levels[level]
         if lv.fresh:
             return
+        n = self.degree
         P = self._tracked()
-        lv.gens = self._level_gens(level)
-        k = len(lv.gens)
-        lv.row.fill(-1)
-        lv.row[lv.point] = 0
-        orbit = [np.array([lv.point], dtype=np.int32)]
-        reps = [P[None, :].astype(np.int32)]
-        size = 1
-        ginv = inverse_many(lv.gens)
-        frontier, front_rows = orbit[0], np.zeros(1, dtype=np.intp)
-        step = chunk_rows(self.degree)
-        while True:
-            # images in visiting order: frontier point major, generator
-            # minor; the first occurrence of each new point is kept
-            images = lv.gens[:, frontier].T.ravel()
+        if not np.array_equal(P, lv.P):
+            lv.P, lv.reps = P, np.empty((len(lv.orbit), len(P)), dtype=np.int32)
+            lv.reps[0] = P
+            for a, b in zip(lv.layers, lv.layers[1:] + [len(lv.orbit)]):
+                lv.reps[a:b] = compose_rows(self._gens, lv.edge[a:b], lv.reps[lv.parent[a:b]])
+        ids = self._level_ids(level)
+        known = np.zeros(len(self._level_of), dtype=bool)
+        known[lv.ids] = True                # the orbit is closed under these
+        use = ids[~known[ids]]
+        lv.ids, lv.gens = ids, self._gens[ids]
+        # the blocks of rows: the orbit so far, then one per new BFS layer
+        orbit, reps, parent, edge = [lv.orbit], [lv.reps], [lv.parent], [lv.edge]
+        front = np.arange(len(lv.orbit))
+        size = len(lv.orbit)
+        step = chunk_rows(n)
+        while use.size:
+            # images in visiting order: point of the last block major,
+            # generator minor; the first occurrence of each new point is kept
+            k = len(use)
+            images = self._gens.ravel().take((orbit[-1][:, None] + use * n).ravel())
             unseen = np.flatnonzero(lv.row.take(images) < 0)
             new, order = images[unseen], np.arange(len(unseen))
-            first = np.full(self.degree, len(unseen))
+            first = np.full(n, len(unseen))
             np.minimum.at(first, new, order)
             src = unseen[first.take(new) == order]
             if not src.size:
                 break
-            frontier = images[src]
-            rows = np.arange(size, size + frontier.size)
-            lv.row[frontier] = rows
-            rep = np.empty((frontier.size, len(P)), dtype=np.int32)
-            for a in range(0, frontier.size, step):
-                b = src[a:a + step]
-                lv.uinv[size + a:size + a + b.size] = compose_rows(
-                    lv.uinv, front_rows[b // k], ginv[b % k])
-                rep[a:a + b.size] = compose_rows(lv.gens, b % k, reps[-1][b // k])
-            orbit.append(frontier)
+            up, via = src // k, use[src % k]
+            rows = front[up]
+            front = np.arange(size, size + src.size)
+            lv.row[images[src]] = front
+            rep = np.empty((src.size, len(P)), dtype=np.int32)
+            for a in range(0, src.size, step):
+                b = slice(a, a + step)
+                lv.uinv[size + a:size + a + len(rows[b])] = compose_rows(
+                    lv.uinv, rows[b], self._ginv.take(via[b], axis=0))
+                rep[b] = compose_rows(self._gens, via[b], reps[-1][up[b]])
+            lv.layers.append(size)
+            orbit.append(images[src])
             reps.append(rep)
-            size += frontier.size
-            front_rows = rows
-        lv.orbit = np.concatenate(orbit)
-        lv.P, lv.reps = P, np.concatenate(reps)
+            parent.append(rows)
+            edge.append(via)
+            size += src.size
+            use = ids
+        self.stats["coset_rows"] += size - len(lv.orbit)
+        lv.orbit, lv.reps, lv.parent, lv.edge = map(np.concatenate, (orbit, reps, parent, edge))
         lv.fresh = True
-        self.stats["rebuilds"] += 1
+        self.stats["extensions"] += 1
+
+    def _level_ids(self, level: int) -> np.ndarray:
+        """The numbers of the strong generators that fix base[:level], the
+        generators of the level-th stabilizer, in `strong_generators` order."""
+        ids = np.argsort(self._level_of, kind="stable")
+        prefix = np.asarray(self.base[:level], dtype=np.intp)
+        return ids[(self._gens[ids[:, None], prefix] == prefix).all(axis=1)]
 
     def _level_gens(self, level: int) -> np.ndarray:
-        """The stack of the strong generators that fix base[:level], the
-        generators of the level-th stabilizer, in `strong_generators` order."""
-        gens = self.strong_generators()
-        if not gens:
-            return np.empty((0, self.degree), dtype=np.int32)
-        G = np.stack(gens)
-        prefix = np.asarray(self.base[:level], dtype=np.intp)
-        return G[(G[:, prefix] == prefix).all(axis=1)]
+        """The stack of the generators of the level-th stabilizer."""
+        return self._gens[self._level_ids(level)]
 
     def _append_base_point(self, moved_by: Perm) -> None:
         moved = np.flatnonzero(moved_by != self._identity)
@@ -218,15 +254,21 @@ class BSGS:
 
     def _add_level(self, point: int) -> None:
         self.base.append(point)
-        self.sgs.append([])
         self.levels.append(_Level(point, self.degree))
+
+    def _store(self, gens: np.ndarray, j: int) -> None:
+        """Number a stack of new strong generators at level j and store them
+        with their inverses (copies: a row may be a view of the caller's
+        array or of a batch, which later batches overwrite)."""
+        gens = np.asarray(gens, dtype=np.int32)
+        self._gens = np.concatenate([self._gens, gens])
+        self._ginv = np.concatenate([self._ginv, inverse_many(gens)])
+        self._level_of += [j] * len(gens)
 
     def _add_generator(self, residue: Perm, j: int) -> None:
         if j == len(self.base):
             self._append_base_point(residue)
-        # a copy: the residue may be a view of the caller's array or of a
-        # batch, which later batches overwrite
-        self.sgs[j].append(np.array(residue, dtype=np.int32))
+        self._store(np.asarray(residue)[None], j)
         self.stats["residues"] += 1
         for lv in self.levels[:j + 1]:
             lv.fresh = False
@@ -343,7 +385,7 @@ class BSGS:
         identity).  A residue found at level i lands as a strong generator
         at the level j > i it reached; it moves base[j], so no deeper level
         gains it, and the loop resumes at j.  It stops, with every level
-        rebuilt, right after the rebuild whose orbit product reaches
+        extended, right after the extension whose orbit product reaches
         `order_bound`."""
         i, stale = start, range(len(self.base))
         while i >= 0:
@@ -399,7 +441,8 @@ class BSGS:
         return [len(lv.orbit) for lv in self.levels]
 
     def strong_generators(self) -> list[Perm]:
-        return [g for lst in self.sgs for g in lst]
+        """By level, and in the order added within a level."""
+        return list(self._gens[np.argsort(self._level_of, kind="stable")])
 
 
 def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
@@ -432,8 +475,8 @@ def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
     nontrivial = [g for g in gens if not is_identity(g)]
     if not b.base and nontrivial:
         b._append_base_point(nontrivial[0])
-    for g in nontrivial:
-        b.sgs[0].append(g)
+    if nontrivial:
+        b._store(np.stack(nontrivial), 0)
     b._schreier_sims(len(b.base) - 1)
     # deterministic verification: every strong generator sifts to identity
     sgs = b.strong_generators()

@@ -43,6 +43,20 @@ def sift(G, g):
     return h, len(G.levels)
 
 
+def orbit(gens, point):
+    """Test oracle: the orbit of `point` under a list of permutations, by a
+    breadth-first search on Python lists."""
+    gens = [[int(x) for x in g] for g in gens]
+    seen, queue = [point], [point]
+    while queue:
+        q = queue.pop(0)
+        for g in gens:
+            if g[q] not in seen:
+                seen.append(g[q])
+                queue.append(g[q])
+    return seen
+
+
 def skew_mul(tw, f, g):
     """Test oracle: the product in K[t;sigma], term by term:
     (a t^i)(b t^j) = a sigma^i(b) t^(i+j)."""

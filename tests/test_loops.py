@@ -406,17 +406,17 @@ def test_mlt_without_certificate_runs_in_full():
 
 # sha256 over the strong generators (little-endian int32 images, in
 # `strong_generators` order) of Mlt and of the T/L/R-generated Inn, recorded
-# from the recursive Schreier-Sims: certified or not, the chain keeps the
-# same residues in the same order.
+# from the Schreier-Sims whose levels extend their Schreier trees: certified
+# or not, the chain keeps the same residues in the same order.
 SGS_SHA256 = {
-    "quat2": ("5ee9918e2751917b561bc8c6f1693b8e9acf04b4e5b6785f4223310f6685ab8e",
+    "quat2": ("73cd7b8dbc3c5a7499f059629f4635f64126419a675b0f8f2fedd0278aa809b8",
               "49ae1f778482eda5922404c0d08eb75a38c5f7ff19f956b52bc9021df878c198"),
-    "A_1": ("97fa0c66d36f9ff27d71de0388b04e39e5b1f283834347ee362b3618c9a53e99",
-            "c166528e9d011579d17d460f93f2d5d27b4c9eac3533a00d41d85dd4291c6498"),
-    "A_2": ("eb221bd098a092899f12ed2a63bf93ed2e5dd20752965256aff0a7b5f7ecff44",
-            "857a319f46a178c0a16670fbe596bce356b0bb4ed6456d94cd78daf716da3ea1"),
+    "A_1": ("59c825cfbdcf94657ecf63fa1d949d55cd82dbe4fa732fe7e96d677102f32a90",
+            "d0c03dd8ec4332beaf09601d7dcc78c95807a5e85a84c8019f260c216211b180"),
+    "A_2": ("dad616bf1d7fd4be3809924b52f020c315f6d89ad6126adb030b8f489d73a5b0",
+            "30cf819dd04be393a4476e1b4a4c5884be69611bd318cecdc2a01d6925b02721"),
     # Mlt only: the loop is too large for the all-generators Inn
-    "F9m3:728": ("d0666a3f08c49114ba112e330342c475e6b91cb831600bf1b9910655e2551b27", None),
+    "F9m3:728": ("599b6cc628b35aebd3022dc69726220e84a647d2960b0b706ae3320024eb35be", None),
 }
 
 
@@ -434,12 +434,53 @@ def test_strong_generators_pinned(which):
     M, bare = lp.mlt_group(L), lp.mlt_group(lp.loop_from_table(L.table))
     assert M.stats["stopped_at_bound"]
     assert sgs_sha256(M) == sgs_sha256(bare) == mlt
-    # the stopped chain still rebuilds every transversal from the final
+    # the stopped chain still extends every transversal to the final
     # strong generators: the same coset representatives as the full run
     for a, b in zip(M.levels, bare.levels):
         assert np.array_equal(a.orbit, b.orbit)
         assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
     assert sgs_sha256(lp.inn_from_generators(L)) == inn
+
+
+def mlt_chains():
+    """The Mlt chains of quat2, A_1 and A_2, framed and bare, and of the
+    255-point `groups` loop (framed)."""
+    for L in (quat2_loop()[1], *quat3_loops()):
+        yield lp.mlt_group(L)
+        yield lp.mlt_group(lp.loop_from_table(L.table))
+    yield lp.mlt_group(groups_loop("F16m2:255"))
+
+
+def test_extended_transversals_are_coset_representatives():
+    """Every level of a chain whose transversals were extended, not rebuilt:
+    u_pt^-1 maps pt back to the level's point, `reps` is u_pt on P (the
+    inverse of the u^-1 row there), the orbit is the whole orbit of the
+    level's generators, and the strong generators rebuild a chain of the
+    same group."""
+    for M in mlt_chains():
+        for level, lv in enumerate(M.levels):
+            n = len(lv.orbit)
+            assert (lv.uinv[lv.row[lv.orbit], lv.orbit] == lv.point).all()
+            assert np.array_equal(lv.row[lv.orbit], np.arange(n))
+            assert np.array_equal(np.take_along_axis(lv.uinv[:n], lv.reps.astype(np.intp), 1),
+                                  np.broadcast_to(lv.P, lv.reps.shape))
+            gens = M._level_gens(level)
+            assert sorted(lv.orbit.tolist()) == sorted(oracles.orbit(gens, lv.point))
+        sgs = M.strong_generators()
+        again = pg.bsgs_build(sgs, base_hint=M.base)
+        assert again.order == M.order
+        assert M.contains_many(np.stack(again.strong_generators())).all()
+        assert again.contains_many(np.stack(sgs)).all()
+
+
+def test_each_coset_row_is_composed_once():
+    """An extension composes a u^-1 row only for a point new to the orbit
+    (`test_frame_chain_equals_full_point_chain` checks it also on chains
+    whose tracked points P change)."""
+    for M in mlt_chains():
+        assert M.stats["coset_rows"] == sum(n - 1 for n in M.orbit_lengths())
+    inn = lp.inn_from_generators(quat3_loops()[0])
+    assert inn.stats["coset_rows"] == sum(n - 1 for n in inn.orbit_lengths())
 
 
 # (make_tower arguments, f) of the `groups` benchmark loops of 255, 624 and

@@ -301,13 +301,16 @@ def span_size(points, p, d):
                        f4_matrix([[0, 1], [1, 0]])], pg.gl_order(2, 4)),
 ])
 def test_frame_chain_equals_full_point_chain(monkeypatch, name, p, d, mats, order):
-    """A group of F_p-linear maps built with the basis as its frame has the
-    chain built on all points: same base, orbits, inverse representatives,
+    """A group of F_p-linear maps built with a basis as its frame has the
+    chain built on all points: same base, orbits, coset representatives,
     strong generators and Schreier generator count.  At least one residue
     lands while the base points span a proper subspace, so the frame, not
-    the base alone, decides those sifts."""
+    the base alone, decides those sifts.  The unit vectors hold every base
+    point; the suffix sums e_k + ... + e_(d-1) miss a later base point of
+    GL(3,2) and GL(2,4), so the tracked points P change after the first
+    level has grown, and its representatives are filled again on the new
+    P."""
     gens = linear_group_on_vectors(p, d, mats)
-    frame = [p ** k - 1 for k in range(d)]
     full = pg.bsgs_build(gens)
     spans = []
     add = pg.BSGS._add_generator
@@ -317,18 +320,26 @@ def test_frame_chain_equals_full_point_chain(monkeypatch, name, p, d, mats, orde
         add(self, residue, j)
 
     monkeypatch.setattr(pg.BSGS, "_add_generator", spy)
-    framed = pg.bsgs_build(gens, frame=frame)
-    assert framed.order == full.order == order
-    assert framed.base == full.base
-    for a, b in zip(framed.levels, full.levels):
-        assert np.array_equal(a.orbit, b.orbit)
-        assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
-    assert all(np.array_equal(a, b) for a, b in
-               zip(framed.strong_generators(), full.strong_generators()))
-    assert len(framed.strong_generators()) == len(full.strong_generators())
-    assert framed.stats["schreier_generators"] == full.stats["schreier_generators"]
-    assert min(spans) < p ** d
-    assert full.stats["tracked_points"] == len(gens[0]) > framed.stats["tracked_points"]
+    units = [p ** k - 1 for k in range(d)]
+    suffixes = [(p ** d - p ** k) // (p - 1) - 1 for k in range(d)]
+    for frame in (units, suffixes):
+        spans.clear()
+        framed = pg.bsgs_build(gens, frame=frame)
+        assert framed.order == full.order == order
+        assert framed.base == full.base
+        for a, b in zip(framed.levels, full.levels):
+            assert np.array_equal(a.orbit, b.orbit)
+            assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
+            assert np.array_equal(a.reps, b.reps[:, a.P])
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(framed.strong_generators(), full.strong_generators()))
+        assert len(framed.strong_generators()) == len(full.strong_generators())
+        assert framed.stats["schreier_generators"] == full.stats["schreier_generators"]
+        assert framed.stats["coset_rows"] == sum(n - 1 for n in framed.orbit_lengths())
+        assert min(spans) < p ** d
+        assert full.stats["tracked_points"] == len(gens[0]) > framed.stats["tracked_points"]
+        moved_out = bool(set(framed.base[1:]) - set(frame))
+        assert moved_out == (frame is suffixes and name != "GL(2,3)")
 
 
 @pytest.mark.parametrize("frame", [False, True])
