@@ -35,13 +35,15 @@ class LoopCtx:
     semifield: Optional[SemifieldCtx]
     table: np.ndarray  # table[i, j] = index of element_i * element_j
     identity = 0       # the identity's index, in every loop
-    # the division tables, filled on first use by `ldiv` and `rdiv`: declared
-    # fields, set to None at construction, as in `SemifieldCtx`
+    # the division tables, filled on first use by `ldiv` and `rdiv`, and the
+    # `gl_bound` certificate (0 when there is none), filled by its first
+    # call: declared fields, set to None at construction, as in `SemifieldCtx`
     _ldiv: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     _rdiv: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _gl_bound: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._ldiv = self._rdiv = None
+        self._ldiv = self._rdiv = self._gl_bound = None
 
     @property
     def size(self) -> int:
@@ -70,10 +72,11 @@ class LoopCtx:
 
 def _assert_latin(table: np.ndarray) -> None:
     """Every row, then every column, is a permutation of 0..n-1.  A block of
-    lines at a time, each value v of line i marks slot (i, v) once, and a
-    value out of range marks the spare slot (i, n); a line is a permutation
-    when its n values mark all n regular slots.  O(n^2), no sort, and a
-    block's marks (at most 2^18) stay in cache."""
+    rows at a time, a value v at (i, j) marks the row slot (i, v) and the
+    column slot (v, j), and a value out of range marks the spare slots (i, n)
+    and (n, j); a line is a permutation when its n values mark all n regular
+    slots.  O(n^2), no sort, and the blocks are read in memory order (a
+    block's row marks, at most 2^18, stay in cache)."""
     n = table.shape[0]
     if table.shape != (n, n):
         raise AssertionError(f"the table has shape {table.shape}, not square")
@@ -81,15 +84,20 @@ def _assert_latin(table: np.ndarray) -> None:
     step = max(1, min(n, 2 ** 18 // (n + 1)))
     slots = np.arange(step)[:, None] * (n + 1)
     seen = np.empty(step * (n + 1), dtype=bool)
-    for what, lines in (("row", table), ("column", table.T)):
-        for s in range(0, n, step):
-            block = lines[s:s + step]
-            seen[:] = False
-            seen[np.where((block >= 0) & (block < n), block, n) + slots[:len(block)]] = True
-            marked = seen[:len(block) * (n + 1)].reshape(len(block), n + 1)[:, :n]
-            bad = np.flatnonzero(~marked.all(axis=1))
-            if bad.size:
-                raise AssertionError(f"{what} {s + bad[0]} is not a permutation")
+    columns = np.zeros((n + 1) * n, dtype=bool)     # slot (v, j) at v * n + j
+    for s in range(0, n, step):
+        block = table[s:s + step]
+        values = np.where((block >= 0) & (block < n), block, n)
+        seen[:] = False
+        seen[values + slots[:len(block)]] = True
+        marked = seen[:len(block) * (n + 1)].reshape(len(block), n + 1)[:, :n]
+        bad = np.flatnonzero(~marked.all(axis=1))
+        if bad.size:
+            raise AssertionError(f"row {s + bad[0]} is not a permutation")
+        columns[values * n + ref] = True
+    bad = np.flatnonzero(~columns[:n * n].reshape(n, n).all(axis=0))
+    if bad.size:
+        raise AssertionError(f"column {bad[0]} is not a permutation")
     if not (table[LoopCtx.identity] == ref).all() or not (table[:, LoopCtx.identity] == ref).all():
         raise AssertionError("identity row/column is not the identity map")
 
@@ -132,7 +140,16 @@ def gl_bound(L: LoopCtx) -> Optional[int]:
     so that map is the left translation L_c, linear as a row.  Both
     a(cx) = c(ax) and (cx)b = c(xb) are bilinear in the pair of variables,
     so the D^2 basis pairs decide them.
+
+    The certificate is computed once per loop and kept on it.
     """
+    if L._gl_bound is None:
+        L._gl_bound = _gl_certificate(L) or 0
+    return L._gl_bound or None
+
+
+def _gl_certificate(L: LoopCtx) -> Optional[int]:
+    """What `gl_bound` returns, computed (it keeps the result on L)."""
     S = L.semifield
     if S is None:
         return None
@@ -192,15 +209,12 @@ def mlt_group(L: LoopCtx) -> BSGS:
     bound = gl_bound(L)
     G = pg.bsgs_build(gens, base_hint=[L.identity], order_bound=bound,
                       frame=_linear_frame(L, bound))
-    chunk = pg.chunk_rows(2 * N)
     if G.order != bound:
-        # one sweep: the group only grows, so every row tested stays in it
-        for s in range(0, N, chunk):
-            rows = L.table[s:s + chunk]
-            block = np.empty((2 * len(rows), N), dtype=np.int32)
-            block[0::2] = rows                       # L_a
-            block[1::2] = L.table[:, s:s + chunk].T  # R_a
-            G.extend_many(block)
+        # one sweep: the group only grows, so every row tested stays in it;
+        # L_a is row a of the table, R_a its column a
+        T = L.table
+        G.extend_many(2 * N, lambda rows, points: _interleave(
+            rows, points, lambda a, p: T[a[:, None], p], lambda a, p: T[p, a[:, None]]))
     if G.orbit_lengths()[0] != N:
         raise pg.NotTransitive("Mlt(L) is not transitive")
     return G
@@ -234,38 +248,53 @@ def inn_from_generators(L: LoopCtx) -> BSGS:
     Every translation is an outer one here, so the outer inverses are read
     from the full division tables `L.ldiv` and `L.rdiv`.  These maps lie in
     Mlt(L), so a `gl_bound` certificate gives the chain the F_p-basis as its
-    frame, as in `mlt_group`."""
+    frame, as in `mlt_group`.  The T_x seed the chain; the 2N^2 maps
+    L_{x,y}, R_{x,y} then reach `extend_many` as candidates 2(xN + y) and
+    2(xN + y) + 1, formed by `_inner_parts` on the points it asks for: a
+    chunk on the frame and base points, and a whole map only when it is
+    added."""
     N = L.size
-    every = np.arange(N)
     div = {"left": L.ldiv, "right": L.rdiv}
 
-    def rows(kind, x, y=None):
-        side, outer, inner = _inner_parts(L, kind, x, y)
+    def maps(kind, x, y=None, points=None):
+        side, outer, inner = _inner_parts(L, kind, x, y, points)
         return pg.compose_rows(div[side], outer, inner)
 
-    gens = rows("T", every)
+    def at(kind):               # the maps of `kind` at the pairs xN + y
+        return lambda xy, points: maps(kind, *np.divmod(xy, N), points)
+
+    gens = maps("T", np.arange(N))
     G = pg.bsgs_build([g for g in gens if not pg.is_identity(g)] or [pg.identity_perm(N)],
                       frame=_linear_frame(L, gl_bound(L)))
-    block = np.empty((2 * N, N), dtype=np.int32)
-    for x in range(N):
-        block[0::2] = rows("L", np.full(N, x), every)     # row 2y: L_{x,y}
-        block[1::2] = rows("R", np.full(N, x), every)     # row 2y + 1: R_{x,y}
-        G.extend_many(block)
+    G.extend_many(2 * N * N, lambda rows, points: _interleave(rows, points, at("L"), at("R")))
     return G
 
 
-def _inner_parts(L: LoopCtx, kind: str, x, y):
+def _interleave(rows: slice, points: np.ndarray, even, odd) -> np.ndarray:
+    """An `extend_many` former whose candidate 2i is even(i, points) and
+    2i + 1 is odd(i, points), for the indices i of an array."""
+    i = np.arange(rows.start, rows.stop)
+    out = np.empty((len(i), len(points)), dtype=np.int32)
+    for side, form in enumerate((even, odd)):
+        k = (side + rows.start) % 2
+        out[k::2] = form(i[k::2] // 2, points)
+    return out
+
+
+def _inner_parts(L: LoopCtx, kind: str, x, y, points=None):
     """(side, outer, inner): the inner mapping of `kind` at each (x, y) is the
     inverse of the outer translation (left or right translation by `outer`)
-    composed with the inner product map, one row of `inner` per (x, y)."""
+    composed with the inner product map, one row of `inner` per (x, y)
+    holding the images of `points` (every point by default)."""
     T = L.table
     x, y = np.asarray(x), np.asarray(y)
+    p = np.arange(L.size) if points is None else points
     if kind == "T":
-        return "left", x, T[:, x].T                                       # L_x, R_x
+        return "left", x, T[p, x[:, None]]                                # L_x, R_x
     if kind == "L":
-        return "left", T[y, x], pg.compose_rows(T, y, T[x])               # L_yx, L_y L_x
+        return "left", T[y, x], pg.compose_rows(T, y, T[x[:, None], p])   # L_yx, L_y L_x
     if kind == "R":
-        return "right", T[x, y], T[T[:, x].T, y[:, None]]                 # R_xy, R_y R_x
+        return "right", T[x, y], T[T[p, x[:, None]], y[:, None]]          # R_xy, R_y R_x
     raise ValueError(f"unknown inner mapping kind {kind!r}")
 
 

@@ -20,8 +20,10 @@ strong generator reaches a level, the BFS goes on from the orbit the level
 has, so each u^-1 row is composed once, when its point joins the orbit:
 Schreier's lemma holds for any transversal with u_point = 1 (Holt, Eick and
 O'Brien, section 4.1), and each strong generator is inverted once, when it
-is added.  When a new base point enlarges P, the rows of u on P are filled
-again along the Schreier tree the BFS recorded.  Schreier
+is added.  The new u^-1 rows of a BFS layer are composed one strong
+generator g at a time, all sharing the column index g^-1.  When a new base
+point enlarges P, the rows of u on P are filled again along the Schreier
+tree the BFS recorded.  Schreier
 generators and sifts are formed a chunk at a time by numpy gathers, in the
 order the one-at-a-time procedure would visit them; the chunks of orbit
 points double from one, so that little is formed past an early non-member,
@@ -37,7 +39,9 @@ reaches, depend only on its images of P = frame + base.  The Schreier
 generators are then formed and sifted on the columns P alone; the first
 that does not sift to the identity is re-formed on all points and sifted
 in full, which gives the residue and level of the all-points run (Seress,
-Permutation Group Algorithms, 2003, sections 4-5).  Without a frame, P is
+Permutation Group Algorithms, 2003, sections 4-5).  The candidates of
+`extend_many` are formed the same way, by a caller's function, on P for a
+chunk and on all points only for each one added.  Without a frame, P is
 every point.
 
 `identify_small_group` names a group given by its Cayley table (cyclic,
@@ -148,6 +152,7 @@ class BSGS:
         self.degree = degree
         self.order_bound = order_bound
         self._identity = identity_perm(degree)     # every member's residue
+        self._identity_bytes = self._identity.tobytes()
         self.frame = None if frame is None else np.asarray(frame, dtype=np.intp)
         self.base: list[int] = []
         # the strong generators, numbered in the order they were added, with
@@ -200,7 +205,7 @@ class BSGS:
         orbit, reps, parent, edge = [lv.orbit], [lv.reps], [lv.parent], [lv.edge]
         front = np.arange(len(lv.orbit))
         size = len(lv.orbit)
-        step = chunk_rows(n)
+        step, wide = chunk_rows(n), chunk_rows(len(P))
         while use.size:
             # images in visiting order: point of the last block major,
             # generator minor; the first occurrence of each new point is kept
@@ -217,11 +222,16 @@ class BSGS:
             rows = front[up]
             front = np.arange(size, size + src.size)
             lv.row[images[src]] = front
+            # u^-1 rows one generator at a time: the new rows reached by g
+            # share the column index g^-1
+            for g in np.flatnonzero(np.bincount(via)):
+                made = np.flatnonzero(via == g)
+                for a in range(0, made.size, step):
+                    b = made[a:a + step]
+                    lv.uinv[size + b] = lv.uinv.take(rows[b], axis=0).take(self._ginv[g], axis=1)
             rep = np.empty((src.size, len(P)), dtype=np.int32)
-            for a in range(0, src.size, step):
-                b = slice(a, a + step)
-                lv.uinv[size + a:size + a + len(rows[b])] = compose_rows(
-                    lv.uinv, rows[b], self._ginv.take(via[b], axis=0))
+            for a in range(0, src.size, wide):
+                b = slice(a, a + wide)
                 rep[b] = compose_rows(self._gens, via[b], reps[-1][up[b]])
             lv.layers.append(size)
             orbit.append(images[src])
@@ -278,14 +288,16 @@ class BSGS:
     def sift(self, g: Perm, start_level: int = 0) -> tuple[Perm, int]:
         """Strip g through the chain; returns (residue, level reached)."""
         self.stats["sifts"] += 1
-        h = g
-        for l in range(start_level, len(self.base)):
-            lv = self.levels[l]
-            r = lv.row.item(h[lv.point])
+        levels = self.levels[start_level:]
+        if not levels:
+            return g, len(self.levels)
+        h = np.asarray(g)                   # lists are accepted
+        for l, lv in enumerate(levels, start_level):
+            r = lv.row.item(h.item(lv.point))
             if r < 0:
                 return h, l
             h = lv.uinv[r].take(h)
-        return h, len(self.base)
+        return h, len(self.levels)
 
     def sift_many(self, H: np.ndarray, start_level: int = 0,
                   points: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -312,8 +324,11 @@ class BSGS:
     def contains(self, g: Perm) -> bool:
         if len(g) != self.degree:
             raise DegreeMismatch("degree mismatch")
-        residue, _ = self.sift(g)
-        return bool((residue == self._identity).all())
+        residue, level = self.sift(g)
+        if not level:       # no level stepped: g itself, of any integer type
+            return is_identity(np.asarray(g))
+        # a residue that stepped a level is an int32 row
+        return residue.tobytes() == self._identity_bytes
 
     def contains_many(self, H: np.ndarray) -> np.ndarray:
         """Row-wise `contains` of a stack of permutations."""
@@ -404,20 +419,28 @@ class BSGS:
                 self._add_generator(residue, i)
             stale = [i]
 
-    def extend_many(self, H: np.ndarray) -> bool:
-        """Add each row of H that is not yet in the group, in turn; returns
-        True if any was new.  Membership is tested a chunk at a time; the
-        first residue that is not the identity becomes a strong generator at
-        the level j it reached, and the Schreier-Sims loop starts at j."""
-        if H.shape[1] != self.degree:
-            raise DegreeMismatch("degree mismatch")
+    def extend_many(self, count: int, form: Callable[[slice, np.ndarray], np.ndarray]) -> bool:
+        """Add each of `count` candidate permutations that is not yet in the
+        group, in turn; returns True if any was new.
+
+        `form(rows, points)` returns the images of `points` (an int array)
+        under the candidates numbered by the slice `rows`, one row per
+        candidate, in any integer type; a caller holding a stack H passes
+        lambda rows, points: H[rows][:, points].  Membership is tested a
+        chunk at a time, each chunk formed on the tracked points P only (all
+        points without a frame).  The first candidate whose residue is not
+        the identity is formed on all points, becomes a strong generator at
+        the level j it reached, and the Schreier-Sims loop starts at j; the
+        next chunk starts after it, on the P of the grown chain.  So a whole
+        candidate is formed only for each one added."""
         changed = False
         start = 0
-        per = chunk_rows(self.degree)
-        while start < len(H):
-            chunk = H[start:start + per]
+        every = np.arange(self.degree)
+        while start < count:
             P = self._tracked()
-            found = self._first_nonmember(chunk[:, P], P, 0, lambda r: chunk[r])
+            chunk = form(slice(start, min(start + chunk_rows(len(P)), count)), P)
+            found = self._first_nonmember(
+                chunk, P, 0, lambda r: form(slice(start + r, start + r + 1), every)[0])
             if found is None:
                 start += len(chunk)
                 continue

@@ -442,6 +442,83 @@ def test_strong_generators_pinned(which):
     assert sgs_sha256(lp.inn_from_generators(L)) == inn
 
 
+@pytest.mark.parametrize("which", ["quat2", "A_1", "A_2", "A_1 bare"])
+def test_inner_maps_formed_on_demand_match_the_whole_stack(monkeypatch, which):
+    """`inn_from_generators` forms the 2N^2 maps L_{x,y}, R_{x,y} on the
+    points `extend_many` asks for.  Its chain is byte for byte the one that
+    extends by the whole stack of them (rows 2(xN + y) and 2(xN + y) + 1),
+    and on a framed chain it forms a whole map only for each one the chain
+    adds, as the one-at-a-time extension finds them.  The chains keep the
+    Inn pins of `SGS_SHA256`."""
+    L = {"quat2": quat2_loop()[1], "A_1": quat3_loops()[0], "A_2": quat3_loops()[1],
+         "A_1 bare": lp.loop_from_table(quat3_loops()[0].table)}[which]
+    N = L.size
+    x, y = (a.ravel() for a in np.meshgrid(np.arange(N), np.arange(N), indexing="ij"))
+    H = np.empty((2 * N * N, N), dtype=np.int32)
+    H[0::2], H[1::2] = lp.inner_rows(L, "L", x, y), lp.inner_rows(L, "R", x, y)
+    seeds = [g for g in lp.inner_rows(L, "T", np.arange(N)) if not pg.is_identity(g)]
+    frame = lp._linear_frame(L, lp.gl_bound(L))
+    whole, extend = [], pg.BSGS.extend_many
+
+    def spy(self, count, form):
+        def counting(rows, points):
+            if len(points) == N:
+                whole.extend(range(rows.start, rows.stop))
+            return form(rows, points)
+        return extend(self, count, counting)
+
+    monkeypatch.setattr(pg.BSGS, "extend_many", spy)
+    G = lp.inn_from_generators(L)
+    monkeypatch.undo()
+    ref = pg.bsgs_build(seeds, frame=frame)
+    ref.extend_many(len(H), lambda rows, points: H[rows][:, points])
+    assert sgs_sha256(G) == sgs_sha256(ref) == SGS_SHA256[which.split()[0]][1]
+    assert G.base == ref.base and G.orbit_lengths() == ref.orbit_lengths()
+    for a, b in zip(G.levels, ref.levels):
+        assert np.array_equal(a.orbit, b.orbit)
+        assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
+    if frame is None:
+        assert which == "A_1 bare"
+        return
+    seq, added = pg.bsgs_build(seeds, frame=frame), []
+    for i, h in enumerate(H):
+        if not seq.contains(h):
+            added.append(i)
+            seq.extend_many(1, lambda rows, points: h[None, points])
+    assert whole == added
+    assert (len(added) > 0) == (which != "quat2")    # on quat2 the T_x generate Inn
+
+
+def test_formers_give_the_candidates_in_order(monkeypatch):
+    """The `extend_many` formers of the translation sweep (row 2a is L_a,
+    2a + 1 is R_a) and of the inner maps (row 2(xN + y) is L_{x,y},
+    2(xN + y) + 1 is R_{x,y}) give the rows of the whole stacks, on any
+    points, from even and odd first rows."""
+    L = lp.loop_from_table(quat3_loops()[0].table)
+    N = L.size
+    forms, extend = [], pg.BSGS.extend_many
+
+    def spy(self, count, form):
+        forms.append((count, form))
+        return extend(self, count, form)
+
+    monkeypatch.setattr(pg.BSGS, "extend_many", spy)
+    lp.mlt_group(L)
+    lp.inn_from_generators(L)
+    x, y = (a.ravel() for a in np.meshgrid(np.arange(N), np.arange(N), indexing="ij"))
+    sweep = np.empty((2 * N, N), dtype=np.int32)
+    sweep[0::2], sweep[1::2] = L.table, L.table.T
+    inner = np.empty((2 * N * N, N), dtype=np.int32)
+    inner[0::2], inner[1::2] = lp.inner_rows(L, "L", x, y), lp.inner_rows(L, "R", x, y)
+    points = np.random.default_rng(0).permutation(N)[:7]
+    assert len(forms) == 2
+    for (count, form), H in zip(forms, (sweep, inner)):
+        assert count == len(H)
+        for rows in (slice(0, count), slice(1, 8), slice(count - 5, count), slice(6, 7)):
+            assert np.array_equal(form(rows, points), H[rows][:, points])
+            assert np.array_equal(form(rows, np.arange(N)), H[rows])
+
+
 def mlt_chains():
     """The Mlt chains of quat2, A_1 and A_2, framed and bare, and of the
     255-point `groups` loop (framed)."""
@@ -705,11 +782,12 @@ def test_caches_are_declared_fields():
     S = sfd.SemifieldCtx(tw, (K.neg(K.p), 0, 1))
     L = lp.LoopCtx(semifield=S, table=quat3_loops()[0].table)
     caches = (S._weight_row, S._structure_constants, S._translation_stack,
-              S._nuclei_report, L._ldiv, L._rdiv)
+              S._nuclei_report, L._ldiv, L._rdiv, L._gl_bound)
     assert all(c is None for c in caches)
     assert K.exp_array.tolist() == K.exp
     keys = [set(vars(obj)) for obj in (L, S, K)]
     L.ldiv, L.rdiv, S._weights, S.tensor, S._translations, S._nuclei
+    assert lp.gl_bound(L) == L._gl_bound == pg.gl_order(4, 3)
     K.add_array(K.mul_array(K.pow_array(np.arange(K.order), 3), 2), 1)
     assert [set(vars(obj)) for obj in (L, S, K)] == keys
 
@@ -791,6 +869,25 @@ def test_broken_table_fails_certificate():
     ref = PermutationGroup([Permutation(p.tolist()) for p in perms])
     assert M.order == ref.order()
     assert all(M.contains(p) for p in perms)
+
+
+def test_certificate_is_computed_once_per_loop(monkeypatch):
+    """`mlt_group`, `inn_group` (with the all-generators check at 80 points)
+    and later `gl_bound` calls share one certificate per loop, whether it
+    holds or fails."""
+    calls = []
+    certify = lp._gl_certificate
+    monkeypatch.setattr(lp, "_gl_certificate", lambda L: calls.append(L) or certify(L))
+    L = quat3_loops()[0]
+    lp.inn_group(L, lp.mlt_group(L))
+    assert lp.gl_bound(L) == pg.gl_order(4, 3) and calls == [L]
+    S, quat2 = quat2_loop()
+    table = quat2.table.copy()
+    table[[1, 2]] = table[[2, 1]]
+    broken = lp.LoopCtx(semifield=S, table=table)
+    lp.mlt_group(broken)
+    assert lp.gl_bound(broken) is None and lp.gl_bound(broken) is None
+    assert calls == [L, broken]
 
 
 def test_inn_from_generators_commutative_table_matches_sympy():

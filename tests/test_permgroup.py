@@ -17,6 +17,11 @@ def cycle(n, *points):
     return np.array(img, dtype=np.int32)
 
 
+def stack(H):
+    """The `extend_many` former of a stack of candidates held whole."""
+    return lambda rows, points: H[rows][:, points]
+
+
 def test_cyclic_group_order():
     G = pg.bsgs_build([cycle(5, 0, 1, 2, 3, 4)])
     assert G.order == 5
@@ -235,8 +240,8 @@ def test_batched_sift_and_extend_match_one_at_a_time():
         assert np.array_equal(res, one) and lvl == one_lvl
     seq = pg.bsgs_build([cycle(n, 0, 1, 2), cycle(n, 3, 4, 5)])
     for h in H:
-        seq.extend_many(h[None])
-    G.extend_many(H)
+        seq.extend_many(1, stack(h[None]))
+    G.extend_many(len(H), stack(H))
     assert G.base == seq.base and G.orbit_lengths() == seq.orbit_lengths()
     assert all(np.array_equal(a, b) for a, b in
                zip(G.strong_generators(), seq.strong_generators()))
@@ -257,9 +262,9 @@ def test_chain_keeps_its_own_copy_of_new_generators():
     n = 6
     G = pg.bsgs_build([pg.identity_perm(n)])
     g = cycle(n, 0, 1, 2)
-    assert G.extend_many(g[None])
+    assert G.extend_many(1, stack(g[None]))
     g[:] = cycle(n, 3, 4)      # the caller reuses its buffer
-    assert G.extend_many(g[None])
+    assert G.extend_many(1, stack(g[None]))
     assert G.order == 6
     assert pg.bsgs_build(G.strong_generators()).order == 6
     assert G.contains(cycle(n, 0, 2, 1)) and G.contains(cycle(n, 3, 4))
@@ -375,3 +380,54 @@ def test_new_base_point_makes_every_level_stale(monkeypatch, frame):
                       frame=[p ** k - 1 for k in range(d)] if frame else None)
     assert G.order == pg.gl_order(2, 4) and G.stats["stopped_at_bound"]
     assert grown and len(grown) == len(G.base) - 1 and skipped
+
+
+def test_extend_many_forms_whole_rows_only_for_added_candidates():
+    """`extend_many` asks its former for chunks on the tracked points and
+    for a whole candidate only when it adds one.  On GL(2,4) with and
+    without a frame, words in two of its generators, then the third, then
+    words in all three, the chain is the one that adds the candidates one
+    at a time, and with the frame the whole rows formed are exactly the
+    candidates that chain adds."""
+    p, d = 2, 4
+    gens = linear_group_on_vectors(p, d, [f4_matrix([[2, 0], [0, 1]]), f4_matrix([[1, 1], [0, 1]]),
+                                          f4_matrix([[0, 1], [1, 0]])])
+    n = len(gens[0])
+    rng = np.random.default_rng(5)
+
+    def words(some, count):
+        out = []
+        for _ in range(count):
+            w = pg.identity_perm(n)
+            for g in rng.choice(len(some), 5):
+                w = some[g].take(w)
+            out.append(w)
+        return out
+
+    H = np.stack(words(gens[:2], 12) + [gens[2]] + words(gens, 12))
+    for frame in (None, [p ** k - 1 for k in range(d)]):
+        seq = pg.bsgs_build(gens[:1], frame=frame)
+        added = []
+        for i, h in enumerate(H):
+            if not seq.contains(h):
+                added.append(i)
+                assert seq.extend_many(1, stack(h[None]))
+        G = pg.bsgs_build(gens[:1], frame=frame)
+        whole = []
+
+        def counting(rows, points):
+            if len(points) == n:
+                whole.extend(range(rows.start, rows.stop))
+            return H[rows][:, points]
+
+        assert G.extend_many(len(H), counting)
+        assert len(added) > 1 and G.order == seq.order == pg.gl_order(2, 4)
+        assert G.base == seq.base and G.orbit_lengths() == seq.orbit_lengths()
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(G.strong_generators(), seq.strong_generators()))
+        for a, b in zip(G.levels, seq.levels):
+            assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
+        if frame is None:
+            assert whole[:len(H)] == list(range(len(H)))
+        else:
+            assert whole == added
