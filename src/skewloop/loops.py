@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -72,32 +72,29 @@ class LoopCtx:
 
 def _assert_latin(table: np.ndarray) -> None:
     """Every row, then every column, is a permutation of 0..n-1.  A block of
-    rows at a time, a value v at (i, j) marks the row slot (i, v) and the
-    column slot (v, j), and a value out of range marks the spare slots (i, n)
-    and (n, j); a line is a permutation when its n values mark all n regular
-    slots.  O(n^2), no sort, and the blocks are read in memory order (a
-    block's row marks, at most 2^18, stay in cache)."""
+    lines at a time, each value v of line i marks slot (i, v) once; a line
+    is a permutation when its n values mark all n regular slots.  A value
+    out of range is first replaced by n, which marks the spare slot (i, n).
+    O(n^2), no sort; a block's marks (at most 2^18) stay in cache, and a
+    block of columns reads n short runs of the table."""
     n = table.shape[0]
     if table.shape != (n, n):
         raise AssertionError(f"the table has shape {table.shape}, not square")
     ref = np.arange(n)
+    if table.min() < 0 or table.max() >= n:
+        table = np.where((table >= 0) & (table < n), table, n)
     step = max(1, min(n, 2 ** 18 // (n + 1)))
     slots = np.arange(step)[:, None] * (n + 1)
     seen = np.empty(step * (n + 1), dtype=bool)
-    columns = np.zeros((n + 1) * n, dtype=bool)     # slot (v, j) at v * n + j
-    for s in range(0, n, step):
-        block = table[s:s + step]
-        values = np.where((block >= 0) & (block < n), block, n)
-        seen[:] = False
-        seen[values + slots[:len(block)]] = True
-        marked = seen[:len(block) * (n + 1)].reshape(len(block), n + 1)[:, :n]
-        bad = np.flatnonzero(~marked.all(axis=1))
-        if bad.size:
-            raise AssertionError(f"row {s + bad[0]} is not a permutation")
-        columns[values * n + ref] = True
-    bad = np.flatnonzero(~columns[:n * n].reshape(n, n).all(axis=0))
-    if bad.size:
-        raise AssertionError(f"column {bad[0]} is not a permutation")
+    for what, lines in (("row", table), ("column", table.T)):
+        for s in range(0, n, step):
+            block = lines[s:s + step]
+            seen[:] = False
+            seen[block + slots[:len(block)]] = True
+            marked = seen[:len(block) * (n + 1)].reshape(len(block), n + 1)[:, :n]
+            bad = np.flatnonzero(~marked.all(axis=1))
+            if bad.size:
+                raise AssertionError(f"{what} {s + bad[0]} is not a permutation")
     if not (table[LoopCtx.identity] == ref).all() or not (table[:, LoopCtx.identity] == ref).all():
         raise AssertionError("identity row/column is not the identity map")
 
@@ -153,8 +150,6 @@ def _gl_certificate(L: LoopCtx) -> Optional[int]:
     S = L.semifield
     if S is None:
         return None
-    K = S.tower.field
-    q = S.tower.q
     T = L.table
     Y = S.to_vector(np.arange(1, S.size)).astype(np.float64)
     basis = np.array(S.basis()) - 1
@@ -166,12 +161,63 @@ def _gl_certificate(L: LoopCtx) -> Optional[int]:
             # M[t][i] = to_vector(P_t(e_i)): the matrix of each translation
             if not np.array_equal(S.images(Y, Y[P[:, basis]]) - 1, P):
                 return None
-    Lc = T[K.pow_int(K.primitive, (K.order - 1) // (q - 1)) - 1]
+    Lc = T[_fq_generator(S) - 1]
     pairs = T[np.ix_(basis, basis)]
     if not (np.array_equal(T[np.ix_(basis, Lc[basis])], Lc[pairs])
             and np.array_equal(T[np.ix_(Lc[basis], basis)], Lc[pairs])):
         return None
-    return pg.gl_order(S.tower.n * S.m, q)
+    return pg.gl_order(S.tower.n * S.m, S.tower.q)
+
+
+def _fq_generator(S: SemifieldCtx) -> int:
+    """The code of c, a generator of F_q^* in K: x -> cx is the left
+    translation L_c, and S_f is an F_q-space under x -> c^j x."""
+    K = S.tower.field
+    return K.pow_int(K.primitive, (K.order - 1) // (S.tower.q - 1))
+
+
+def _fq_spans(L: LoopCtx) -> Callable[[tuple], tuple[int, np.ndarray]]:
+    """span(points) = (w, W): the F_q-span W of the vectors of a tuple of
+    loop points, as an array of semifield codes with 0, and w = dim W over
+    F_q, for a loop with a `gl_bound` certificate (so x -> lambda x, lambda
+    in F_q, is the scalar multiplication every translation commutes with).
+    Each tuple extends the span of its prefix, which is kept: a point in it
+    costs one comparison, and one outside it gives the q^(w+1) sums of W
+    and the line F_q v in one array sum."""
+    S, T = L.semifield, L.table
+    c = _fq_generator(S)
+    K, p = S.tower.field, S.p
+    scalars = np.array([K.pow_int(c, j) for j in range(S.tower.q - 1)]) - 1
+    spans = {(): (0, np.zeros(1, dtype=np.int64))}
+
+    def span(points: tuple) -> tuple[int, np.ndarray]:
+        if points not in spans:
+            w, W = span(points[:-1])
+            v = points[-1]
+            if not (W == v + 1).any():
+                line = np.append(0, T[scalars, v] + 1)
+                w, W = w + 1, S.from_vector((S.to_vector(W)[:, None] + S.to_vector(line)) % p).ravel()
+            spans[points] = w, W
+        return spans[points]
+
+    return span
+
+
+def stabilizer_bound(L: LoopCtx, fixed: Sequence[int] = ()) -> Optional[pg.OrderBound]:
+    """The `pg.bsgs_build` order bound of a subgroup of Mlt(L) that fixes
+    the points `fixed`, when `gl_bound` certifies Mlt(L) <= GL(d,q) with
+    d = nm, else None: a tuple of points goes to |GL(d,q)_(W)| =
+    q^(w(d-w)) |GL(d-w,q)|, W the F_q-span of the vectors of `fixed` and
+    the tuple, w = dim W over F_q.  An F_q-linear map that fixes vectors
+    fixes their F_q-span pointwise, so the subgroup's pointwise stabilizer
+    of the tuple lies in GL(d,q)_(W).  (Over F_p the span is smaller and
+    the stabilizer in GL(nm l, p), l = [F_q : F_p], a weaker bound.)"""
+    if gl_bound(L) is None:
+        return None
+    S = L.semifield
+    d, q = S.tower.n * S.m, S.tower.q
+    span, fixed = _fq_spans(L), tuple(fixed)
+    return lambda prefix: pg.gl_stabilizer_order(d, q, span(fixed + tuple(prefix))[0])
 
 
 def _linear_frame(L: LoopCtx, bound: Optional[int]) -> Optional[np.ndarray]:
@@ -188,12 +234,15 @@ def mlt_group(L: LoopCtx) -> BSGS:
     """Exact Mlt(L): seed a few translations, then sift every L_a and R_a
     once, extending the chain on any failure.
 
-    When `gl_bound` certifies Mlt(L) <= GL(nm,q), the chain stops as soon as
-    its order reaches |GL(nm,q)|, and the sweep over the translations is
-    skipped once it has.  The certificate also makes every element of Mlt(L)
-    F_p-linear, so the F_p-basis is passed as the frame: the Schreier
-    generators are formed and sifted on the basis and base points alone,
-    and the chain is the one built on all N points.
+    When `gl_bound` certifies Mlt(L) <= GL(nm,q), `stabilizer_bound` bounds
+    every level: a level whose orbit product reaches |GL(nm,q)_(W)|, W the
+    F_q-span of the base points above it, is verified without forming its
+    Schreier generators, and the chain stops as soon as its order reaches
+    |GL(nm,q)|; the sweep over the translations stops (or is skipped) once
+    it has.  The certificate also makes every element of Mlt(L) F_p-linear,
+    so the F_p-basis is passed as the frame: the Schreier generators are
+    formed and sifted on the basis and base points alone, and the chain is
+    the one built on all N points.
     """
     N = L.size
     if N > pg.DEGREE_CAP:
@@ -206,15 +255,13 @@ def mlt_group(L: LoopCtx) -> BSGS:
     for a in picks:
         gens.append(L.left_translation(a))
         gens.append(L.right_translation(a))
-    bound = gl_bound(L)
-    G = pg.bsgs_build(gens, base_hint=[L.identity], order_bound=bound,
-                      frame=_linear_frame(L, bound))
-    if G.order != bound:
-        # one sweep: the group only grows, so every row tested stays in it;
-        # L_a is row a of the table, R_a its column a
-        T = L.table
-        G.extend_many(2 * N, lambda rows, points: _interleave(
-            rows, points, lambda a, p: T[a[:, None], p], lambda a, p: T[p, a[:, None]]))
+    G = pg.bsgs_build(gens, base_hint=[L.identity], order_bound=stabilizer_bound(L),
+                      frame=_linear_frame(L, gl_bound(L)))
+    # one sweep: the group only grows, so every row tested stays in it;
+    # L_a is row a of the table, R_a its column a
+    T = L.table
+    G.extend_many(2 * N, lambda rows, points: _interleave(
+        rows, points, lambda a, p: T[a[:, None], p], lambda a, p: T[p, a[:, None]]))
     if G.orbit_lengths()[0] != N:
         raise pg.NotTransitive("Mlt(L) is not transitive")
     return G
@@ -224,7 +271,9 @@ def inn_group(L: LoopCtx, M: BSGS) -> tuple[int, list[Perm]]:
     """|Inn| = |Mlt|/N with stabilizer generators, cross-checked against the
     T_x / L_{x,y} / R_{x,y} generating set: those of 20 sampled (x, y) must
     lie in Mlt, and on loops of at most 80 points all of them must generate
-    a group of order |Inn|."""
+    a group of order |Inn| (`inn_from_generators`, which on a certified loop
+    stops as soon as its order reaches |GL(nm,q)_(<1>)|, the bound on a
+    subgroup of Mlt that fixes 1)."""
     order = pg.stabilizer_order(M, L.identity)
     gens = pg.stabilizer_generators(M, L.identity)
     rng = random.Random(1)
@@ -247,12 +296,14 @@ def inn_from_generators(L: LoopCtx) -> BSGS:
     """The subgroup generated by all T_x, L_{x,y}, R_{x,y} (small loops).
     Every translation is an outer one here, so the outer inverses are read
     from the full division tables `L.ldiv` and `L.rdiv`.  These maps lie in
-    Mlt(L), so a `gl_bound` certificate gives the chain the F_p-basis as its
-    frame, as in `mlt_group`.  The T_x seed the chain; the 2N^2 maps
-    L_{x,y}, R_{x,y} then reach `extend_many` as candidates 2(xN + y) and
-    2(xN + y) + 1, formed by `_inner_parts` on the points it asks for: a
-    chunk on the frame and base points, and a whole map only when it is
-    added."""
+    Mlt(L) and fix 1, so a `gl_bound` certificate gives the chain the
+    F_p-basis as its frame, as in `mlt_group`, and the level bounds of
+    `stabilizer_bound` with the vector 1 fixed: |GL(nm,q)_(W)|, W the
+    F_q-span of 1 and the base points above the level.  The T_x seed the
+    chain; the 2N^2 maps L_{x,y}, R_{x,y} then reach `extend_many` as
+    candidates 2(xN + y) and 2(xN + y) + 1, formed by `_inner_parts` on the
+    points it asks for: a chunk on the frame and base points, and a whole
+    map only when it is added, until the order reaches |GL(nm,q)_(<1>)|."""
     N = L.size
     div = {"left": L.ldiv, "right": L.rdiv}
 
@@ -265,6 +316,7 @@ def inn_from_generators(L: LoopCtx) -> BSGS:
 
     gens = maps("T", np.arange(N))
     G = pg.bsgs_build([g for g in gens if not pg.is_identity(g)] or [pg.identity_perm(N)],
+                      order_bound=stabilizer_bound(L, fixed=[L.identity]),
                       frame=_linear_frame(L, gl_bound(L)))
     G.extend_many(2 * N * N, lambda rows, points: _interleave(rows, points, at("L"), at("R")))
     return G

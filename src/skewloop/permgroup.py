@@ -9,8 +9,14 @@ Eick and O'Brien, Handbook of Computational Group Theory, 2005, section
 residue is not the identity becomes a strong generator at the level j it
 reached, where the walk resumes; `extend_many` adds a non-member the same
 way.  So the order is reported only once every Schreier generator sifts to
-the identity, unless the caller supplies an upper bound on the group order
-that the chain reaches first (see `bsgs_build`).
+the identity, unless the caller supplies bounds that settle levels first
+(see `bsgs_build`): a proven upper bound on the order of the pointwise
+stabilizer of each level's base prefix b_0..b_(i-1), asked for once, when
+the level is added.  The orbit product of levels i, i+1, ... never exceeds
+the order of that stabilizer, so when it equals the bound, levels i, i+1,
+... are a complete chain and level i is verified without forming one of
+its Schreier generators (`stats["settled_levels"]` counts these
+verifications); when level 0 meets its bound, the construction stops.
 
 Each level of the chain stores its orbit in BFS order, a point -> row index,
 the inverse coset representatives u^-1 as rows of one degree x degree int32
@@ -51,6 +57,7 @@ element, powers[a] = [a, a^2, ..., e].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -79,6 +86,9 @@ class NotTransitive(ValueError):
 
 
 Perm = np.ndarray
+# a proven upper bound on the order of the pointwise stabilizer of a tuple of
+# points, in a group holding everything the chain meets (see `bsgs_build`)
+OrderBound = Callable[[tuple], int]
 
 
 def identity_perm(n: int) -> Perm:
@@ -123,10 +133,13 @@ class _Level:
     `ids` numbers the level's generators at the last extension and `gens`
     stacks them; `fresh` is cleared when a new strong generator reaches the
     level, which makes it stale (an orbit of a subgroup of the level's
-    group) until it is extended."""
+    group) until it is extended.  `bound` is the chain's proven upper bound
+    on the order of the pointwise stabilizer of the base points above the
+    level, or None."""
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, degree: int, bound: Optional[int]):
         self.point = point
+        self.bound = bound
         self.orbit = np.array([point], dtype=np.int32)
         self.row = np.full(degree, -1, dtype=np.int32)
         self.row[point] = 0
@@ -145,7 +158,7 @@ class _Level:
 class BSGS:
     """Base and strong generating set with array transversals."""
 
-    def __init__(self, degree: int, order_bound: Optional[int] = None,
+    def __init__(self, degree: int, order_bound: Optional[OrderBound] = None,
                  frame: Optional[Sequence[int]] = None):
         if degree > DEGREE_CAP:
             raise SizeCapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
@@ -162,13 +175,17 @@ class BSGS:
         self._ginv = np.empty((0, degree), dtype=np.int32)
         self._level_of: list[int] = []
         self.levels: list[_Level] = []
-        # counters: Schreier generators formed, residues added as strong
-        # generators, transversal extensions, degree-wide u^-1 rows composed
-        # by them, permutations sifted, whether the construction stopped at
-        # order_bound, and the number of points whose images the last
-        # Schreier round tracked (see `_tracked`)
+        # counters: Schreier generators formed (none on a settled level),
+        # residues added as strong generators, transversal extensions,
+        # degree-wide u^-1 rows composed by them, permutations sifted,
+        # whether the construction stopped at the bound on the whole group,
+        # the level verifications settled by the level's bound, with no
+        # Schreier generator formed (see `_settled`), and the number of
+        # points whose images the last Schreier round tracked (see
+        # `_tracked`)
         self.stats = {"schreier_generators": 0, "residues": 0, "extensions": 0,
                       "coset_rows": 0, "sifts": 0, "stopped_at_bound": False,
+                      "settled_levels": 0,
                       "tracked_points": degree if frame is None else len(self.frame)}
 
     # -- chain bookkeeping ----------------------------------------------
@@ -263,8 +280,9 @@ class BSGS:
         self._add_level(int(moved[0]))
 
     def _add_level(self, point: int) -> None:
+        bound = None if self.order_bound is None else self.order_bound(tuple(self.base))
         self.base.append(point)
-        self.levels.append(_Level(point, self.degree))
+        self.levels.append(_Level(point, self.degree, bound))
 
     def _store(self, gens: np.ndarray, j: int) -> None:
         """Number a stack of new strong generators at level j and store them
@@ -394,24 +412,40 @@ class BSGS:
             s, per = rows.stop, min(2 * per, top)
         return None
 
+    def _settled(self, i: int) -> bool:
+        """Whether the orbit product of levels i, i+1, ... equals the bound
+        of level i, which proves those levels a complete chain (see
+        `bsgs_build`); an AssertionError when it exceeds the bound."""
+        bound = self.levels[i].bound
+        if bound is None:
+            return False
+        size = math.prod(len(lv.orbit) for lv in self.levels[i:])
+        if size > bound:
+            raise AssertionError(f"level {i}: orbit product {size} exceeds the bound {bound} "
+                                 f"on the stabilizer of the base prefix {self.base[:i]}")
+        return size == bound
+
     def _schreier_sims(self, start: int) -> None:
         """Verify levels start, start-1, ..., 0, given that every level
         deeper than `start` is verified (its Schreier generators sift to the
         identity).  A residue found at level i lands as a strong generator
         at the level j > i it reached; it moves base[j], so no deeper level
-        gains it, and the loop resumes at j.  It stops, with every level
-        extended, right after the extension whose orbit product reaches
-        `order_bound`."""
+        gains it, and the loop resumes at j.  A level whose orbit product
+        meets its bound is verified without forming a Schreier generator.
+        It stops, with every level extended, right after the extension whose
+        orbit product meets the bound on the whole group."""
         i, stale = start, range(len(self.base))
         while i >= 0:
             for l in stale:
                 self._recompute_transversal(l)
-                if self.order == self.order_bound:
+                if self._settled(0):
                     self.stats["stopped_at_bound"] = True
                     for m in range(len(self.base)):
                         self._recompute_transversal(m)
                     return
-            found = self._first_residue(i)
+            settled = self._settled(i)
+            self.stats["settled_levels"] += settled
+            found = None if settled else self._first_residue(i)
             if found is None:
                 i -= 1
             else:
@@ -432,11 +466,12 @@ class BSGS:
         the identity is formed on all points, becomes a strong generator at
         the level j it reached, and the Schreier-Sims loop starts at j; the
         next chunk starts after it, on the P of the grown chain.  So a whole
-        candidate is formed only for each one added."""
+        candidate is formed only for each one added.  Once the order meets
+        the chain's bound on the whole group, no further chunk is formed."""
         changed = False
         start = 0
         every = np.arange(self.degree)
-        while start < count:
+        while start < count and not (self.levels and self._settled(0)):
             P = self._tracked()
             chunk = form(slice(start, min(start + chunk_rows(len(P)), count)), P)
             found = self._first_nonmember(
@@ -469,15 +504,26 @@ class BSGS:
 
 
 def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
-               order_bound: Optional[int] = None,
+               order_bound: Optional[OrderBound] = None,
                frame: Optional[Sequence[int]] = None) -> BSGS:
     """The stabilizer chain of <gens>.
 
-    `order_bound`, when given, must be a proven upper bound on |<gens>|.
-    The construction then stops as soon as the product of the orbit lengths
-    reaches it: every level's orbit is an orbit of a subgroup of the true
-    point stabilizer, so that product never exceeds |<gens>|, and equality
-    forces each level to be the full stabilizer.
+    `order_bound`, when given, maps a tuple of points to a proven upper
+    bound on the order of its pointwise stabilizer in a group H holding
+    <gens> and every row later passed to `extend_many`; at the empty tuple
+    it bounds |H|.  It is called once per level, when the level is added,
+    with the base points above it, b_0..b_(i-1).  Let G be the group of the
+    strong generators so far.  Each level's orbit is an orbit of a subgroup
+    of G's stabilizer of the points above it, so the orbit product of
+    levels i, i+1, ... is at most |G_(b_0..b_(i-1))|, hence at most the
+    bound; a product above it raises an AssertionError that names the
+    level, the prefix and both numbers.  Equality makes each of those
+    orbits the whole orbit of G's stabilizer of the points above it, and
+    G's stabilizer of the whole base trivial, so every element of
+    G_(b_0..b_(i-1)), each Schreier generator of level i among them, sifts
+    to the identity through levels i, i+1, ...: level i is verified without
+    forming one.  At level 0 the chain's order is then |H|: the
+    construction stops, and `extend_many` forms no further candidate.
 
     `frame`, when given, must be a set of points that only the identity
     fixes pointwise, in a group holding <gens> and every row later passed to
@@ -599,3 +645,10 @@ def gl_order(d: int, q: int) -> int:
 
 def sl_order(d: int, q: int) -> int:
     return gl_order(d, q) // (q - 1)
+
+
+def gl_stabilizer_order(d: int, q: int, w: int) -> int:
+    """|GL(d,q)_(W)|, the maps that fix a w-dimensional subspace W pointwise:
+    in a basis that starts with one of W they are the block matrices
+    [[1, A], [0, B]], A any w x (d - w) matrix and B in GL(d - w, q)."""
+    return q ** (w * (d - w)) * gl_order(d - w, q)

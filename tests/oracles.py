@@ -5,6 +5,7 @@ none is called by the library, the CLI, the benchmark or the demos.
 """
 
 import csv
+import itertools
 from math import gcd
 
 import numpy as np
@@ -55,6 +56,31 @@ def orbit(gens, point):
                 seen.append(g[q])
                 queue.append(g[q])
     return seen
+
+
+def gl_pointwise_stabilizer_order(K, d, fixed):
+    """Test oracle: the number of invertible d x d matrices over the field K
+    (elements coded 0..q-1) that fix every vector of `fixed` (tuples of d
+    codes), by listing all q^(d^2) matrices; a matrix is invertible when it
+    maps no nonzero vector to zero."""
+    vectors = list(itertools.product(range(K.order), repeat=d))[1:]
+
+    def apply(rows, v):
+        out = []
+        for row in rows:
+            s = 0
+            for a, x in zip(row, v):
+                s = K.add(s, K.mul(a, x))
+            out.append(s)
+        return tuple(out)
+
+    count = 0
+    for entries in itertools.product(range(K.order), repeat=d * d):
+        rows = [entries[i * d:(i + 1) * d] for i in range(d)]
+        if (all(apply(rows, v) == tuple(v) for v in fixed)
+                and all(any(apply(rows, v)) for v in vectors)):
+            count += 1
+    return count
 
 
 def skew_mul(tw, f, g):

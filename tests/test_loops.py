@@ -390,7 +390,10 @@ def test_mlt_and_inn_chains_pinned_order80():
         assert M.order == pg.gl_order(4, 3) == lp.gl_bound(L)
         inn = lp.inn_from_generators(L)
         assert chain(inn) == INN80
-        assert not inn.stats["stopped_at_bound"]
+        # Inn fixes the vector 1, so |GL(4,3)_(<1>)| = 3^3 |GL(3,3)| bounds
+        # it, and the T/L/R-generated group reaches that bound
+        assert inn.stats["stopped_at_bound"]
+        assert inn.order == pg.gl_stabilizer_order(4, 3, 1)
 
 
 def test_mlt_without_certificate_runs_in_full():
@@ -415,7 +418,9 @@ SGS_SHA256 = {
             "d0c03dd8ec4332beaf09601d7dcc78c95807a5e85a84c8019f260c216211b180"),
     "A_2": ("dad616bf1d7fd4be3809924b52f020c315f6d89ad6126adb030b8f489d73a5b0",
             "30cf819dd04be393a4476e1b4a4c5884be69611bd318cecdc2a01d6925b02721"),
-    # Mlt only: the loop is too large for the all-generators Inn
+    # Mlt only: the loops are too large for the all-generators Inn
+    "F16m2:255": ("b63890f64628b3fa842c708f5cac0dc5682afa234e1434554e8699bd79ed572d", None),
+    "F25:sqrt2": ("f10e618e3d4755b02d05aa4a0bdc99e3efdbf373ef23b17d0dc8f2bacf1e899f", None),
     "F9m3:728": ("599b6cc628b35aebd3022dc69726220e84a647d2960b0b706ae3320024eb35be", None),
 }
 
@@ -573,25 +578,23 @@ FRAME_LOOPS = {
 def test_certified_mlt_frame_keeps_the_full_point_chain(monkeypatch, which):
     """The certified Mlt sifts on the F_p-basis and the base points only;
     its chain is byte for byte the one built from the same seeds and bound
-    on all N points."""
+    on all N points, with the same level bounds."""
     (p, r, n, modulus), f = FRAME_LOOPS[which]
     L = lp.build_loop(sfd.build_semifield(gf.make_tower(p, r, n, modulus=modulus), f))
     build, calls = pg.bsgs_build, []
-    monkeypatch.setattr(pg, "bsgs_build", lambda gens, **kw: calls.append(gens) or build(gens, **kw))
+    monkeypatch.setattr(pg, "bsgs_build", lambda gens, **kw: calls.append((gens, kw)) or build(gens, **kw))
     M = lp.mlt_group(L)
-    (gens,) = calls
-    bound = lp.gl_bound(L)
-    full = build(gens, base_hint=[0], order_bound=bound)
-    assert M.stats["stopped_at_bound"] and M.order == full.order == bound
+    ((gens, kw),) = calls
+    full = build(gens, base_hint=[0], order_bound=kw["order_bound"])
+    assert M.stats["stopped_at_bound"] and M.order == full.order == lp.gl_bound(L)
     assert M.stats["tracked_points"] < L.size == full.stats["tracked_points"]
     assert M.base == full.base
     for a, b in zip(M.levels, full.levels):
         assert np.array_equal(a.orbit, b.orbit)
         assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
-    assert sgs_sha256(M) == sgs_sha256(full)
+    assert sgs_sha256(M) == sgs_sha256(full) == SGS_SHA256[which][0]
     assert M.stats["schreier_generators"] == full.stats["schreier_generators"]
-    if which in SGS_SHA256:
-        assert sgs_sha256(M) == SGS_SHA256[which][0]
+    assert M.stats["settled_levels"] == full.stats["settled_levels"]
 
 
 def test_mlt_chain_does_not_depend_on_chunk_size(monkeypatch):
@@ -606,6 +609,11 @@ def test_mlt_chain_does_not_depend_on_chunk_size(monkeypatch):
         chains.append(lp.mlt_group(L))
     first = chains[0]
     assert sgs_sha256(first) == SGS_SHA256["F9m3:728"][0]
+    # 81,020 without the level bounds: four level verifications are settled
+    # by |GL(6,3)_(W)|, none of whose 37,026 Schreier generators leaves a
+    # residue
+    assert first.stats["schreier_generators"] == 43994
+    assert first.stats["settled_levels"] == 4
     for M in chains[1:]:
         assert M.base == first.base and sgs_sha256(M) == sgs_sha256(first)
         assert M.stats["schreier_generators"] == first.stats["schreier_generators"]
@@ -721,6 +729,58 @@ def test_gl_bound_on_coordinate_swaps(i, j):
     swapped = lp.LoopCtx(semifield=S, table=table)
     want = pg.gl_order(4, 4) if (i, j) == (4, 5) else None
     assert lp.gl_bound(swapped) == gl_bound_oracle(swapped) == want
+
+
+@pytest.mark.parametrize("d,p,l", [(2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 2, 2)],
+                         ids=["GL(2,2)", "GL(3,2)", "GL(2,3)", "GL(2,4)"])
+def test_gl_stabilizer_order_matches_matrix_count(d, p, l):
+    """|GL(d,q)_(W)| = q^(w(d-w)) |GL(d-w,q)| against the count of the
+    invertible matrices that fix the first w unit vectors, and a line given
+    by v and c v, c a generator of F_q^*."""
+    K = gf.FieldCtx.create(p, l)
+    q = K.order
+    units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    for w in range(d + 1):
+        assert pg.gl_stabilizer_order(d, q, w) == oracles.gl_pointwise_stabilizer_order(
+            K, d, units[:w])
+    v = (1,) * d
+    line = [v, tuple(K.mul(K.primitive, x) for x in v)]
+    assert pg.gl_stabilizer_order(d, q, 1) == oracles.gl_pointwise_stabilizer_order(K, d, line)
+    assert pg.gl_stabilizer_order(d, q, 0) == pg.gl_order(d, q)
+
+
+def test_fq_span_matches_brute_force_span():
+    """The F_q-span of tuples of points of the F_16/F_4 loop (d = 4, q = 4)
+    against the closure {a + lambda v} over F_4 = {x : x^4 = x} in K, and
+    the level bounds read from its dimension.  Over F_2 some spans are
+    smaller, so the dimension is taken over F_q."""
+    L = groups_loop("F16m2:255")
+    S = L.semifield
+    K, q = S.tower.field, S.tower.q
+    fq = [x for x in range(K.order) if K.pow_int(x, q) == x]
+    assert len(fq) == q
+
+    def brute(points, scalars):
+        span = {0}
+        for v in points:
+            span = {oracles.add(S, a, S.mul(lam, v + 1)) for a in span for lam in scalars}
+        return sorted(span)
+
+    rng = random.Random(4)
+    tuples = [tuple(rng.sample(range(L.size), k)) for k in (1, 2, 2, 3, 3, 4, 5) for _ in range(3)]
+    # 1 and c (c in F_4, not in F_2) span a line; 1 and a generator of K do not
+    line = (0, fq[-1] - 1)
+    tuples += [tuple(lp.mlt_group(L).base), line, (0, K.primitive - 1)]
+    span, bound, inn_bound = lp._fq_spans(L), lp.stabilizer_bound(L), lp.stabilizer_bound(L, [0])
+    smaller = 0
+    for points in tuples:
+        w, W = span(points)
+        assert sorted(W.tolist()) == brute(points, fq) and len(W) == q ** w
+        assert bound(points) == pg.gl_stabilizer_order(4, q, w)
+        assert inn_bound(points) == pg.gl_stabilizer_order(4, q, span((0,) + points)[0])
+        smaller += len(brute(points, [0, 1])) < len(W)
+    assert smaller and span(line)[0] == 1 and span((0, K.primitive - 1))[0] == 2
+    assert lp.stabilizer_bound(lp.loop_from_table(L.table)) is None
 
 
 def test_tracked_points_below_degree_only_when_certified():

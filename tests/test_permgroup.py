@@ -1,7 +1,9 @@
 """BSGS machinery and small-group identification against known groups."""
 
 import itertools
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -248,9 +250,10 @@ def test_batched_sift_and_extend_match_one_at_a_time():
 
 
 def test_order_bound_stops_early_with_same_group():
+    """S_8 with the bound (8 - k)! on the pointwise stabilizer of k points."""
     gens = [cycle(8, 0, 1), np.array(list(range(1, 8)) + [0], dtype=np.int32)]
     full = pg.bsgs_build(gens)
-    bounded = pg.bsgs_build(gens, order_bound=40320)
+    bounded = pg.bsgs_build(gens, order_bound=lambda prefix: math.factorial(8 - len(prefix)))
     assert bounded.stats["stopped_at_bound"] and not full.stats["stopped_at_bound"]
     assert bounded.order == full.order == 40320
     assert bounded.base == full.base
@@ -376,7 +379,8 @@ def test_new_base_point_makes_every_level_stale(monkeypatch, frame):
 
     monkeypatch.setattr(pg.BSGS, "_add_generator", add_spy)
     monkeypatch.setattr(pg.BSGS, "_recompute_transversal", rebuild_spy)
-    G = pg.bsgs_build(gens, order_bound=pg.gl_order(2, 4),
+    # the whole group's order bounds every stabilizer: only level 0 can meet it
+    G = pg.bsgs_build(gens, order_bound=lambda prefix: pg.gl_order(2, 4),
                       frame=[p ** k - 1 for k in range(d)] if frame else None)
     assert G.order == pg.gl_order(2, 4) and G.stats["stopped_at_bound"]
     assert grown and len(grown) == len(G.base) - 1 and skipped
@@ -431,3 +435,112 @@ def test_extend_many_forms_whole_rows_only_for_added_candidates():
             assert whole[:len(H)] == list(range(len(H)))
         else:
             assert whole == added
+
+
+GL_ON_VECTORS = [
+    ("GL(3,2)", 2, 3, 1, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]),
+    ("GL(2,4)", 2, 4, 2, [f4_matrix([[2, 0], [0, 1]]), f4_matrix([[1, 1], [0, 1]]),
+                          f4_matrix([[0, 1], [1, 0]])]),
+    ("GL(4,2)", 2, 4, 1, [[[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                          [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]),
+]
+
+
+def gl_level_bound(p, d, l):
+    """The order bound of GL(d/l, p^l) on the nonzero vectors of F_p^d
+    (F_4^2 = F_2^4 by `f4_matrix` when l = 2): a tuple of points goes to
+    |GL(d/l, q)_(W)|, W the F_q-span of its vectors, found by brute force
+    as the F_p-span of the points and their multiples by w in F_4."""
+    q = p ** l
+    omega = linear_group_on_vectors(p, d, [f4_matrix([[2, 0], [0, 2]])])[0] if l == 2 else None
+
+    def bound(prefix):
+        points = list(prefix) + ([] if omega is None else [int(omega[x]) for x in prefix])
+        size = span_size(points, p, d)
+        w = next(w for w in range(d // l + 1) if q ** w == size)
+        return pg.gl_stabilizer_order(d // l, q, w)
+
+    return bound
+
+
+@pytest.mark.parametrize("name,p,d,l,mats", GL_ON_VECTORS, ids=[g[0] for g in GL_ON_VECTORS])
+def test_level_bounds_keep_the_unbounded_chain(name, p, d, l, mats):
+    """With the bound |GL_(W)| at every level, framed or not, the chain is
+    the one built with no bound: base, orbits, u^-1 rows and strong
+    generators; it forms fewer Schreier generators.  On GL(4,2) a level
+    below the first meets its bound before the whole group does, and is
+    settled without forming its Schreier generators."""
+    gens = linear_group_on_vectors(p, d, mats)
+    full = pg.bsgs_build(gens)
+    for frame in (None, [p ** k - 1 for k in range(d)]):
+        G = pg.bsgs_build(gens, order_bound=gl_level_bound(p, d, l), frame=frame)
+        assert G.stats["stopped_at_bound"] and G.order == full.order == pg.gl_order(d // l, p ** l)
+        assert G.base == full.base and G.orbit_lengths() == full.orbit_lengths()
+        for a, b in zip(G.levels, full.levels):
+            assert np.array_equal(a.orbit, b.orbit)
+            assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
+        assert len(G.strong_generators()) == len(full.strong_generators())
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(G.strong_generators(), full.strong_generators()))
+        assert G.stats["schreier_generators"] < full.stats["schreier_generators"]
+        assert G.stats["settled_levels"] == (name == "GL(4,2)")
+
+
+def test_bound_below_the_orbit_product_raises():
+    """A bound that the chain's orbits exceed is reported with the level,
+    the base prefix and both numbers: at the whole group, and at level 1
+    when the whole group is not bounded.  The bounds are one below the true
+    orders, primes that no product of orbit lengths (at most 7) meets; a
+    bound that one does is met there, and the chain stops at it."""
+    name, p, d, l, mats = GL_ON_VECTORS[0]
+    gens = linear_group_on_vectors(p, d, mats)
+    full = pg.bsgs_build(gens)
+    with pytest.raises(AssertionError, match=r"^level 0: orbit product \d+ exceeds the bound 167 "
+                                             r"on the stabilizer of the base prefix \[\]$"):
+        pg.bsgs_build(gens, order_bound=lambda prefix: 167)
+    low = gl_level_bound(p, d, l)(full.base[:1]) - 1
+    assert low == 23
+    prefix = re.escape(str(full.base[:1]))
+    with pytest.raises(AssertionError, match=rf"^level 1: orbit product \d+ exceeds the bound {low} "
+                                             rf"on the stabilizer of the base prefix {prefix}$"):
+        pg.bsgs_build(gens, order_bound=lambda prefix: low if len(prefix) == 1 else 10 ** 9)
+
+
+def test_extend_many_stops_at_the_bound():
+    """Once the order meets the bound on the whole group, `extend_many`
+    forms no further chunk: on GL(2,4), framed or not, the last row its
+    former is asked for is the candidate that completed the group, which
+    the chain without a bound adds last, with candidates left after it."""
+    name, p, d, l, mats = GL_ON_VECTORS[1]
+    gens = linear_group_on_vectors(p, d, mats)
+    n = len(gens[0])
+    rng = np.random.default_rng(5)
+
+    def words(some, count):
+        out = []
+        for _ in range(count):
+            w = pg.identity_perm(n)
+            for g in rng.choice(len(some), 5):
+                w = some[g].take(w)
+            out.append(w)
+        return out
+
+    H = np.stack(words(gens[:2], 12) + [gens[2]] + words(gens, 12))
+    for frame in (None, [p ** k - 1 for k in range(d)]):
+        seq, added = pg.bsgs_build(gens[:1], frame=frame), []
+        for i, h in enumerate(H):
+            if not seq.contains(h):
+                added.append(i)
+                seq.extend_many(1, stack(h[None]))
+        G = pg.bsgs_build(gens[:1], order_bound=gl_level_bound(p, d, l), frame=frame)
+        asked = []
+
+        def spy(rows, points):
+            asked.append(rows)
+            return H[rows][:, points]
+
+        assert G.extend_many(len(H), spy)
+        assert G.order == seq.order == pg.gl_order(2, 4) and G.stats["stopped_at_bound"]
+        assert max(rows.start for rows in asked) == added[-1] < len(H) - 1
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(G.strong_generators(), seq.strong_generators()))
