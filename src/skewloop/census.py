@@ -329,6 +329,8 @@ def bounds_report(q: int, n: int, m: int,
     Kantor bound, and observed class counts (n = m with a tower supplied).
     An exact M above its sandwich or a class count above the class-count
     bound fails the assertion in the function that counts it."""
+    if n < 2:
+        raise PreconditionViolated(f"n >= 2 required, got n = {n}")
     p, r = _prime_power(q)
     th = theta(q, m)
     try:

@@ -16,14 +16,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import permgroup as pg
 from .gf import SizeCapExceeded
 from .permgroup import BSGS, Perm
-from .semifield import SemifieldCtx
+from .semifield import SemifieldCtx, _rref
 
 SUBLOOP_SIZE_CAP = 700
 ISO_SIZE_CAP = 255
@@ -176,31 +176,18 @@ def _fq_generator(S: SemifieldCtx) -> int:
     return K.pow_int(K.primitive, (K.order - 1) // (S.tower.q - 1))
 
 
-def _fq_spans(L: LoopCtx) -> Callable[[tuple], tuple[int, np.ndarray]]:
-    """span(points) = (w, W): the F_q-span W of the vectors of a tuple of
-    loop points, as an array of semifield codes with 0, and w = dim W over
-    F_q, for a loop with a `gl_bound` certificate (so x -> lambda x, lambda
-    in F_q, is the scalar multiplication every translation commutes with).
-    Each tuple extends the span of its prefix, which is kept: a point in it
-    costs one comparison, and one outside it gives the q^(w+1) sums of W
-    and the line F_q v in one array sum."""
-    S, T = L.semifield, L.table
+def _fq_dim(L: LoopCtx, points: Sequence[int]) -> int:
+    """dim over F_q of the F_q-span of the vectors of loop points, for a
+    loop with a `gl_bound` certificate (so x -> lambda x, lambda in F_q, is
+    the scalar multiplication every translation commutes with).  F_q =
+    F_p(c) has the F_p-basis 1, c, ..., c^(r-1), so that span is the
+    F_p-span of the vectors c^j v: their rank over F_p, divided by r."""
+    S = L.semifield
+    K, r = S.tower.field, S.tower.r
     c = _fq_generator(S)
-    K, p = S.tower.field, S.p
-    scalars = np.array([K.pow_int(c, j) for j in range(S.tower.q - 1)]) - 1
-    spans = {(): (0, np.zeros(1, dtype=np.int64))}
-
-    def span(points: tuple) -> tuple[int, np.ndarray]:
-        if points not in spans:
-            w, W = span(points[:-1])
-            v = points[-1]
-            if not (W == v + 1).any():
-                line = np.append(0, T[scalars, v] + 1)
-                w, W = w + 1, S.from_vector((S.to_vector(W)[:, None] + S.to_vector(line)) % p).ravel()
-            spans[points] = w, W
-        return spans[points]
-
-    return span
+    # c^j v is the loop product of c^j and v
+    vecs = L.table[np.ix_([K.pow_int(c, j) - 1 for j in range(r)], points)] + 1
+    return len(_rref(S.to_vector(vecs.ravel()), S.p)) // r
 
 
 def stabilizer_bound(L: LoopCtx, fixed: Sequence[int] = ()) -> Optional[pg.OrderBound]:
@@ -216,8 +203,7 @@ def stabilizer_bound(L: LoopCtx, fixed: Sequence[int] = ()) -> Optional[pg.Order
         return None
     S = L.semifield
     d, q = S.tower.n * S.m, S.tower.q
-    span, fixed = _fq_spans(L), tuple(fixed)
-    return lambda prefix: pg.gl_stabilizer_order(d, q, span(fixed + tuple(prefix))[0])
+    return lambda prefix: pg.gl_stabilizer_order(d, q, _fq_dim(L, [*fixed, *prefix]))
 
 
 def _linear_frame(L: LoopCtx, bound: Optional[int]) -> Optional[np.ndarray]:
@@ -241,8 +227,8 @@ def mlt_group(L: LoopCtx) -> BSGS:
     |GL(nm,q)|; the sweep over the translations stops (or is skipped) once
     it has.  The certificate also makes every element of Mlt(L) F_p-linear,
     so the F_p-basis is passed as the frame: the Schreier generators are
-    formed and sifted on the basis and base points alone, and the chain is
-    the one built on all N points.
+    formed and sifted on the basis alone, which holds every base point, and
+    the chain is the one built on all N points.
     """
     N = L.size
     if N > pg.DEGREE_CAP:
@@ -302,7 +288,7 @@ def inn_from_generators(L: LoopCtx) -> BSGS:
     F_q-span of 1 and the base points above the level.  The T_x seed the
     chain; the 2N^2 maps L_{x,y}, R_{x,y} then reach `extend_many` as
     candidates 2(xN + y) and 2(xN + y) + 1, formed by `_inner_parts` on the
-    points it asks for: a chunk on the frame and base points, and a whole
+    points it asks for: a chunk on the frame, and a whole
     map only when it is added, until the order reaches |GL(nm,q)_(<1>)|."""
     N = L.size
     div = {"left": L.ldiv, "right": L.rdiv}

@@ -27,9 +27,7 @@ has, so each u^-1 row is composed once, when its point joins the orbit:
 Schreier's lemma holds for any transversal with u_point = 1 (Holt, Eick and
 O'Brien, section 4.1), and each strong generator is inverted once, when it
 is added.  The new u^-1 rows of a BFS layer are composed one strong
-generator g at a time, all sharing the column index g^-1.  When a new base
-point enlarges P, the rows of u on P are filled again along the Schreier
-tree the BFS recorded.  Schreier
+generator g at a time, all sharing the column index g^-1.  Schreier
 generators and sifts are formed a chunk at a time by numpy gathers, in the
 order the one-at-a-time procedure would visit them; the chunks of orbit
 points double from one, so that little is formed past an early non-member,
@@ -39,16 +37,14 @@ visits up to and including the first non-member.
 A chain may be given a frame: points that only the identity fixes
 pointwise, in a group holding everything the chain meets (for F_p-linear
 maps on the nonzero vectors of F_p^D, a basis, since a linear map that
-fixes a basis is the identity).  Schreier generators and residues lie in
-that group, so whether one sifts to the identity, and the level it
-reaches, depend only on its images of P = frame + base.  The Schreier
-generators are then formed and sifted on the columns P alone; the first
-that does not sift to the identity is re-formed on all points and sifted
-in full, which gives the residue and level of the all-points run (Seress,
-Permutation Group Algorithms, 2003, sections 4-5).  The candidates of
-`extend_many` are formed the same way, by a caller's function, on P for a
-chunk and on all points only for each one added.  Without a frame, P is
-every point.
+fixes a basis is the identity).  Its tracked points P, the frame and the
+base hint (every point without a frame), are fixed when the chain is
+built and hold every base point, so whether a Schreier generator or a
+candidate of `extend_many` sifts to the identity, and the level it
+reaches, depend only on its images of P.  These are formed and sifted on
+P alone; the first that does not sift to the identity is re-formed on
+all points and sifted in full (Seress, Permutation Group Algorithms,
+2003, sections 4-5).
 
 `identify_small_group` names a group given by its Cayley table (cyclic,
 dicyclic or a semidirect product of two cyclic groups) from one list per
@@ -125,19 +121,16 @@ def is_identity(g: Perm) -> bool:
 class _Level:
     """One level of the chain: the orbit of `point` in BFS order, the row of
     each orbit point (-1 off the orbit), u_pt^-1 in row row[pt] of `uinv`
-    (allocated once, degree x degree) and u_pt on the tracked points `P` in
-    row row[pt] of `reps` (sized by the orbit).  The rows form a Schreier
-    tree, u_pt = g u_q with q in row parent[row[pt]] and g the strong
-    generator numbered edge[row[pt]]; `layers` holds the first row of each
-    BFS layer after the first, whose parents all lie in earlier layers.
-    `ids` numbers the level's generators at the last extension and `gens`
-    stacks them; `fresh` is cleared when a new strong generator reaches the
-    level, which makes it stale (an orbit of a subgroup of the level's
-    group) until it is extended.  `bound` is the chain's proven upper bound
+    (allocated once, degree x degree) and u_pt on the chain's tracked points
+    P in row row[pt] of `reps` (sized by the orbit).  `ids` numbers the
+    level's generators at the last extension and `gens` stacks them;
+    `fresh` is cleared when a new strong generator reaches the level, which
+    makes it stale (an orbit of a subgroup of the level's group) until it
+    is extended.  `bound` is the chain's proven upper bound
     on the order of the pointwise stabilizer of the base points above the
     level, or None."""
 
-    def __init__(self, point: int, degree: int, bound: Optional[int]):
+    def __init__(self, point: int, degree: int, bound: Optional[int], P: np.ndarray):
         self.point = point
         self.bound = bound
         self.orbit = np.array([point], dtype=np.int32)
@@ -145,13 +138,9 @@ class _Level:
         self.row[point] = 0
         self.uinv = np.empty((degree, degree), dtype=np.int32)
         self.uinv[0] = np.arange(degree, dtype=np.int32)
-        self.parent = np.zeros(1, dtype=np.intp)
-        self.edge = np.zeros(1, dtype=np.intp)
-        self.layers: list[int] = []
         self.ids = np.empty(0, dtype=np.intp)
         self.gens = np.empty((0, degree), dtype=np.int32)
-        self.P = np.empty(0, dtype=np.intp)
-        self.reps = np.empty((1, 0), dtype=np.int32)
+        self.reps = P[None].astype(np.int32)
         self.fresh = False
 
 
@@ -159,14 +148,15 @@ class BSGS:
     """Base and strong generating set with array transversals."""
 
     def __init__(self, degree: int, order_bound: Optional[OrderBound] = None,
-                 frame: Optional[Sequence[int]] = None):
+                 tracked: Optional[Sequence[int]] = None):
         if degree > DEGREE_CAP:
             raise SizeCapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
         self.degree = degree
         self.order_bound = order_bound
         self._identity = identity_perm(degree)     # every member's residue
         self._identity_bytes = self._identity.tobytes()
-        self.frame = None if frame is None else np.asarray(frame, dtype=np.intp)
+        # the sorted points whose images the sifts track (see `bsgs_build`)
+        self.P = np.arange(degree) if tracked is None else np.asarray(tracked, dtype=np.intp)
         self.base: list[int] = []
         # the strong generators, numbered in the order they were added, with
         # their inverses; the one numbered i fixes base[:j] and moves base[j]
@@ -180,13 +170,10 @@ class BSGS:
         # degree-wide u^-1 rows composed by them, permutations sifted,
         # whether the construction stopped at the bound on the whole group,
         # the level verifications settled by the level's bound, with no
-        # Schreier generator formed (see `_settled`), and the number of
-        # points whose images the last Schreier round tracked (see
-        # `_tracked`)
+        # Schreier generator formed (see `_settled`), and |P|
         self.stats = {"schreier_generators": 0, "residues": 0, "extensions": 0,
                       "coset_rows": 0, "sifts": 0, "stopped_at_bound": False,
-                      "settled_levels": 0,
-                      "tracked_points": degree if frame is None else len(self.frame)}
+                      "settled_levels": 0, "tracked_points": len(self.P)}
 
     # -- chain bookkeeping ----------------------------------------------
 
@@ -197,29 +184,20 @@ class BSGS:
         the generators added since, then goes on from each new layer with
         all of them: u_{g(q)} = g u_q, so u_{g(q)}^-1 = u_q^-1[g^-1] on all
         points and u_{g(q)}[P] = g[u_q[P]] on the tracked points P.  Rows
-        already filled are kept, so every u^-1 row is composed once; when P
-        has gained a base point, `reps` is filled again on the new P along
-        the Schreier tree.  Schreier's lemma holds for any transversal with
-        u_point = 1, which this one is.  A fresh level needs nothing: P
-        grows only by a new base point, and adding one makes every level
-        stale."""
+        already filled are kept, so every u^-1 row is composed once.
+        Schreier's lemma holds for any transversal with u_point = 1, which
+        this one is."""
         lv = self.levels[level]
         if lv.fresh:
             return
-        n = self.degree
-        P = self._tracked()
-        if not np.array_equal(P, lv.P):
-            lv.P, lv.reps = P, np.empty((len(lv.orbit), len(P)), dtype=np.int32)
-            lv.reps[0] = P
-            for a, b in zip(lv.layers, lv.layers[1:] + [len(lv.orbit)]):
-                lv.reps[a:b] = compose_rows(self._gens, lv.edge[a:b], lv.reps[lv.parent[a:b]])
+        n, P = self.degree, self.P
         ids = self._level_ids(level)
         known = np.zeros(len(self._level_of), dtype=bool)
         known[lv.ids] = True                # the orbit is closed under these
         use = ids[~known[ids]]
         lv.ids, lv.gens = ids, self._gens[ids]
         # the blocks of rows: the orbit so far, then one per new BFS layer
-        orbit, reps, parent, edge = [lv.orbit], [lv.reps], [lv.parent], [lv.edge]
+        orbit, reps = [lv.orbit], [lv.reps]
         front = np.arange(len(lv.orbit))
         size = len(lv.orbit)
         step, wide = chunk_rows(n), chunk_rows(len(P))
@@ -250,15 +228,12 @@ class BSGS:
             for a in range(0, src.size, wide):
                 b = slice(a, a + wide)
                 rep[b] = compose_rows(self._gens, via[b], reps[-1][up[b]])
-            lv.layers.append(size)
             orbit.append(images[src])
             reps.append(rep)
-            parent.append(rows)
-            edge.append(via)
             size += src.size
             use = ids
         self.stats["coset_rows"] += size - len(lv.orbit)
-        lv.orbit, lv.reps, lv.parent, lv.edge = map(np.concatenate, (orbit, reps, parent, edge))
+        lv.orbit, lv.reps = np.concatenate(orbit), np.concatenate(reps)
         lv.fresh = True
         self.stats["extensions"] += 1
 
@@ -274,15 +249,16 @@ class BSGS:
         return self._gens[self._level_ids(level)]
 
     def _append_base_point(self, moved_by: Perm) -> None:
-        moved = np.flatnonzero(moved_by != self._identity)
+        """Add the first tracked point that `moved_by` moves as a base point."""
+        moved = np.flatnonzero(np.asarray(moved_by).take(self.P) != self.P)
         if not moved.size:
-            raise AssertionError("identity passed as a new strong generator")
-        self._add_level(int(moved[0]))
+            raise AssertionError("a new strong generator fixes every tracked point")
+        self._add_level(int(self.P[moved[0]]))
 
     def _add_level(self, point: int) -> None:
         bound = None if self.order_bound is None else self.order_bound(tuple(self.base))
         self.base.append(point)
-        self.levels.append(_Level(point, self.degree, bound))
+        self.levels.append(_Level(point, self.degree, bound, self.P))
 
     def _store(self, gens: np.ndarray, j: int) -> None:
         """Number a stack of new strong generators at level j and store them
@@ -357,16 +333,6 @@ class BSGS:
 
     # -- deterministic Schreier-Sims -------------------------------------
 
-    def _tracked(self) -> np.ndarray:
-        """The points P whose images the sifts track, sorted: the frame and
-        the base, or every point without a frame."""
-        if self.frame is None:
-            P = np.arange(self.degree)
-        else:
-            P = np.array(sorted(set(self.frame.tolist()).union(self.base)), dtype=np.intp)
-        self.stats["tracked_points"] = len(P)
-        return P
-
     def _first_nonmember(self, H: np.ndarray, P: np.ndarray, start_level: int,
                          full_row: Callable[[int], Perm]) -> Optional[tuple[int, Perm, int]]:
         """The first row of H whose residue, sifted from `start_level`, is not
@@ -391,7 +357,7 @@ class BSGS:
         Schreier generators stops at the first non-member, as in the
         one-at-a-time procedure."""
         lv = self.levels[i]
-        k, P = len(lv.gens), lv.P
+        k, P = len(lv.gens), self.P
         top = chunk_rows(k * len(P))
         s, per = 0, 1
         while s < len(lv.orbit):
@@ -465,14 +431,13 @@ class BSGS:
         points without a frame).  The first candidate whose residue is not
         the identity is formed on all points, becomes a strong generator at
         the level j it reached, and the Schreier-Sims loop starts at j; the
-        next chunk starts after it, on the P of the grown chain.  So a whole
-        candidate is formed only for each one added.  Once the order meets
-        the chain's bound on the whole group, no further chunk is formed."""
+        next chunk starts after it.  So a whole candidate is formed only for
+        each one added.  Once the order meets the chain's bound on the whole
+        group, no further chunk is formed."""
         changed = False
         start = 0
-        every = np.arange(self.degree)
+        P, every = self.P, np.arange(self.degree)
         while start < count and not (self.levels and self._settled(0)):
-            P = self._tracked()
             chunk = form(slice(start, min(start + chunk_rows(len(P)), count)), P)
             found = self._first_nonmember(
                 chunk, P, 0, lambda r: form(slice(start + r, start + r + 1), every)[0])
@@ -529,8 +494,17 @@ def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
     fixes pointwise, in a group holding <gens> and every row later passed to
     `extend_many` (for a group of F_p-linear maps on the nonzero vectors of
     F_p^D, a basis: a linear map that fixes a basis is the identity).  The
-    Schreier generators and sifts then track only the frame and the base.
-    The chain is the same as without a frame.
+    sifts then track only the points P of the frame and the base hint,
+    fixed for the life of the chain, and each new base point is the first
+    point of P that the new strong generator moves (some point of P moves,
+    since only the identity fixes the frame pointwise).
+
+    With the nonzero vectors as points code - 1 and e_k = p^k (point
+    p^k - 1) as the frame, the chain is the one built without a frame.
+    The codes below p^k are exactly span(e_0..e_(k-1)), so a linear map
+    that fixes e_0..e_(k-1) fixes every point below p^k - 1: its first
+    moved point is the first basis vector it moves, which is also its first
+    moved point in P, and every base point, sift and residue is the same.
     """
     gens = [np.array(g, dtype=np.int32) for g in gens]
     if not gens:
@@ -538,7 +512,8 @@ def bsgs_build(gens: Sequence[Perm], base_hint: Optional[Sequence[int]] = None,
     degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise DegreeMismatch("generators act on different point sets")
-    b = BSGS(degree, order_bound=order_bound, frame=frame)
+    tracked = None if frame is None else sorted(set(frame).union(base_hint or []))
+    b = BSGS(degree, order_bound=order_bound, tracked=tracked)
     for pt in base_hint or []:
         b._add_level(int(pt))
     nontrivial = [g for g in gens if not is_identity(g)]

@@ -18,12 +18,12 @@ contraction with that tensor mod p.  Inverses form no tensor: each is a
 few skew-polynomial divisions (`inverses`).
 
 `SemifieldCtx.images` is the one kernel that applies a stack of D x D
-matrices over F_p to coordinate vectors (product table rows, the
-translations `loops.gl_bound` certifies, automorphisms).  It runs as one
-float64 GEMM: with entries in [0, p) every sum it forms is an integer of at
-most D (p-1)^2, exact in float64 while that is below 2^53, and it is
-reduced mod p in int32 while D (p-1)^2 < 2^31 (else int64) before the
-codes are formed (exact linear algebra mod p on floating-point BLAS, as in
+matrices over F_p to coordinate vectors (product table rows and the
+translations `loops.gl_bound` certifies).  It runs as one float64 GEMM:
+with entries in [0, p) every sum it forms is an integer of at most
+D (p-1)^2, exact in float64 while that is below 2^53, and it is reduced
+mod p in int32 while D (p-1)^2 < 2^31 (else int64) before the codes are
+formed (exact linear algebra mod p on floating-point BLAS, as in
 FFLAS-FFPACK).
 """
 

@@ -257,6 +257,13 @@ def test_exit_cap_on_bounds_beyond_float_range(capsys, n, m):
         assert "kantor_bound" in err and "q^(nm) = 2^1200" in err and "below about 2^1019" in err
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_exit_usage_on_bounds_below_n_2(capsys, n):
+    rc, out, err = run(capsys, "census", "bounds", "--q", "2", "--n", str(n), "--m", "3")
+    assert rc == cli.EXIT_USAGE
+    assert out == "" and err == f"usage error: n >= 2 required, got n = {n}\n"
+
+
 def test_verify_tier1_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--tier", "1")
     assert rc == cli.EXIT_OK

@@ -535,8 +535,8 @@ def mlt_chains():
 
 def test_extended_transversals_are_coset_representatives():
     """Every level of a chain whose transversals were extended, not rebuilt:
-    u_pt^-1 maps pt back to the level's point, `reps` is u_pt on P (the
-    inverse of the u^-1 row there), the orbit is the whole orbit of the
+    u_pt^-1 maps pt back to the level's point, `reps` is u_pt on the
+    chain's tracked points P (the inverse of the u^-1 row there), the orbit is the whole orbit of the
     level's generators, and the strong generators rebuild a chain of the
     same group."""
     for M in mlt_chains():
@@ -545,7 +545,7 @@ def test_extended_transversals_are_coset_representatives():
             assert (lv.uinv[lv.row[lv.orbit], lv.orbit] == lv.point).all()
             assert np.array_equal(lv.row[lv.orbit], np.arange(n))
             assert np.array_equal(np.take_along_axis(lv.uinv[:n], lv.reps.astype(np.intp), 1),
-                                  np.broadcast_to(lv.P, lv.reps.shape))
+                                  np.broadcast_to(M.P, lv.reps.shape))
             gens = M._level_gens(level)
             assert sorted(lv.orbit.tolist()) == sorted(oracles.orbit(gens, lv.point))
         sgs = M.strong_generators()
@@ -556,9 +556,10 @@ def test_extended_transversals_are_coset_representatives():
 
 
 def test_each_coset_row_is_composed_once():
-    """An extension composes a u^-1 row only for a point new to the orbit
-    (`test_frame_chain_equals_full_point_chain` checks it also on chains
-    whose tracked points P change)."""
+    """An extension composes a u^-1 row only for a point new to the orbit,
+    on framed and bare chains, and on the all-generators Inn
+    (`test_frame_chain_equals_full_point_chain` checks it also on linear
+    groups with the unit vectors as their frame)."""
     for M in mlt_chains():
         assert M.stats["coset_rows"] == sum(n - 1 for n in M.orbit_lengths())
     inn = lp.inn_from_generators(quat3_loops()[0])
@@ -750,10 +751,10 @@ def test_gl_stabilizer_order_matches_matrix_count(d, p, l):
 
 
 def test_fq_span_matches_brute_force_span():
-    """The F_q-span of tuples of points of the F_16/F_4 loop (d = 4, q = 4)
-    against the closure {a + lambda v} over F_4 = {x : x^4 = x} in K, and
-    the level bounds read from its dimension.  Over F_2 some spans are
-    smaller, so the dimension is taken over F_q."""
+    """The F_q-dimension of the span of tuples of points of the F_16/F_4
+    loop (d = 4, q = 4), read by rank, against the closure {a + lambda v}
+    over F_4 = {x : x^4 = x} in K, and the level bounds read from it.  Over
+    F_2 some spans are smaller, so the dimension is taken over F_q."""
     L = groups_loop("F16m2:255")
     S = L.semifield
     K, q = S.tower.field, S.tower.q
@@ -770,16 +771,16 @@ def test_fq_span_matches_brute_force_span():
     tuples = [tuple(rng.sample(range(L.size), k)) for k in (1, 2, 2, 3, 3, 4, 5) for _ in range(3)]
     # 1 and c (c in F_4, not in F_2) span a line; 1 and a generator of K do not
     line = (0, fq[-1] - 1)
-    tuples += [tuple(lp.mlt_group(L).base), line, (0, K.primitive - 1)]
-    span, bound, inn_bound = lp._fq_spans(L), lp.stabilizer_bound(L), lp.stabilizer_bound(L, [0])
+    tuples += [(), tuple(lp.mlt_group(L).base), line, (0, K.primitive - 1)]
+    bound, inn_bound = lp.stabilizer_bound(L), lp.stabilizer_bound(L, [0])
     smaller = 0
     for points in tuples:
-        w, W = span(points)
-        assert sorted(W.tolist()) == brute(points, fq) and len(W) == q ** w
+        w = lp._fq_dim(L, points)
+        assert q ** w == len(brute(points, fq))
         assert bound(points) == pg.gl_stabilizer_order(4, q, w)
-        assert inn_bound(points) == pg.gl_stabilizer_order(4, q, span((0,) + points)[0])
-        smaller += len(brute(points, [0, 1])) < len(W)
-    assert smaller and span(line)[0] == 1 and span((0, K.primitive - 1))[0] == 2
+        assert inn_bound(points) == pg.gl_stabilizer_order(4, q, lp._fq_dim(L, (0,) + points))
+        smaller += len(brute(points, [0, 1])) < q ** w
+    assert smaller and lp._fq_dim(L, line) == 1 and lp._fq_dim(L, (0, K.primitive - 1)) == 2
     assert lp.stabilizer_bound(lp.loop_from_table(L.table)) is None
 
 

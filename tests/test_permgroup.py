@@ -309,15 +309,11 @@ def span_size(points, p, d):
                        f4_matrix([[0, 1], [1, 0]])], pg.gl_order(2, 4)),
 ])
 def test_frame_chain_equals_full_point_chain(monkeypatch, name, p, d, mats, order):
-    """A group of F_p-linear maps built with a basis as its frame has the
-    chain built on all points: same base, orbits, coset representatives,
-    strong generators and Schreier generator count.  At least one residue
-    lands while the base points span a proper subspace, so the frame, not
-    the base alone, decides those sifts.  The unit vectors hold every base
-    point; the suffix sums e_k + ... + e_(d-1) miss a later base point of
-    GL(3,2) and GL(2,4), so the tracked points P change after the first
-    level has grown, and its representatives are filled again on the new
-    P."""
+    """A group of F_p-linear maps built with the unit vectors e_k (point
+    p^k - 1) as its frame has the chain built on all points: same base,
+    orbits, coset representatives, strong generators and Schreier generator
+    count.  At least one residue lands while the base points span a proper
+    subspace, so the frame, not the base alone, decides those sifts."""
     gens = linear_group_on_vectors(p, d, mats)
     full = pg.bsgs_build(gens)
     spans = []
@@ -328,34 +324,54 @@ def test_frame_chain_equals_full_point_chain(monkeypatch, name, p, d, mats, orde
         add(self, residue, j)
 
     monkeypatch.setattr(pg.BSGS, "_add_generator", spy)
-    units = [p ** k - 1 for k in range(d)]
+    framed = pg.bsgs_build(gens, frame=[p ** k - 1 for k in range(d)])
+    assert framed.order == full.order == order
+    assert framed.base == full.base
+    for a, b in zip(framed.levels, full.levels):
+        assert np.array_equal(a.orbit, b.orbit)
+        assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
+        assert np.array_equal(a.reps, b.reps[:, framed.P])
+    assert all(np.array_equal(a, b) for a, b in
+               zip(framed.strong_generators(), full.strong_generators()))
+    assert len(framed.strong_generators()) == len(full.strong_generators())
+    assert framed.stats["schreier_generators"] == full.stats["schreier_generators"]
+    assert framed.stats["coset_rows"] == sum(n - 1 for n in framed.orbit_lengths())
+    assert min(spans) < p ** d
+    assert full.stats["tracked_points"] == len(gens[0]) > framed.stats["tracked_points"] == d
+
+
+@pytest.mark.parametrize("name,p,d,mats,order", [
+    ("GL(3,2)", 2, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+     pg.gl_order(3, 2)),
+    ("GL(2,4)", 2, 4, [f4_matrix([[2, 0], [0, 1]]), f4_matrix([[1, 1], [0, 1]]),
+                       f4_matrix([[0, 1], [1, 0]])], pg.gl_order(2, 4)),
+])
+def test_frame_base_points_come_from_the_frame(name, p, d, mats, order):
+    """With the suffix sums e_k + ... + e_(d-1) as the frame, which the
+    chain on all points leaves for a later base point, the tracked points
+    stay the frame: each base point is the first frame point that the
+    strong generator which opened its level moves, and the group order and
+    orbit product are those of the chain on all points."""
+    gens = linear_group_on_vectors(p, d, mats)
+    full = pg.bsgs_build(gens)
     suffixes = [(p ** d - p ** k) // (p - 1) - 1 for k in range(d)]
-    for frame in (units, suffixes):
-        spans.clear()
-        framed = pg.bsgs_build(gens, frame=frame)
-        assert framed.order == full.order == order
-        assert framed.base == full.base
-        for a, b in zip(framed.levels, full.levels):
-            assert np.array_equal(a.orbit, b.orbit)
-            assert np.array_equal(a.uinv[:len(a.orbit)], b.uinv[:len(b.orbit)])
-            assert np.array_equal(a.reps, b.reps[:, a.P])
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(framed.strong_generators(), full.strong_generators()))
-        assert len(framed.strong_generators()) == len(full.strong_generators())
-        assert framed.stats["schreier_generators"] == full.stats["schreier_generators"]
-        assert framed.stats["coset_rows"] == sum(n - 1 for n in framed.orbit_lengths())
-        assert min(spans) < p ** d
-        assert full.stats["tracked_points"] == len(gens[0]) > framed.stats["tracked_points"]
-        moved_out = bool(set(framed.base[1:]) - set(frame))
-        assert moved_out == (frame is suffixes and name != "GL(2,3)")
+    framed = pg.bsgs_build(gens, frame=suffixes)
+    P = framed.P
+    assert P.tolist() == sorted(suffixes) and framed.stats["tracked_points"] == d
+    assert set(framed.base) <= set(suffixes) and not set(full.base) <= set(suffixes)
+    for j, point in enumerate(framed.base):
+        g = framed._gens[framed._level_of.index(j)]
+        assert P[np.flatnonzero(g[P] != P)[0]] == point
+    assert framed.order == math.prod(framed.orbit_lengths()) == full.order == order
+    assert framed.contains_many(np.stack(full.strong_generators())).all()
 
 
 @pytest.mark.parametrize("frame", [False, True])
 def test_new_base_point_makes_every_level_stale(monkeypatch, frame):
     """A fresh level is not rebuilt (the final pass at the order bound skips
-    it), so its representatives on the tracked points P must stay valid: P
-    grows only by a new base point, and every level is stale once one is
-    added."""
+    it), so it must not miss a strong generator: one that opens a new base
+    point fixes every base point above it, lies in every level's group, and
+    makes every level stale."""
     p, d = 2, 4
     gens = linear_group_on_vectors(p, d, [f4_matrix([[2, 0], [0, 1]]),
                                           f4_matrix([[1, 1], [0, 1]]),
@@ -374,7 +390,6 @@ def test_new_base_point_makes_every_level_stale(monkeypatch, frame):
         lv = self.levels[level]
         if lv.fresh:
             skipped.append(level)
-            assert np.array_equal(lv.P, self._tracked())
         rebuild(self, level)
 
     monkeypatch.setattr(pg.BSGS, "_add_generator", add_spy)

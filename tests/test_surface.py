@@ -12,7 +12,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "skewloop").glob("*.py"))
 # bench/tests is the harness's own test suite, not a caller
 CALLERS = SRC + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-# the isotopy machinery of ROADMAP item 6, which has no caller yet
+# the isotopy and isomorphism machinery of ROADMAP items 5 and 8, which has
+# no caller yet; `loop_from_table` is a test-only constructor
 ALLOWED = {"loop_isomorphic", "loop_from_table"}
 
 
