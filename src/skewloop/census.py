@@ -7,7 +7,10 @@ on the elements of degree m in F_(q^m), each a Burnside sum of gcds
 (`orbit_count`) with no size cap.  The class count is also read from the
 field's log tables up to 2^16 and asserted equal.  The enumeration of
 GammaL(1,q)-orbits that M(q,m) came from is now a test oracle; the sieve of
-the irreducibles stays as the enumeration of N(q,m) up to 2^16.
+the irreducibles stays as the enumeration of N(q,m) up to 2^16.  In
+characteristic 2 the sieve forms each product's key by one XOR, as keys add
+by XOR and a product is F_2-linear in its cofactor; odd p gathers through
+q x q addition and multiplication tables.
 
 Counts live over the center F_q[y] = F_q[t^n; sigma], so most arithmetic here
 is plain (untwisted) polynomial arithmetic over F_q with q = p^r.  Similarity
@@ -73,9 +76,9 @@ def theta(q: int, m: int) -> int:
 
 def count_central_irreducible(q: int, m: int) -> int:
     """N(q,m) via the Moebius sum, cross-checked against (q^m - theta)/m."""
+    num = q ** m - theta(q, m)          # first: theta checks q and m >= 2
     by_mobius = sum(mobius(l) * q ** (m // l)
                     for l in range(1, m + 1) if m % l == 0) // m
-    num = q ** m - theta(q, m)
     if num % m or num // m != by_mobius:
         raise FormulaMismatch(
             f"N({q},{m}): Moebius sum {by_mobius} vs (q^m-theta)/m = {num}/{m}")
@@ -86,37 +89,86 @@ def enumerate_irreducible(K: FieldCtx, m: int) -> np.ndarray:
     """Monic irreducible degree-m polynomials over F_q by a product sieve:
     mark every monic product (irreducible g of degree e <= d/2) * (monic
     cofactor), all g of one degree against all cofactors at once.  Only
-    degree m and the degrees up to m/2 its factors can have are sieved, and
-    the coefficient arithmetic goes through q x q addition and
-    multiplication tables, flattened so that a x b is entry a q + b (the
-    callers' CLASSIFY_LIMIT keeps q <= 256), gathered with `take`.  A
-    product's index is its coefficients read by Horner steps.  Rows of
-    codes, low degree first, in itertools.product order."""
-    q = K.order
-    codes = np.arange(q)
-    add = K.add_array(codes[:, None], codes).ravel().astype(np.int32)
-    mul = K.mul_array(codes[:, None], codes).ravel().astype(np.int32)
+    degree m and the degrees up to m/2 its factors can have are sieved.  A
+    product is marked at its key, its coefficients c_0 .. c_(d-1) read as
+    base-q digits, c_0 the most significant; the cofactors h run in
+    `monic_rows` order, so h's index j is the key of its own lower
+    coefficients.  Rows of codes, low degree first, in itertools.product
+    order.
+
+    In characteristic 2 a code's bits are its F_2-coordinates, so the key of
+    a sum is the XOR of the keys, and g h = y^(d-e) g + sum_i h_i y^i g is
+    F_2-linear in the lower coefficients of h: key(g h) is the key of
+    y^(d-e) g XOR the images L_g(t) of the bits t of j, where bit b of h_i
+    is bit t = r (d-e-1-i) + b of j (q = 2^r) and L_g(t) is the key of
+    2^b y^i g, 2^b read as a code.  All q^(d-e) products of g then come from
+    r (d-e) doublings out[2^t + j] = out[j] XOR L_g(t), one XOR per product
+    (`_xor_keys`), and no q x q table is built.  For odd p the key of a sum
+    is no single integer operation on the keys, since base-p digits add mod
+    p with no carry; doublings of digit vectors and of packed base-B digit
+    sums both measured slower than table gathers, so odd p forms the
+    products coefficient by coefficient through flattened q x q tables
+    (`_gather_keys`)."""
+    return _sieve(K, m, xor=K.p == 2)
+
+
+def _sieve(K: FieldCtx, m: int, xor: bool) -> np.ndarray:
+    """`enumerate_irreducible` with the products keyed by `_xor_keys`
+    (valid only for p = 2) or by `_gather_keys` (any p)."""
+    q, keys = K.order, _xor_keys if xor else _gather_keys
     irr_by_deg: dict[int, np.ndarray] = {}
     for d in [*range(1, m // 2 + 1), m]:
         composite = np.zeros(q ** d, dtype=bool)
         for e in range(1, d // 2 + 1):
-            g = q * irr_by_deg[e][:, None, :, None].astype(np.int32)
-            h = monic_rows(q, d - e, np.arange(q ** (d - e))).astype(np.int32)
-            prod = np.zeros((len(g), len(h), d + 1), dtype=np.int32)
-            prod[:, :, e:] = h                  # g is monic: start from y^e h
-            for i in range(e):
-                window = prod[:, :, i:i + d - e + 1]
-                window[:] = add.take(q * window + mul.take(g[:, :, i] + h))
-            key = prod[:, :, 0]                 # c0 is the most significant digit
-            for i in range(1, d):
-                key = key * q + prod[:, :, i]
-            composite[key] = True
+            composite[keys(K, irr_by_deg[e], d)] = True
         irr_by_deg[d] = monic_rows(q, d, np.flatnonzero(~composite))
     return irr_by_deg[m]
 
 
+def _xor_keys(K: FieldCtx, g: np.ndarray, d: int) -> np.ndarray:
+    """Keys of the products of the monic rows g (degree e, p = 2) with all
+    monic cofactors of degree d - e, by XOR doubling from the key of
+    y^(d-e) g, which is g's index; L_g(r s + b) = q^s key(2^b g)."""
+    q, r, e = K.order, K.l, g.shape[1] - 1
+    weights = q ** np.arange(e, -1, -1)
+    images = np.stack([K.mul_array(g, 1 << b) @ weights for b in range(r)], axis=1)
+    dtype = np.min_scalar_type(q ** d - 1)
+    scale = q ** np.arange(d - e)[:, None]
+    basis = (images[:, None, :] * scale).reshape(len(g), -1).astype(dtype)
+    out = np.empty((len(g), q ** (d - e)), dtype=dtype)
+    out[:, 0] = g[:, :e] @ weights[1:]
+    for t in range(r * (d - e)):
+        out[:, 1 << t:2 << t] = out[:, :1 << t] ^ basis[:, t, None]
+    return out.ravel()
+
+
+def _gather_keys(K: FieldCtx, g: np.ndarray, d: int) -> np.ndarray:
+    """Keys of the products of the monic rows g (degree e, any p) with all
+    monic cofactors of degree d - e: the coefficient arithmetic goes through
+    q x q addition and multiplication tables, flattened so that a x b is
+    entry a q + b (the callers' CLASSIFY_LIMIT keeps q <= 256), gathered
+    with `take`, and a key is read by Horner steps."""
+    q, e = K.order, g.shape[1] - 1
+    codes = np.arange(q)
+    add = K.add_array(codes[:, None], codes).ravel().astype(np.int32)
+    mul = K.mul_array(codes[:, None], codes).ravel().astype(np.int32)
+    g = q * g[:, None, :, None].astype(np.int32)
+    h = monic_rows(q, d - e, np.arange(q ** (d - e))).astype(np.int32)
+    prod = np.zeros((len(g), len(h), d + 1), dtype=np.int32)
+    prod[:, :, e:] = h                  # g is monic: start from y^e h
+    for i in range(e):
+        window = prod[:, :, i:i + d - e + 1]
+        window[:] = add.take(q * window + mul.take(g[:, :, i] + h))
+    key = prod[:, :, 0]                 # c0 is the most significant digit
+    for i in range(1, d):
+        key = key * q + prod[:, :, i]
+    return key
+
+
 def count_irreducible_enum(q: int, m: int) -> int:
     """Enumeration oracle for N(q,m); q^m <= 2^16."""
+    if m < 2:
+        raise PreconditionViolated("m >= 2 required")
     if q ** m > CLASSIFY_LIMIT:
         raise SizeCapExceeded(f"q^m = {q**m} exceeds {CLASSIFY_LIMIT}")
     p, r = _prime_power(q)

@@ -112,10 +112,29 @@ ORBIT_CASES = [(2, 2), (3, 2), (4, 2), (5, 2), (7, 3), (9, 3), (16, 3), (25, 2),
 
 @pytest.mark.parametrize("q,m", SIEVE_CASES)
 def test_enumerate_irreducible_matches_oracle(q, m):
+    # p = 2 sieves by XOR doubling; the gather branch, which odd p runs,
+    # is checked at p = 2 as well
     p, r = cs._prime_power(q)
     K = gf.FieldCtx.create(p, r)
-    assert list(map(tuple, cs.enumerate_irreducible(K, m).tolist())) == \
-        _oracle_enumerate_irreducible(K, m)
+    want = _oracle_enumerate_irreducible(K, m)
+    assert list(map(tuple, cs.enumerate_irreducible(K, m).tolist())) == want
+    assert list(map(tuple, cs._sieve(K, m, xor=False).tolist())) == want
+
+
+@pytest.mark.parametrize("q,m", [(2, 16), (4, 8), (16, 4), (256, 2)])
+def test_xor_sieve_matches_gather_sieve_at_2_16(q, m):
+    p, r = cs._prime_power(q)
+    K = gf.FieldCtx.create(p, r)
+    got = cs._sieve(K, m, xor=True)
+    assert got.tolist() == cs._sieve(K, m, xor=False).tolist()
+    assert len(got) == cs.count_central_irreducible(q, m)
+
+
+@pytest.mark.parametrize("m", [0, 1, -1])
+def test_n_qm_requires_m_at_least_2(m):
+    for count in (cs.count_central_irreducible, cs.count_irreducible_enum):
+        with pytest.raises(cs.PreconditionViolated, match="m >= 2 required"):
+            count(4, m)
 
 
 @pytest.mark.parametrize("q,m", ORBIT_CASES)
